@@ -9,11 +9,11 @@ slots in which pools are adversarial.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Sequence
+from typing import Dict, FrozenSet
 
 import numpy as np
 
-from .data import Example
+from .data import Dataset
 from .seeds import Sm64Stream, derive_seed
 
 ATTACK_KINDS = ("none", "labelflip", "backdoor")
@@ -54,52 +54,40 @@ class AdversaryConfig:
             raise ValueError("poison_fraction must lie in (0, 1]")
 
 
-def flip_labels(data: Sequence[Example], num_classes: int) -> List[Example]:
-    """Relabel y -> (num_classes - 1) - y; features stay untouched."""
-    out = []
-    for ex in data:
-        if not (0 <= ex.label < num_classes):
-            raise ValueError(f"label {ex.label} out of range for {num_classes} classes")
-        out.append(Example(ex.features, num_classes - 1 - ex.label))
-    return out
+def flip_labels(data: Dataset, num_classes: int) -> Dataset:
+    """Relabel y -> (num_classes - 1) - y; the features array is shared."""
+    bad = data.y[(data.y < 0) | (data.y >= num_classes)]
+    if bad.size:
+        raise ValueError(f"label {bad[0]} out of range for {num_classes} classes")
+    return Dataset(data.x, (num_classes - 1) - data.y)
 
 
-def apply_trigger(example: Example, height: int, width: int, trigger_size: int,
-                  target_label: int) -> Example:
-    """White k x k box in the bottom-right corner, label forced to the target."""
+def apply_trigger(x: np.ndarray, height: int, width: int, trigger_size: int) -> np.ndarray:
+    """Copy of the rows ``x`` with a white k x k box in each grid's bottom-right corner."""
     k = trigger_size
     if k > min(height, width):
         raise ValueError(f"trigger {k}x{k} does not fit a {height}x{width} grid")
-    feats = np.array(example.features, dtype=np.float64, copy=True)
-    grid = feats.reshape(height, width)
-    grid[height - k :, width - k :] = 1.0
-    feats.flags.writeable = False
-    return Example(feats, target_label)
+    out = np.array(x, dtype=np.float64)
+    out.reshape(-1, height, width)[:, height - k :, width - k :] = 1.0
+    return out
 
 
-def poison_examples(data: Sequence[Example], height: int, width: int,
-                    cfg: AdversaryConfig, seed: int) -> List[Example]:
-    """Trigger a deterministic poison_fraction share of a client's examples."""
+def poison_examples(data: Dataset, height: int, width: int,
+                    cfg: AdversaryConfig, seed: int) -> Dataset:
+    """Trigger a deterministic poison_fraction share of a client's examples and relabel them."""
     n = len(data)
     n_poison = min(n, max(1, round(cfg.poison_fraction * n)))
-    chosen = set(Sm64Stream(seed).sample(range(n), n_poison))
-    out = []
-    for i, ex in enumerate(data):
-        if i in chosen:
-            out.append(apply_trigger(ex, height, width, cfg.trigger_size, cfg.target_label))
-        else:
-            out.append(ex)
-    return out
+    rows = np.array(Sm64Stream(seed).sample(range(n), n_poison), dtype=np.int64)
+    x, y = np.array(data.x), np.array(data.y)
+    x[rows] = apply_trigger(x[rows], height, width, cfg.trigger_size)
+    y[rows] = cfg.target_label
+    return Dataset(x, y)
 
 
-def build_backdoor_test(test_data: Sequence[Example], height: int, width: int,
-                        trigger_size: int, target_label: int) -> List[Example]:
+def build_backdoor_test(test_data: Dataset, height: int, width: int,
+                        trigger_size: int) -> Dataset:
     """Triggered copies of the test split that keep their original clean labels."""
-    out = []
-    for ex in test_data:
-        triggered = apply_trigger(ex, height, width, trigger_size, target_label)
-        out.append(Example(triggered.features, ex.label))
-    return out
+    return Dataset(apply_trigger(test_data.x, height, width, trigger_size), test_data.y)
 
 
 def boost_update(v_adv: np.ndarray, v_global: np.ndarray, n: int, eta: float) -> np.ndarray:

@@ -27,6 +27,7 @@ import numpy as np
 from . import params
 
 ZERO32 = bytes(32)
+MAX_DIFFICULTY = 256  # a SHA-256 hash has 256 bits to be zero
 _MAX_NONCE = (1 << 64) - 1
 
 
@@ -88,13 +89,15 @@ def block_hash(block: Block) -> bytes:
 def meets_difficulty(digest: bytes, difficulty: int) -> bool:
     if difficulty <= 0:
         return True
-    if difficulty > 256:
+    if difficulty > MAX_DIFFICULTY:
         return False
     return int.from_bytes(digest, "big") < (1 << (256 - difficulty))
 
 
 def seal_block(draft: Block, difficulty: int) -> Block:
     """Fill nonce and hash: smallest nonce from 0 upward whose hash meets difficulty."""
+    if not 0 <= difficulty <= MAX_DIFFICULTY:
+        raise ValueError(f"difficulty must lie in [0, {MAX_DIFFICULTY}], got {difficulty}")
     nonce = 0
     while True:
         candidate = replace(draft, nonce=nonce, hash=b"")
@@ -204,7 +207,11 @@ def load_lines(text: str) -> Chain:
                           payload_digest=bytes.fromhex(rec["payload_digest"]), meta=meta,
                           prev_hash=bytes.fromhex(rec["prev_hash"]), nonce=int(rec["nonce"]),
                           hash=bytes.fromhex(rec["hash"]))
-            difficulty = int(rec["difficulty"])
+            line_difficulty = int(rec["difficulty"])
+            if blocks and line_difficulty != difficulty:
+                raise ValueError(f"difficulty {line_difficulty} disagrees with {difficulty} "
+                                 f"on the lines before")
+            difficulty = line_difficulty
         except (KeyError, ValueError, TypeError) as exc:
             raise ValueError(f"chain export line {lineno}: {exc}")
         blocks.append(block)

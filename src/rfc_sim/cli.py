@@ -8,13 +8,13 @@ from __future__ import annotations
 
 import argparse
 import csv
-import math
 import os
 import sys
 from typing import Dict, List, Optional, Sequence
 
 from . import chain as chain_mod
 from . import config as config_mod
+from . import consensus
 from . import data as data_mod
 from . import metrics
 from .consensus import FederationResult, ProvenanceError, RoundAbortError
@@ -101,11 +101,13 @@ def _cmd_run(args) -> int:
             rc = config_mod.preset(args.preset, rc)
         if args.seed is not None:
             rc = config_mod.with_master_seed(rc, args.seed)
-    except (config_mod.ConfigError, ValueError, OSError) as exc:
+        consensus.threads_from_env()
+        partition = config_mod.build_partition(rc)
+    except (ValueError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
     try:
-        result = config_mod.execute_run(rc)
+        result = consensus.run_federation(rc.federation, partition)
     except (RoundAbortError, ProvenanceError) as exc:
         print(f"run aborted: {exc}", file=sys.stderr)
         return 2
@@ -133,21 +135,35 @@ def _cmd_validate_chain(args) -> int:
 
 
 def _cmd_gen_data(args) -> int:
-    examples = data_mod.gen_synthetic(args.classes, args.height, args.width,
-                                      args.per_class, args.noise_sigma, args.seed)
-    data_mod.save_csv(examples, args.out)
-    print(f"wrote {len(examples)} examples to {args.out}")
+    dataset = data_mod.gen_synthetic(args.classes, args.height, args.width,
+                                     args.per_class, args.noise_sigma, args.seed)
+    data_mod.save_csv(dataset, args.out)
+    print(f"wrote {len(dataset)} examples to {args.out}")
     return 0
 
 
-def _cmd_summarize(args) -> int:
-    with open(args.records, newline="") as fh:
+def _read_series(path: str) -> Dict[str, List[float]]:
+    """The summarized columns of a records.csv; a cell that is not a number raises ValueError."""
+    series: Dict[str, List[float]] = {}
+    with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
-        series: Dict[str, List[float]] = {}
         for row in reader:
             for name in ("val_metric",) + tuple(SUMMARY_DIRECTIONS):
                 if name in row:
-                    series.setdefault(name, []).append(float(row[name]))
+                    try:
+                        series.setdefault(name, []).append(float(row[name]))
+                    except (TypeError, ValueError):
+                        raise ValueError(f"{path}: line {reader.line_num}: {name} is not a number: "
+                                         f"{row[name]!r}")
+    return series
+
+
+def _cmd_summarize(args) -> int:
+    try:
+        series = _read_series(args.records)
+    except (OSError, ValueError, csv.Error) as exc:
+        print(f"summarize failed: {exc}", file=sys.stderr)
+        return 1
     rows = summary_rows(series, args.val_direction)
     print("metric,direction,final,best,avg_last_10,nonfinite_in_window")
     for name, direction, final, best, avg, skipped in rows:

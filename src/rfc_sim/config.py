@@ -10,7 +10,7 @@ empty file is the benign desk preset.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Callable, Dict, List, Tuple
+from typing import Callable, Dict, Tuple
 
 from . import consensus, data as data_mod
 from .aggregation import AGGREGATION_RULES, AggregatorConfig
@@ -320,14 +320,22 @@ def with_master_seed(rc: RunConfig, master_seed: int) -> RunConfig:
 
 
 def build_partition(rc: RunConfig) -> data_mod.FederatedPartition:
-    """Materialize the dataset and client split a run config describes."""
+    """Materialize the dataset and client split a run config describes.
+
+    A validation or test fraction that rounds to no examples of the dataset is
+    a ConfigError: both splits are scored every round.
+    """
     fed, d = rc.federation, rc.data
     if d.source == "synthetic":
-        examples = data_mod.gen_synthetic(d.num_classes, d.height, d.width, d.per_class,
-                                          d.noise_sigma, derive_seed(fed.master_seed, 0, 0, 0, "dataset"))
+        dataset = data_mod.gen_synthetic(d.num_classes, d.height, d.width, d.per_class,
+                                         d.noise_sigma, derive_seed(fed.master_seed, 0, 0, 0, "dataset"))
     else:
-        examples = data_mod.load_csv(d.csv_path, num_classes=d.num_classes)
-    return data_mod.partition(examples, fed.total_clients(), d.scheme, d.val_fraction,
+        dataset = data_mod.load_csv(d.csv_path, num_classes=d.num_classes)
+    for key, fraction in (("data.val_fraction", d.val_fraction), ("data.test_fraction", d.test_fraction)):
+        if round(fraction * len(dataset)) < 1:
+            raise ConfigError(f"{key} = {fraction!r} selects no examples of the "
+                              f"{len(dataset)} in the dataset")
+    return data_mod.partition(dataset, fed.total_clients(), d.scheme, d.val_fraction,
                               d.test_fraction, derive_seed(fed.master_seed, 0, 0, 0, "partition"),
                               height=d.height, width=d.width, num_classes=d.num_classes,
                               shards_per_client=d.shards_per_client)

@@ -20,12 +20,12 @@ from __future__ import annotations
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from . import aggregation, attacks, chain as chain_mod, metrics, models
-from .data import FederatedPartition
+from .data import Dataset, FederatedPartition
 from .seeds import Sm64Stream, derive_seed
 
 TOPOLOGIES = ("rfc", "client_server")
@@ -76,8 +76,9 @@ class FederationConfig:
             raise ValueError(f"unknown topology {self.topology!r}")
         if self.server_eta <= 0:
             raise ValueError("server_eta must be > 0")
-        if self.chain_difficulty < 0:
-            raise ValueError("chain_difficulty must be >= 0")
+        if not 0 <= self.chain_difficulty <= chain_mod.MAX_DIFFICULTY:
+            raise ValueError(f"chain_difficulty must lie in [0, {chain_mod.MAX_DIFFICULTY}], "
+                             f"got {self.chain_difficulty}")
         quota = self.sample_quota()
         if quota < 1:
             raise ValueError("per-aggregation sample size must be >= 1")
@@ -121,7 +122,6 @@ class FederationResult:
     store: chain_mod.ParamStore
     pool_members: Tuple[Tuple[int, ...], ...]
     candidates: List[Tuple[PoolCandidate, ...]]
-    provenance_violations: int = 0
 
 
 def sample_clients(members: Sequence[int], pool_id: int, round_idx: int, quota: int,
@@ -149,12 +149,16 @@ def server_update(global_model: np.ndarray, aggregate: np.ndarray, eta: float) -
     return global_model + eta * (aggregate - global_model)
 
 
-def _threads_from_env() -> int:
+def threads_from_env() -> int:
+    """Pool-level worker threads from ``RFC_SIM_THREADS`` (default 1)."""
     raw = os.environ.get("RFC_SIM_THREADS", "1")
     try:
-        return max(1, int(raw))
+        threads = int(raw)
     except ValueError:
-        return 1
+        threads = 0
+    if threads < 1:
+        raise ValueError(f"RFC_SIM_THREADS must be an integer >= 1, got {raw!r}")
+    return threads
 
 
 def _adversarial_ids(cfg: FederationConfig) -> frozenset:
@@ -167,39 +171,37 @@ def _adversarial_ids(cfg: FederationConfig) -> frozenset:
     return frozenset(ids)
 
 
-def _client_examples(cfg: FederationConfig, partition: FederatedPartition, cid: int,
-                     is_adversary: bool, round_idx: int, pool_id: int):
-    examples = partition.client_data[cid]
+def _client_data(cfg: FederationConfig, partition: FederatedPartition, cid: int,
+                 is_adversary: bool, round_idx: int, pool_id: int) -> Dataset:
+    data = partition.client_data[cid]
     adv = cfg.adversary
     if not is_adversary or adv.attack == "none":
-        return examples
+        return data
     if adv.attack == "labelflip":
-        return attacks.flip_labels(examples, partition.num_classes)
+        return attacks.flip_labels(data, partition.num_classes)
     seed = derive_seed(cfg.master_seed, round_idx, pool_id, cid, "poison")
-    return attacks.poison_examples(examples, partition.height, partition.width, adv, seed)
+    return attacks.poison_examples(data, partition.height, partition.width, adv, seed)
 
 
 def _run_pool(cfg: FederationConfig, partition: FederatedPartition, pool_id: int,
               members: Sequence[int], adversarial: frozenset, global_model: np.ndarray,
-              round_idx: int, quota: int) -> Tuple[PoolCandidate, int]:
-    """Train one pool's sample and produce its candidate; returns (candidate, violations)."""
+              round_idx: int, quota: int) -> PoolCandidate:
+    """Train one pool's sample and produce its candidate."""
     sampled = sample_clients(members, pool_id, round_idx, quota, cfg.master_seed)
-    home = set(members)
-    violations = sum(1 for cid in sampled if cid not in home)
-    if violations:
+    if not set(sampled) <= set(members):
         raise ProvenanceError(f"round {round_idx}: pool {pool_id} sampled foreign clients")
 
     updates: List[np.ndarray] = []
     adv_positions: List[int] = []
     for pos, cid in enumerate(sampled):
         is_adv = cid in adversarial
-        examples = _client_examples(cfg, partition, cid, is_adv, round_idx, pool_id)
+        data = _client_data(cfg, partition, cid, is_adv, round_idx, pool_id)
         seed = derive_seed(cfg.master_seed, round_idx, pool_id, cid, "shuffle")
         try:
-            update = models.train_local(cfg.model, global_model, examples, cfg.optimizer, seed)
+            update = models.train_local(cfg.model, global_model, data, cfg.optimizer, seed)
         except models.DivergenceError as exc:
             return PoolCandidate(pool_id, None, float("nan"), tuple(sampled), True,
-                                 f"client {cid} diverged in round {round_idx}: {exc}"), violations
+                                 f"client {cid} diverged in round {round_idx}: {exc}")
         updates.append(update)
         if is_adv:
             adv_positions.append(pos)
@@ -217,16 +219,16 @@ def _run_pool(cfg: FederationConfig, partition: FederatedPartition, pool_id: int
         aggregated = aggregation.aggregate(cfg.aggregator, updates)
     except ValueError as exc:
         return PoolCandidate(pool_id, None, float("nan"), tuple(sampled), True,
-                             f"aggregation failed in round {round_idx}: {exc}"), violations
+                             f"aggregation failed in round {round_idx}: {exc}")
     candidate_model = server_update(global_model, aggregated, cfg.server_eta)
     if not np.all(np.isfinite(candidate_model)):
         return PoolCandidate(pool_id, None, float("nan"), tuple(sampled), True,
-                             f"non-finite candidate in round {round_idx}"), violations
+                             f"non-finite candidate in round {round_idx}")
     value = metrics.score_model(cfg.metric, cfg.model, candidate_model, partition.validation)
     if not np.isfinite(value):
         return PoolCandidate(pool_id, candidate_model, float("nan"), tuple(sampled), True,
-                             f"non-finite validation metric in round {round_idx}"), violations
-    return PoolCandidate(pool_id, candidate_model, float(value), tuple(sampled)), violations
+                             f"non-finite validation metric in round {round_idx}")
+    return PoolCandidate(pool_id, candidate_model, float(value), tuple(sampled))
 
 
 def run_federation(cfg: FederationConfig, partition: FederatedPartition) -> FederationResult:
@@ -251,38 +253,33 @@ def run_federation(cfg: FederationConfig, partition: FederatedPartition) -> Fede
     adversarial = _adversarial_ids(cfg)
 
     adv = cfg.adversary
-    backdoor_test = partition.backdoor_test
-    if adv.attack == "backdoor" and not backdoor_test:
+    backdoor_test = None
+    if adv.attack == "backdoor":
         backdoor_test = attacks.build_backdoor_test(partition.test, partition.height,
-                                                    partition.width, adv.trigger_size,
-                                                    adv.target_label)
+                                                    partition.width, adv.trigger_size)
 
     store = chain_mod.ParamStore()
     init = models.init_params(cfg.model, derive_seed(cfg.master_seed, 0, 0, 0, "init"))
     store.put(init)
     ledger = chain_mod.genesis(init, cfg.chain_difficulty)
 
-    n_threads = _threads_from_env()
+    n_threads = threads_from_env()
     records: List[metrics.RoundRecord] = []
     all_candidates: List[Tuple[PoolCandidate, ...]] = []
-    total_violations = 0
 
     executor = ThreadPoolExecutor(max_workers=n_threads) if n_threads > 1 else None
     try:
         for round_idx in range(1, cfg.rounds + 1):
             global_model = store.get(ledger.blocks[-1].payload_digest)
-            tasks = [(gid, members) for gid, members in groups]
             if executor is None:
-                outcomes = [_run_pool(cfg, partition, gid, members, adversarial,
-                                      global_model, round_idx, quota)
-                            for gid, members in tasks]
+                candidates = tuple(_run_pool(cfg, partition, gid, members, adversarial,
+                                             global_model, round_idx, quota)
+                                   for gid, members in groups)
             else:
                 futures = [executor.submit(_run_pool, cfg, partition, gid, members,
                                            adversarial, global_model, round_idx, quota)
-                           for gid, members in tasks]
-                outcomes = [f.result() for f in futures]
-            candidates = tuple(c for c, _ in outcomes)
-            total_violations += sum(v for _, v in outcomes)
+                           for gid, members in groups]
+                candidates = tuple(f.result() for f in futures)
 
             winner = select_winner(candidates, cfg.metric.direction)
             if winner is None:
@@ -296,7 +293,7 @@ def run_federation(cfg: FederationConfig, partition: FederatedPartition) -> Fede
             ledger = chain_mod.append(ledger, winner.model, meta)
 
             test_loss, test_acc = models.evaluate(cfg.model, winner.model, partition.test)
-            if adv.attack == "backdoor":
+            if backdoor_test is not None:
                 bd_target, bd_loss = metrics.evaluate_backdoor(cfg.model, winner.model,
                                                                backdoor_test, adv.target_label)
                 _, bd_clean = models.evaluate(cfg.model, winner.model, backdoor_test)
@@ -315,5 +312,4 @@ def run_federation(cfg: FederationConfig, partition: FederatedPartition) -> Fede
 
     final_model = store.get(ledger.blocks[-1].payload_digest)
     return FederationResult(final_model=final_model, records=records, chain=ledger,
-                            store=store, pool_members=pools, candidates=all_candidates,
-                            provenance_violations=total_violations)
+                            store=store, pool_members=pools, candidates=all_candidates)

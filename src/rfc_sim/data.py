@@ -1,16 +1,18 @@
 """Dataset representation, synthetic generation, CSV ingestion and partitioning.
 
-Examples carry an H x W grayscale grid flattened row-major into [0, 1]
-features, so trigger geometry stays meaningful on synthetic data. The
-synthetic task gives class c a fixed bright cell (flat index c) of intensity
-0.95 plus clipped Gaussian noise.
+A ``Dataset`` is one read-only array pair: ``x`` holds n H x W grayscale grids
+flattened row-major into [0, 1] float64 features (shape ``[n, H*W]``), so
+trigger geometry stays meaningful on synthetic data, and ``y`` holds the n
+int64 labels. Splits and client shards are row subsets that keep the source
+order of their rows. The synthetic task gives class c a fixed bright cell
+(flat index c) of intensity 0.95 plus clipped Gaussian noise.
 """
 
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field, replace
-from typing import Dict, List, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict
 
 import numpy as np
 
@@ -21,29 +23,54 @@ TEMPLATE_BRIGHT = 0.95
 PARTITION_SCHEMES = ("iid", "label_shard")
 
 
-@dataclass
-class Example:
-    features: np.ndarray  # flat H*W float64 grid, values in [0, 1]
-    label: int
+@dataclass(frozen=True, eq=False)
+class Dataset:
+    """n examples as features ``x`` (float64 [n, H*W]) and labels ``y`` (int64 [n]).
+
+    The constructor takes ownership of both arrays and makes them read-only.
+    """
+
+    x: np.ndarray
+    y: np.ndarray
+
+    def __post_init__(self):
+        x = np.asarray(self.x, dtype=np.float64)
+        y = np.asarray(self.y, dtype=np.int64)
+        if x.ndim != 2 or y.shape != (x.shape[0],):
+            raise ValueError(f"dataset needs x of shape [n, d] and y of shape [n], "
+                             f"got {x.shape} and {y.shape}")
+        x.flags.writeable = False
+        y.flags.writeable = False
+        object.__setattr__(self, "x", x)
+        object.__setattr__(self, "y", y)
+
+    def __len__(self) -> int:
+        return self.y.shape[0]
+
+    def __getitem__(self, rows) -> "Dataset":
+        """The rows ``rows`` (a slice or an index array), in that order."""
+        return Dataset(self.x[rows], self.y[rows])
 
 
 @dataclass
 class FederatedPartition:
-    client_data: Dict[int, List[Example]]
-    validation: List[Example]
-    test: List[Example]
-    backdoor_test: List[Example] = field(default_factory=list)
-    height: int = 0
-    width: int = 0
-    num_classes: int = 0
+    client_data: Dict[int, Dataset]
+    validation: Dataset
+    test: Dataset
+    height: int
+    width: int
+    num_classes: int
 
 
-_synthetic_cache: dict = {}
+# Runs in one process often repeat a seed (test suites, the experiment
+# matrix); a cold generation costs far more than a lookup. Entries are
+# read-only, so callers share them.
+_synthetic_cache: Dict[tuple, Dataset] = {}
 
 
 def gen_synthetic(num_classes: int, height: int, width: int, per_class: int,
-                  noise_sigma: float, seed: int) -> List[Example]:
-    """per_class examples of each class, deterministic in seed."""
+                  noise_sigma: float, seed: int) -> Dataset:
+    """per_class examples of each class in class order, deterministic in seed."""
     if height * width < num_classes:
         raise ValueError(f"grid {height}x{width} too small for {num_classes} class templates")
     if per_class < 1:
@@ -53,26 +80,24 @@ def gen_synthetic(num_classes: int, height: int, width: int, per_class: int,
     key = (num_classes, height, width, per_class, noise_sigma, seed)
     cached = _synthetic_cache.get(key)
     if cached is not None:
-        return list(cached)
-    stream = Sm64Stream(seed)
-    dim = height * width
-    examples = []
-    for c in range(num_classes):
-        template = np.zeros(dim, dtype=np.float64)
-        template[c] = TEMPLATE_BRIGHT
-        for _ in range(per_class):
-            if noise_sigma == 0.0:
-                feats = template.copy()
-            else:
-                noise = np.array([stream.gauss() for _ in range(dim)], dtype=np.float64)
-                feats = np.clip(template + noise_sigma * noise, 0.0, 1.0)
-            feats.flags.writeable = False
-            examples.append(Example(feats, c))
-    _synthetic_cache[key] = list(examples)
-    return examples
+        return cached
+    y = np.repeat(np.arange(num_classes, dtype=np.int64), per_class)
+    x = np.zeros((y.shape[0], height * width), dtype=np.float64)
+    x[np.arange(y.shape[0]), y] = TEMPLATE_BRIGHT
+    if noise_sigma != 0.0:
+        # template + sigma * noise, clipped; in place, so only one extra array lives
+        stream = Sm64Stream(seed)
+        noise = np.fromiter((stream.gauss() for _ in range(x.size)), dtype=np.float64,
+                            count=x.size).reshape(x.shape)
+        noise *= noise_sigma
+        x += noise
+        np.clip(x, 0.0, 1.0, out=x)
+    dataset = Dataset(x, y)
+    _synthetic_cache[key] = dataset
+    return dataset
 
 
-def load_csv(path: str, num_classes: int | None = None) -> List[Example]:
+def load_csv(path: str, num_classes: int | None = None) -> Dataset:
     """Parse ``label,f0,f1,...`` rows; grid shape comes from the run config."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -85,57 +110,45 @@ def load_csv(path: str, num_classes: int | None = None) -> List[Example]:
         n_features = len(header) - 1
         if n_features < 1:
             raise ValueError(f"{path}: line 1: header declares no feature columns")
-        examples = []
+        rows, labels = [], []
         for lineno, row in enumerate(reader, start=2):
             if len(row) != n_features + 1:
                 raise ValueError(f"{path}: line {lineno}: expected {n_features + 1} fields, got {len(row)}")
             try:
                 label = int(row[0])
-                feats = np.array([float(v) for v in row[1:]], dtype=np.float64)
+                feats = [float(v) for v in row[1:]]
             except ValueError:
                 raise ValueError(f"{path}: line {lineno}: malformed numeric value")
             if label < 0 or (num_classes is not None and label >= num_classes):
                 raise ValueError(f"{path}: line {lineno}: label {label} out of range")
-            if np.any(feats < 0.0) or np.any(feats > 1.0):
-                bad = feats[(feats < 0.0) | (feats > 1.0)][0]
-                raise ValueError(f"{path}: line {lineno}: feature value {bad} outside [0, 1]")
-            feats.flags.writeable = False
-            examples.append(Example(feats, label))
-    return examples
+            bad = [v for v in feats if not 0.0 <= v <= 1.0]
+            if bad:
+                raise ValueError(f"{path}: line {lineno}: feature value {bad[0]} outside [0, 1]")
+            rows.append(feats)
+            labels.append(label)
+    return Dataset(np.array(rows, dtype=np.float64).reshape(len(rows), n_features),
+                   np.array(labels, dtype=np.int64))
 
 
-def save_csv(examples: Sequence[Example], path: str) -> None:
-    if len(examples) == 0:
+def save_csv(data: Dataset, path: str) -> None:
+    if len(data) == 0:
         raise ValueError("nothing to write")
-    n_features = examples[0].features.shape[0]
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["label"] + [f"f{i}" for i in range(n_features)])
-        for ex in examples:
-            writer.writerow([ex.label] + [repr(float(v)) for v in ex.features])
+        writer.writerow(["label"] + [f"f{i}" for i in range(data.x.shape[1])])
+        for label, feats in zip(data.y.tolist(), data.x.tolist()):
+            writer.writerow([label] + [repr(v) for v in feats])
 
 
-def _deal_shards(n_items: int, n_shards: int) -> List[Tuple[int, int]]:
-    """Split range(n_items) into n_shards contiguous (start, stop) slices."""
-    base, extra = divmod(n_items, n_shards)
-    bounds = []
-    start = 0
-    for s in range(n_shards):
-        stop = start + base + (1 if s < extra else 0)
-        bounds.append((start, stop))
-        start = stop
-    return bounds
-
-
-def partition(data: Sequence[Example], num_clients: int, scheme: str,
+def partition(data: Dataset, num_clients: int, scheme: str,
               val_fraction: float, test_fraction: float, seed: int, *,
               height: int, width: int, num_classes: int,
               shards_per_client: int = 1) -> FederatedPartition:
     """Split off validation/test, then deal the rest to clients.
 
-    ``iid`` deals a shuffled list round-robin; ``label_shard`` sorts by label,
-    cuts ``num_clients * shards_per_client`` shards and deals
-    ``shards_per_client`` shards to each client.
+    ``iid`` deals the shuffled rest round-robin; ``label_shard`` sorts it by
+    label (stable), cuts ``num_clients * shards_per_client`` contiguous shards
+    and deals ``shards_per_client`` shards to each client.
     """
     if scheme not in PARTITION_SCHEMES:
         raise ValueError(f"unknown partition scheme {scheme!r}")
@@ -145,44 +158,36 @@ def partition(data: Sequence[Example], num_clients: int, scheme: str,
         raise ValueError(f"shards_per_client must be >= 1, got {shards_per_client}")
     if not (0 <= val_fraction < 1 and 0 <= test_fraction < 1 and val_fraction + test_fraction < 1):
         raise ValueError("val_fraction/test_fraction must be fractions summing below 1")
-    dim = height * width
-    for ex in data:
-        if ex.features.shape[0] != dim:
-            raise ValueError(f"example feature length {ex.features.shape[0]} does not match grid {height}x{width}")
+    if data.x.shape[1] != height * width:
+        raise ValueError(f"example feature length {data.x.shape[1]} does not match grid {height}x{width}")
 
     n = len(data)
     order = list(range(n))
     Sm64Stream(mix64(seed, tag64("split"))).shuffle(order)
+    order = np.array(order, dtype=np.int64)
     n_val = round(val_fraction * n)
     n_test = round(test_fraction * n)
     if n - n_val - n_test < num_clients:
         raise ValueError(f"insufficient data: {n - n_val - n_test} examples left for {num_clients} clients")
-    validation = [data[i] for i in order[:n_val]]
-    test = [data[i] for i in order[n_val : n_val + n_test]]
-    rest = [data[i] for i in order[n_val + n_test :]]
+    rest = order[n_val + n_test :]
 
-    client_data: Dict[int, List[Example]] = {c: [] for c in range(num_clients)}
     if scheme == "iid":
-        for pos, ex in enumerate(rest):
-            client_data[pos % num_clients].append(ex)
+        client_rows = {c: rest[c::num_clients] for c in range(num_clients)}
     else:
-        by_label = sorted(range(len(rest)), key=lambda i: (rest[i].label, i))
         n_shards = num_clients * shards_per_client
         if len(rest) < n_shards:
             raise ValueError(f"insufficient data: {len(rest)} examples for {n_shards} shards")
+        shards = np.array_split(rest[np.argsort(data.y[rest], kind="stable")], n_shards)
         shard_order = list(range(n_shards))
         Sm64Stream(mix64(seed, tag64("shards"))).shuffle(shard_order)
-        bounds = _deal_shards(len(rest), n_shards)
+        client_rows = {}
         for c in range(num_clients):
-            for shard in shard_order[c * shards_per_client : (c + 1) * shards_per_client]:
-                start, stop = bounds[shard]
-                client_data[c].extend(rest[i] for i in by_label[start:stop])
-    for c, items in client_data.items():
-        if len(items) == 0:
+            mine = shard_order[c * shards_per_client : (c + 1) * shards_per_client]
+            client_rows[c] = np.concatenate([shards[s] for s in mine])
+    for c, rows in client_rows.items():
+        if len(rows) == 0:
             raise ValueError(f"insufficient data: client {c} received no examples")
-    return FederatedPartition(client_data=client_data, validation=validation, test=test,
+    return FederatedPartition(client_data={c: data[rows] for c, rows in client_rows.items()},
+                              validation=data[order[:n_val]],
+                              test=data[order[n_val : n_val + n_test]],
                               height=height, width=width, num_classes=num_classes)
-
-
-def with_backdoor_test(part: FederatedPartition, backdoor_test: List[Example]) -> FederatedPartition:
-    return replace(part, backdoor_test=backdoor_test)

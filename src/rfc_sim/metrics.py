@@ -10,11 +10,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 
 from . import models
+from .data import Dataset
 
 METRIC_DIRECTIONS = {"accuracy": "maximize", "loss": "minimize", "macro_f1": "maximize"}
 
@@ -107,7 +108,7 @@ def summarize(series: Sequence[float], direction: str) -> SummaryStats:
                         nonfinite_in_window=len(window) - len(finite_window))
 
 
-def evaluate_backdoor(spec: models.ModelSpec, p: np.ndarray, backdoor_test: Sequence,
+def evaluate_backdoor(spec: models.ModelSpec, p: np.ndarray, backdoor_test: Dataset,
                       target_label: int) -> Tuple[float, float]:
     """(share predicted as target, mean cross-entropy toward target) on triggered inputs."""
     if len(backdoor_test) == 0:
@@ -120,15 +121,14 @@ def evaluate_backdoor(spec: models.ModelSpec, p: np.ndarray, backdoor_test: Sequ
 
 
 def score_model(metric: MetricSpec, spec: models.ModelSpec, p: np.ndarray,
-                examples: Sequence) -> float:
-    """Value of the configured consensus metric on one example set."""
+                data: Dataset) -> float:
+    """Value of the configured consensus metric on one dataset."""
     if metric.name == "accuracy":
-        return models.evaluate(spec, p, examples)[1]
+        return models.evaluate(spec, p, data)[1]
     if metric.name == "loss":
-        return models.evaluate(spec, p, examples)[0]
-    preds = models.predict_labels(spec, p, examples)
-    labels = [ex.label for ex in examples]
-    return macro_f1(list(preds), labels, spec.num_classes)
+        return models.evaluate(spec, p, data)[0]
+    preds = models.predict_labels(spec, p, data)
+    return macro_f1(preds.tolist(), data.y.tolist(), spec.num_classes)
 
 
 def better(a: float, b: float, direction: str) -> bool:

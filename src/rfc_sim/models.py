@@ -15,10 +15,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence, Tuple
+from typing import Tuple
 
 import numpy as np
 
+from .data import Dataset
 from .seeds import Sm64Stream, mix64
 
 MODEL_KINDS = ("linear", "mlp")
@@ -35,7 +36,6 @@ class ModelSpec:
     input_dim: int
     num_classes: int
     hidden_dim: int = 0
-    activation: str = "relu"
 
     def __post_init__(self):
         if self.kind not in MODEL_KINDS:
@@ -48,8 +48,6 @@ class ModelSpec:
             raise ValueError("linear model must have hidden_dim == 0")
         if self.kind == "mlp" and self.hidden_dim < 1:
             raise ValueError("mlp model needs hidden_dim >= 1")
-        if self.activation != "relu":
-            raise ValueError(f"unsupported activation {self.activation!r}")
 
 
 @dataclass(frozen=True)
@@ -120,39 +118,33 @@ def _unpack(spec: ModelSpec, p: np.ndarray):
     return w1, b1, w2, b2
 
 
-def _to_xy(batch: Sequence) -> Tuple[np.ndarray, np.ndarray]:
-    if len(batch) == 0:
-        raise ValueError("empty batch")
-    x = np.stack([ex.features for ex in batch]).astype(np.float64)
-    y = np.array([ex.label for ex in batch], dtype=np.int64)
-    return x, y
-
-
 def _log_softmax(logits: np.ndarray) -> np.ndarray:
     shifted = logits - logits.max(axis=1, keepdims=True)
     return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
 
 
-def _check_finite_params(p: np.ndarray) -> None:
+def _forward(spec: ModelSpec, p: np.ndarray, x: np.ndarray):
+    """Logits of the rows ``x``, plus the MLP activations the backward pass reuses."""
     if not np.all(np.isfinite(p)):
         raise ValueError("non-finite model parameters")
-
-
-def _forward_arrays(spec: ModelSpec, p: np.ndarray, x: np.ndarray, y: np.ndarray, need_grad: bool):
-    _check_finite_params(p)
+    if x.shape[0] == 0:
+        raise ValueError("empty batch")
     if x.shape[1] != spec.input_dim:
         raise ValueError(f"feature dim {x.shape[1]} does not match spec input_dim {spec.input_dim}")
+    if spec.kind == "linear":
+        w, b = _unpack(spec, p)
+        return x @ w + b, None
+    w1, b1, w2, b2 = _unpack(spec, p)
+    pre = x @ w1 + b1
+    hidden = np.maximum(pre, 0.0)
+    return hidden @ w2 + b2, (w2, pre, hidden)
+
+
+def _loss_grad(spec: ModelSpec, p: np.ndarray, x: np.ndarray, y: np.ndarray, need_grad: bool):
     n = x.shape[0]
     # overflow surfaces as a non-finite loss, which callers treat as divergence
     with np.errstate(over="ignore", invalid="ignore"):
-        if spec.kind == "linear":
-            w, b = _unpack(spec, p)
-            logits = x @ w + b
-        else:
-            w1, b1, w2, b2 = _unpack(spec, p)
-            pre = x @ w1 + b1
-            hidden = np.maximum(pre, 0.0)
-            logits = hidden @ w2 + b2
+        logits, acts = _forward(spec, p, x)
         logp = _log_softmax(logits)
         loss = float(-logp[np.arange(n), y].mean())
     correct = int((logits.argmax(axis=1) == y).sum())
@@ -168,6 +160,7 @@ def _forward_arrays(spec: ModelSpec, p: np.ndarray, x: np.ndarray, y: np.ndarray
         grad[d * c :] = dlogits.sum(axis=0)
     else:
         d, c, h = spec.input_dim, spec.num_classes, spec.hidden_dim
+        w2, pre, hidden = acts
         dhidden = dlogits @ w2.T
         dpre = dhidden * (pre > 0.0)
         o = 0
@@ -178,41 +171,30 @@ def _forward_arrays(spec: ModelSpec, p: np.ndarray, x: np.ndarray, y: np.ndarray
     return loss, grad, correct
 
 
-def forward_loss_grad(spec: ModelSpec, p: np.ndarray, batch: Sequence) -> Tuple[float, np.ndarray, int]:
+def forward_loss_grad(spec: ModelSpec, p: np.ndarray, batch: Dataset) -> Tuple[float, np.ndarray, int]:
     """Mean cross-entropy, its gradient, and the argmax hit count on one batch."""
-    x, y = _to_xy(batch)
-    loss, grad, correct = _forward_arrays(spec, p, x, y, need_grad=True)
-    return loss, grad, correct
+    return _loss_grad(spec, p, batch.x, batch.y, need_grad=True)
 
 
-def log_probs(spec: ModelSpec, p: np.ndarray, data: Sequence) -> np.ndarray:
+def log_probs(spec: ModelSpec, p: np.ndarray, data: Dataset) -> np.ndarray:
     """Per-example log class probabilities, shape (len(data), num_classes)."""
-    x, _ = _to_xy(data)
-    _check_finite_params(p)
-    if spec.kind == "linear":
-        w, b = _unpack(spec, p)
-        logits = x @ w + b
-    else:
-        w1, b1, w2, b2 = _unpack(spec, p)
-        logits = np.maximum(x @ w1 + b1, 0.0) @ w2 + b2
-    return _log_softmax(logits)
+    return _log_softmax(_forward(spec, p, data.x)[0])
 
 
-def predict_labels(spec: ModelSpec, p: np.ndarray, data: Sequence) -> np.ndarray:
+def predict_labels(spec: ModelSpec, p: np.ndarray, data: Dataset) -> np.ndarray:
     return log_probs(spec, p, data).argmax(axis=1)
 
 
-def evaluate(spec: ModelSpec, p: np.ndarray, data: Sequence) -> Tuple[float, float]:
-    """(mean cross-entropy, accuracy) over a nonempty example list."""
-    x, y = _to_xy(data)
-    loss, _, correct = _forward_arrays(spec, p, x, y, need_grad=False)
-    return loss, correct / x.shape[0]
+def evaluate(spec: ModelSpec, p: np.ndarray, data: Dataset) -> Tuple[float, float]:
+    """(mean cross-entropy, accuracy) over a nonempty dataset."""
+    loss, _, correct = _loss_grad(spec, p, data.x, data.y, need_grad=False)
+    return loss, correct / len(data)
 
 
-def train_local(spec: ModelSpec, start: np.ndarray, data: Sequence, opt: OptimizerConfig, seed: int) -> np.ndarray:
+def train_local(spec: ModelSpec, start: np.ndarray, data: Dataset, opt: OptimizerConfig, seed: int) -> np.ndarray:
     """Run ``local_epochs`` of shuffled mini-batch SGD or Adam from ``start``."""
-    x, y = _to_xy(data)
-    n = x.shape[0]
+    x, y = data.x, data.y
+    n = len(data)
     p = np.array(start, dtype=np.float64, copy=True)
     if opt.kind == "adam":
         m = np.zeros_like(p)
@@ -224,7 +206,7 @@ def train_local(spec: ModelSpec, start: np.ndarray, data: Sequence, opt: Optimiz
         idx = np.array(order, dtype=np.int64)
         for lo in range(0, n, opt.batch_size):
             rows = idx[lo : lo + opt.batch_size]
-            loss, grad, _ = _forward_arrays(spec, p, x[rows], y[rows], need_grad=True)
+            loss, grad, _ = _loss_grad(spec, p, x[rows], y[rows], need_grad=True)
             if not math.isfinite(loss):
                 raise DivergenceError(f"non-finite loss at epoch {epoch}, batch offset {lo}")
             if opt.kind == "sgd":

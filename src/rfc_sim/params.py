@@ -16,38 +16,10 @@ from typing import Sequence
 
 import numpy as np
 
-ParamVector = np.ndarray
-
-
-def as_params(values) -> np.ndarray:
-    arr = np.asarray(values, dtype=np.float64)
-    if arr.ndim != 1:
-        raise ValueError(f"parameter vector must be 1-D, got shape {arr.shape}")
-    return arr
-
-
-def zeros(dim: int) -> np.ndarray:
-    if dim <= 0:
-        raise ValueError(f"dimension must be positive, got {dim}")
-    return np.zeros(dim, dtype=np.float64)
-
-
-def is_finite(v: np.ndarray) -> bool:
-    return bool(np.all(np.isfinite(v)))
-
 
 def _check_dims(a: np.ndarray, b: np.ndarray, op: str) -> None:
     if a.shape[0] != b.shape[0]:
         raise ValueError(f"{op}: dimension mismatch ({a.shape[0]} vs {b.shape[0]})")
-
-
-def add(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    _check_dims(a, b, "add")
-    return a + b
-
-
-def scale(a: np.ndarray, k: float) -> np.ndarray:
-    return a * float(k)
 
 
 def l2_dist_sq(a: np.ndarray, b: np.ndarray) -> float:
@@ -69,7 +41,9 @@ def mean(vs: Sequence[np.ndarray]) -> np.ndarray:
 
 
 def to_bytes(v: np.ndarray) -> bytes:
-    arr = as_params(v)
+    arr = np.asarray(v, dtype=np.float64)
+    if arr.ndim != 1:
+        raise ValueError(f"parameter vector must be 1-D, got shape {arr.shape}")
     return struct.pack("<Q", arr.shape[0]) + arr.astype("<f8").tobytes()
 
 

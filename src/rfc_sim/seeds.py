@@ -20,7 +20,7 @@ The mixing function is fixed so independent implementations can agree:
 from __future__ import annotations
 
 import math
-from typing import Iterable, List, Sequence
+from typing import List, Sequence
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -71,9 +71,6 @@ class Sm64Stream:
         """Uniform double in [0, 1), 53 significant bits."""
         return (self.next_u64() >> 11) * 2.0**-53
 
-    def uniform_in(self, lo: float, hi: float) -> float:
-        return lo + (hi - lo) * self.uniform()
-
     def gauss(self) -> float:
         """Standard normal via Box-Muller; consumes exactly two words."""
         u1 = ((self.next_u64() >> 11) + 1) * 2.0**-53  # (0, 1]
@@ -105,10 +102,3 @@ class Sm64Stream:
             j = i + self.rand_below(len(pool) - i)
             pool[i], pool[j] = pool[j], pool[i]
         return pool[:k]
-
-
-def fisher_yates_order(n: int, seed: int) -> List[int]:
-    """Deterministic permutation of range(n)."""
-    order = list(range(n))
-    Sm64Stream(seed).shuffle(order)
-    return order

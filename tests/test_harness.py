@@ -249,3 +249,59 @@ def test_cli_threads_env_identical(tmp_path, monkeypatch):
     assert cli.main(["run", "--config", cfg, "--out", str(tmp_path / "t4")]) == 0
     assert (tmp_path / "t1" / "records.csv").read_bytes() == (tmp_path / "t4" / "records.csv").read_bytes()
     assert (tmp_path / "t1" / "chain.jsonl").read_bytes() == (tmp_path / "t4" / "chain.jsonl").read_bytes()
+
+
+@pytest.mark.parametrize("key", ["data.val_fraction", "data.test_fraction"])
+@pytest.mark.parametrize("fraction", ["0.0", "0.004"])  # 0.004 * 120 examples rounds to 0
+def test_cli_run_empty_split_exits_1(tmp_path, capsys, key, fraction):
+    cfg = write_config(tmp_path, TINY_CONFIG + f"{key} = {fraction}\n")
+    assert cli.main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert f"{key} = {fraction} selects no examples of the 120" in err
+    assert len(err.strip().splitlines()) == 1
+
+
+def test_cli_run_difficulty_above_256_exits_1(tmp_path, capsys):
+    with pytest.raises(ConfigError, match="chain_difficulty"):
+        parse_config_text("chain_difficulty = 300\n")
+    cfg = write_config(tmp_path, TINY_CONFIG + "chain_difficulty = 300\n")
+    assert cli.main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+    assert "chain_difficulty must lie in [0, 256]" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["abc", "0", "-2", "1.5", ""])
+def test_cli_run_bad_threads_env_exits_1(tmp_path, capsys, monkeypatch, value):
+    monkeypatch.setenv("RFC_SIM_THREADS", value)
+    cfg = write_config(tmp_path)
+    assert cli.main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+    assert "RFC_SIM_THREADS must be an integer >= 1" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_cli_summarize_missing_file_exits_1(tmp_path, capsys):
+    assert cli.main(["summarize", str(tmp_path / "absent.csv")]) == 1
+    assert "absent.csv" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("body", ["1,0,0.5,oops\n", "1,0,0.5\n"])
+def test_cli_summarize_bad_cell_exits_1(tmp_path, capsys, body):
+    path = tmp_path / "records.csv"
+    path.write_text("round,winning_pool,val_metric,test_accuracy\n1,0,0.5,0.5\n" + body)
+    assert cli.main(["summarize", str(path)]) == 1
+    assert "line 3: test_accuracy is not a number" in capsys.readouterr().err
+
+
+def test_cli_validate_chain_difficulty_mismatch_exits_3(tmp_path, capsys):
+    cfg = write_config(tmp_path)
+    out = tmp_path / "run"
+    assert cli.main(["run", "--config", cfg, "--out", str(out)]) == 0
+    import json
+    lines = (out / "chain.jsonl").read_text().splitlines()
+    rec = json.loads(lines[0])
+    rec["difficulty"] = 1
+    lines[0] = json.dumps(rec, sort_keys=True, separators=(",", ":"))
+    bad_file = tmp_path / "mixed.jsonl"
+    bad_file.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert cli.main(["validate-chain", str(bad_file)]) == 3
+    assert "line 2: difficulty 0 disagrees with 1" in capsys.readouterr().err

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rfc_sim import metrics, models
-from rfc_sim.data import gen_synthetic
+from rfc_sim.data import Dataset, gen_synthetic
 from rfc_sim.attacks import build_backdoor_test
 from rfc_sim.metrics import MetricSpec, evaluate_backdoor, macro_f1, score_model, summarize
 
@@ -133,7 +133,7 @@ def test_evaluate_backdoor_hardcoded_target_model():
     p = np.zeros(models.param_count(spec))
     p[4 * 3 + 1] = 100.0  # bias of class 1
     data = gen_synthetic(3, 2, 2, per_class=5, noise_sigma=0.1, seed=1)
-    triggered = build_backdoor_test(data, 2, 2, 1, target_label=1)
+    triggered = build_backdoor_test(data, 2, 2, 1)
     acc, loss = evaluate_backdoor(spec, p, triggered, target_label=1)
     assert acc == 1.0
     assert loss < 1e-6
@@ -143,7 +143,7 @@ def test_evaluate_backdoor_uniform_model_loss():
     spec = models.ModelSpec("linear", 4, 3)
     p = np.zeros(models.param_count(spec))
     data = gen_synthetic(3, 2, 2, per_class=4, noise_sigma=0.1, seed=2)
-    triggered = build_backdoor_test(data, 2, 2, 1, target_label=2)
+    triggered = build_backdoor_test(data, 2, 2, 1)
     acc, loss = evaluate_backdoor(spec, p, triggered, target_label=2)
     assert loss == pytest.approx(math.log(3), abs=1e-12)
     assert acc == 0.0  # uniform logits argmax to class 0, target is 2
@@ -157,7 +157,7 @@ def test_evaluate_backdoor_clean_model_near_target_prior():
     opt = models.OptimizerConfig(kind="adam", learning_rate=0.01, local_epochs=15, batch_size=8)
     trained = models.train_local(spec, models.init_params(spec, 4), train, opt, seed=5)
     test = gen_synthetic(3, 4, 4, per_class=40, noise_sigma=0.2, seed=6)
-    triggered = build_backdoor_test(test, 4, 4, 2, target_label=0)
+    triggered = build_backdoor_test(test, 4, 4, 2)
     acc, _ = evaluate_backdoor(spec, trained, triggered, target_label=0)
     assert abs(acc - 1 / 3) < 0.15
 
@@ -165,7 +165,8 @@ def test_evaluate_backdoor_clean_model_near_target_prior():
 def test_evaluate_backdoor_empty():
     spec = models.ModelSpec("linear", 4, 2)
     with pytest.raises(ValueError):
-        evaluate_backdoor(spec, np.zeros(models.param_count(spec)), [], 0)
+        evaluate_backdoor(spec, np.zeros(models.param_count(spec)),
+                          Dataset(np.zeros((0, 4)), np.zeros(0, dtype=np.int64)), 0)
 
 
 def test_score_model_all_metrics():
@@ -176,7 +177,7 @@ def test_score_model_all_metrics():
     assert score_model(MetricSpec("accuracy"), spec, p, data) == acc
     assert score_model(MetricSpec("loss"), spec, p, data) == loss
     preds = models.predict_labels(spec, p, data)
-    labels = [ex.label for ex in data]
+    labels = [int(label) for label in data.y]
     assert score_model(MetricSpec("macro_f1"), spec, p, data) == macro_f1(list(preds), labels, 3)
 
 

@@ -4,18 +4,19 @@ import numpy as np
 import pytest
 
 from rfc_sim import models
-from rfc_sim.data import Example
+from rfc_sim.data import Dataset
 from rfc_sim.models import DivergenceError, ModelSpec, OptimizerConfig
 from rfc_sim.seeds import Sm64Stream
 
 
 def make_batch(spec, n, seed=0):
     stream = Sm64Stream(seed)
-    out = []
-    for i in range(n):
-        feats = np.array([stream.uniform() for _ in range(spec.input_dim)])
-        out.append(Example(feats, i % spec.num_classes))
-    return out
+    x = np.array([[stream.uniform() for _ in range(spec.input_dim)] for _ in range(n)])
+    return Dataset(x.reshape(n, spec.input_dim), np.arange(n) % spec.num_classes)
+
+
+def empty(dim):
+    return Dataset(np.zeros((0, dim)), np.zeros(0, dtype=np.int64))
 
 
 def central_diff_grad(spec, p, batch, eps=1e-5):
@@ -91,7 +92,8 @@ def test_duplicated_batch_same_loss_and_grad():
     p = models.init_params(spec, 3)
     batch = make_batch(spec, 4, seed=5)
     loss1, grad1, correct1 = models.forward_loss_grad(spec, p, batch)
-    loss2, grad2, correct2 = models.forward_loss_grad(spec, p, batch + batch)
+    doubled = Dataset(np.concatenate([batch.x, batch.x]), np.concatenate([batch.y, batch.y]))
+    loss2, grad2, correct2 = models.forward_loss_grad(spec, p, doubled)
     assert loss1 == pytest.approx(loss2, rel=1e-12)
     assert np.allclose(grad1, grad2, rtol=1e-12, atol=1e-15)
     assert correct2 == 2 * correct1
@@ -126,8 +128,8 @@ def test_forward_rejects_nonfinite_params_and_bad_batch():
     with pytest.raises(ValueError, match="non-finite"):
         models.forward_loss_grad(spec, bad, batch)
     with pytest.raises(ValueError):
-        models.forward_loss_grad(spec, models.init_params(spec, 0), [])
-    wrong_dim = [Example(np.zeros(5), 0)]
+        models.forward_loss_grad(spec, models.init_params(spec, 0), empty(3))
+    wrong_dim = Dataset(np.zeros((1, 5)), np.array([0]))
     with pytest.raises(ValueError):
         models.forward_loss_grad(spec, models.init_params(spec, 0), wrong_dim)
 
@@ -177,12 +179,11 @@ def test_train_local_divergence_error():
 def test_adam_separates_two_blobs():
     # linearly separable 2-class blobs, Adam defaults, within 50 epochs
     stream = Sm64Stream(42)
-    data = []
+    rows = []
     for i in range(100):
-        label = i % 2
-        center = (0.1, 0.9) if label == 0 else (0.9, 0.1)
-        feats = np.array([center[0] + 0.05 * stream.gauss(), center[1] + 0.05 * stream.gauss()])
-        data.append(Example(np.clip(feats, 0, 1), label))
+        center = (0.1, 0.9) if i % 2 == 0 else (0.9, 0.1)
+        rows.append([center[0] + 0.05 * stream.gauss(), center[1] + 0.05 * stream.gauss()])
+    data = Dataset(np.clip(np.array(rows), 0, 1), np.arange(100) % 2)
     spec = ModelSpec("linear", 2, 2)
     opt = OptimizerConfig(kind="adam", local_epochs=50, batch_size=4)
     start = np.zeros(models.param_count(spec))
@@ -211,12 +212,12 @@ def test_evaluate_perfect_and_empty():
     spec = ModelSpec("linear", 2, 2)
     # weights that map feature 0 to class 0 and feature 1 to class 1
     p = np.array([10.0, -10.0, -10.0, 10.0, 0.0, 0.0])
-    data = [Example(np.array([1.0, 0.0]), 0), Example(np.array([0.0, 1.0]), 1)]
+    data = Dataset(np.array([[1.0, 0.0], [0.0, 1.0]]), np.array([0, 1]))
     loss, acc = models.evaluate(spec, p, data)
     assert acc == 1.0
     assert loss < 1e-6
     with pytest.raises(ValueError):
-        models.evaluate(spec, p, [])
+        models.evaluate(spec, p, empty(2))
 
 
 def test_zero_params_balanced_binary():

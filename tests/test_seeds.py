@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from rfc_sim.seeds import Sm64Stream, derive_seed, fisher_yates_order, mix64, tag64
+from rfc_sim.seeds import Sm64Stream, derive_seed, mix64, tag64
 
 
 def test_derive_seed_deterministic():
@@ -91,9 +91,3 @@ def test_sample_distinct_and_errors():
     assert set(picked) <= set(range(20))
     with pytest.raises(ValueError):
         Sm64Stream(5).sample(range(3), 4)
-
-
-def test_fisher_yates_order_full_draw():
-    order = fisher_yates_order(10, 123)
-    assert sorted(order) == list(range(10))
-    assert order == fisher_yates_order(10, 123)

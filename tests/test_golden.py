@@ -11,8 +11,8 @@ from dataclasses import replace
 import pytest
 
 from rfc_sim import cli
-from rfc_sim.config import (desk_default, execute_run, parse_config_text, preset,
-                            with_master_seed)
+from rfc_sim.config import (PRESET_NAMES, desk_default, execute_run, parse_config_text, preset,
+                            render_config, with_master_seed)
 
 # (preset, topology) -> (records.csv sha256, chain tip) after 3 desk rounds at seed 42
 PRESET_PINS = {
@@ -90,10 +90,39 @@ DESK_BACKDOOR_42 = (
     "936cc7cd7588b0a5b8989204e4cae54e149e1d03771f6ed50b6ddcf832cc5331",
     "fc0f2b6785962bf53db7c96dab8b42570a4728d4420046b18af7d82194ea8efe")
 
+# run config -> sha256 of its config.txt snapshot (render_config)
+CONFIG_TXT_PINS = {
+    "desk_default": "c3298d8a88a93d82f194db5780f139bb6298a174fbf192deefe969629af6e198",
+    "no_attack": "c3298d8a88a93d82f194db5780f139bb6298a174fbf192deefe969629af6e198",
+    "one_pool_labelflip": "cfac660b703c7e411e5a794fa7ac46b3c84d72eb3b159c6ac4b3a77a55c62a2e",
+    "one_pool_backdoor": "c0da91d11ea066259b174495f40e573d9b9c2afdfeb5b6f7232736c8608f8a4b",
+    "all_pools_labelflip": "ba73554b0c47d4ea489348ad06b9f38d8be3a9bc5e7c1ac78da73944d74960f5",
+    "all_pools_backdoor": "236399176f686100c7a47448549c13457741701afae09a11cd58bedb998053dc",
+    "override": "6821392652ba4d45f8ea07a185245b25be60d091e436e70cc9a676f97b19f5c1",
+}
+
+# both compound keys, a non-default enum, a bool and a nested section
+OVERRIDE_CONFIG = (
+    "model.kind = mlp\nmodel.hidden_dim = 16\ndata.partition = label_shard:2\n"
+    "adversary.attack = backdoor\nadversary.placement = one_pool:1\nmetric.name = loss\n"
+    "export.chain = false\n")
+
 
 def digests(result):
     records = cli.records_csv_text(result).encode()
     return hashlib.sha256(records).hexdigest(), result.chain.blocks[-1].hash.hex()
+
+
+@pytest.mark.parametrize("name", sorted(CONFIG_TXT_PINS))
+def test_config_txt(name):
+    if name == "desk_default":
+        rc = desk_default()
+    elif name == "override":
+        rc = parse_config_text(OVERRIDE_CONFIG)
+    else:
+        assert name in PRESET_NAMES
+        rc = preset(name, desk_default())
+    assert hashlib.sha256(render_config(rc).encode()).hexdigest() == CONFIG_TXT_PINS[name]
 
 
 @pytest.mark.parametrize("name,topology", sorted(PRESET_PINS))

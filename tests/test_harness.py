@@ -7,7 +7,7 @@ import pytest
 from rfc_sim import cli, metrics
 from rfc_sim import chain as chain_mod
 from rfc_sim import data as data_mod
-from rfc_sim.config import (ConfigError, desk_default, parse_config_text, preset,
+from rfc_sim.config import (SCHEMA, ConfigError, desk_default, parse_config_text, preset,
                             render_config, with_master_seed)
 
 TINY_CONFIG = """\
@@ -87,6 +87,67 @@ def test_render_parse_roundtrip_with_overrides():
                            "adversary.placement = one_pool:2\nnum_pools = 4\n"
                            "data.partition = label_shard:2\nmetric.name = loss\n")
     assert parse_config_text(render_config(rc)) == rc
+
+
+# key -> a config setting it to a valid non-default value, plus whatever else
+# that value needs to form a valid run config
+NON_DEFAULT = {
+    "topology": "topology = client_server\n",
+    "rounds": "rounds = 7\n",
+    "num_pools": "num_pools = 2\n",
+    "clients_per_pool": "clients_per_pool = 12\n",
+    "clients_sampled_per_round": "clients_sampled_per_round = 12\n",
+    "master_seed": "master_seed = 0x1f\n",
+    "server_eta": "server_eta = 0.5\n",
+    "chain_difficulty": "chain_difficulty = 4\n",
+    "model.kind": "model.kind = mlp\nmodel.hidden_dim = 8\n",
+    "model.hidden_dim": "model.kind = mlp\nmodel.hidden_dim = 32\n",
+    "optimizer.kind": "optimizer.kind = sgd\n",
+    "optimizer.learning_rate": "optimizer.learning_rate = 0.1\n",
+    "optimizer.adam_beta1": "optimizer.adam_beta1 = 0.8\n",
+    "optimizer.adam_beta2": "optimizer.adam_beta2 = 0.99\n",
+    "optimizer.adam_epsilon": "optimizer.adam_epsilon = 1e-6\n",
+    "optimizer.local_epochs": "optimizer.local_epochs = 3\n",
+    "optimizer.batch_size": "optimizer.batch_size = 32\n",
+    "aggregator.rule": "aggregator.rule = krum\n",
+    "aggregator.krum_f": "aggregator.rule = krum\naggregator.krum_f = 1\n",
+    "aggregator.bulyan_m": "aggregator.rule = bulyan\naggregator.krum_f = 1\naggregator.bulyan_m = 4\n",
+    "metric.name": "metric.name = macro_f1\n",
+    "adversary.attack": "adversary.attack = labelflip\nadversary.placement = all_pools\n",
+    "adversary.placement": "adversary.attack = backdoor\nadversary.placement = one_pool:2\n",
+    "adversary.adversaries_per_pool": "adversary.adversaries_per_pool = 3\n",
+    "adversary.boost": "adversary.boost = replacement\n",
+    "adversary.boost_eta": "adversary.boost_eta = 0.25\n",
+    "adversary.trigger_size": "adversary.trigger_size = 3\n",
+    "adversary.target_label": "adversary.target_label = 2\n",
+    "adversary.poison_fraction": "adversary.poison_fraction = 0.75\n",
+    "data.source": "data.source = csv\ndata.csv_path = some/data.csv\n",
+    "data.num_classes": "data.num_classes = 4\n",
+    "data.height": "data.height = 6\n",
+    "data.width": "data.width = 5\n",
+    "data.per_class": "data.per_class = 50\n",
+    "data.noise_sigma": "data.noise_sigma = 0.0\n",
+    "data.csv_path": "data.csv_path = other.csv\n",
+    "data.val_fraction": "data.val_fraction = 0.15\n",
+    "data.test_fraction": "data.test_fraction = 0.2\n",
+    "data.partition": "data.partition = label_shard:3\n",
+    "export.records": "export.records = false\n",
+    "export.chain": "export.chain = no\n",
+    "export.summary": "export.summary = 0\n",
+}
+
+
+def test_non_default_table_covers_schema():
+    assert set(NON_DEFAULT) == set(SCHEMA)
+
+
+@pytest.mark.parametrize("key", sorted(NON_DEFAULT))
+def test_render_parse_roundtrip_every_key(key):
+    rc = parse_config_text(NON_DEFAULT[key])
+    rendered = render_config(rc)
+    line = next(line for line in rendered.splitlines() if line.startswith(f"{key} = "))
+    assert line not in render_config(desk_default()).splitlines()
+    assert parse_config_text(rendered) == rc
 
 
 def test_presets():

@@ -1,4 +1,5 @@
-"""The four interchangeable aggregation rules: FedAvg, Krum, Bulyan, GeoMed.
+"""The four aggregation rules: FedAvg, Krum, Multi-Krum (configured as bulyan)
+and a squared-distance medoid (geomed); see bulyan() and geomed().
 
 All selection rules break ties by lowest input index, and Krum scores sum
 squared distances over the n - f - 2 nearest other updates.
@@ -78,7 +79,11 @@ def krum(updates: Sequence[np.ndarray], f: int) -> np.ndarray:
 
 
 def bulyan(updates: Sequence[np.ndarray], f: int, m: int) -> np.ndarray:
-    """Mean of the m lowest-Krum-score updates."""
+    """Multi-Krum (Blanchard et al., NeurIPS 2017): mean of the m lowest-Krum-score updates.
+
+    Not the Bulyan of El Mhamdi et al. (ICML 2018), which follows Krum
+    selection with a coordinate-wise trimmed mean.
+    """
     n = len(updates)
     if m > n:
         raise ValueError(f"bulyan: m={m} exceeds n={n}")
@@ -88,7 +93,11 @@ def bulyan(updates: Sequence[np.ndarray], f: int, m: int) -> np.ndarray:
 
 
 def geomed(updates: Sequence[np.ndarray]) -> np.ndarray:
-    """The input update minimizing the total squared distance to all others."""
+    """The input update minimizing the summed *squared* distance to all others.
+
+    Not RFA's geometric median (Pillutla et al.; Weiszfeld iterations), which
+    minimizes the summed distance and need not be one of the inputs.
+    """
     _check_nonempty(updates, "geomed")
     dist = _sq_dist_matrix(updates)
     totals = dist.sum(axis=1)

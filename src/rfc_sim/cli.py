@@ -19,8 +19,12 @@ from . import data as data_mod
 from . import metrics
 from .consensus import FederationResult, ProvenanceError, RoundAbortError
 
-RECORD_COLUMNS = ("round", "winning_pool", "val_metric", "test_accuracy", "test_loss",
-                  "backdoor_accuracy_target", "backdoor_accuracy_clean", "backdoor_loss")
+# records.csv column -> RoundRecord field; one pool<p>_metric column per pool follows
+RECORD_COLUMNS = (("round", "round"), ("winning_pool", "winning_pool_id"),
+                  ("val_metric", "val_metric"), ("test_accuracy", "test_accuracy"),
+                  ("test_loss", "test_loss"), ("backdoor_accuracy_target", "backdoor_accuracy_target"),
+                  ("backdoor_accuracy_clean", "backdoor_accuracy_clean"),
+                  ("backdoor_loss", "backdoor_loss"))
 
 SUMMARY_DIRECTIONS = {
     "test_accuracy": "maximize",
@@ -37,46 +41,28 @@ def _fmt(value) -> str:
 
 def records_csv_text(result: FederationResult) -> str:
     n_pools = len(result.records[0].pool_metrics) if result.records else 0
-    header = list(RECORD_COLUMNS) + [f"pool{p}_metric" for p in range(n_pools)]
+    header = [column for column, _ in RECORD_COLUMNS] + [f"pool{p}_metric" for p in range(n_pools)]
     lines = [",".join(header)]
     for rec in result.records:
-        row = [rec.round, rec.winning_pool_id, rec.val_metric, rec.test_accuracy, rec.test_loss,
-               rec.backdoor_accuracy_target, rec.backdoor_accuracy_clean, rec.backdoor_loss]
-        row.extend(rec.pool_metrics)
+        row = [getattr(rec, attr) for _, attr in RECORD_COLUMNS] + list(rec.pool_metrics)
         lines.append(",".join(_fmt(v) for v in row))
     return "\n".join(lines) + "\n"
 
 
-def summary_rows(series_by_name: Dict[str, List[float]], val_direction: str) -> List[tuple]:
-    directions = dict(SUMMARY_DIRECTIONS)
-    directions["val_metric"] = val_direction
-    rows = []
-    for name in ("val_metric",) + tuple(SUMMARY_DIRECTIONS):
+def summary_csv_text(series_by_name: Dict[str, List[float]], val_direction: str) -> str:
+    lines = ["metric,direction,final,best,avg_last_10,nonfinite_in_window"]
+    for name, direction in {"val_metric": val_direction, **SUMMARY_DIRECTIONS}.items():
         series = series_by_name.get(name)
         if not series:
             continue
-        stats = metrics.summarize(series, directions[name])
-        rows.append((name, directions[name], stats.final, stats.best, stats.avg_last_10,
-                     stats.nonfinite_in_window))
-    return rows
-
-
-def summary_csv_text(series_by_name: Dict[str, List[float]], val_direction: str) -> str:
-    lines = ["metric,direction,final,best,avg_last_10,nonfinite_in_window"]
-    for name, direction, final, best, avg, skipped in summary_rows(series_by_name, val_direction):
-        lines.append(f"{name},{direction},{final!r},{best!r},{avg!r},{skipped}")
+        stats = metrics.summarize(series, direction)
+        lines.append(f"{name},{direction},{stats.final!r},{stats.best!r},{stats.avg_last_10!r},"
+                     f"{stats.nonfinite_in_window}")
     return "\n".join(lines) + "\n"
 
 
 def _result_series(result: FederationResult) -> Dict[str, List[float]]:
-    return {
-        "val_metric": [r.val_metric for r in result.records],
-        "test_accuracy": [r.test_accuracy for r in result.records],
-        "test_loss": [r.test_loss for r in result.records],
-        "backdoor_accuracy_target": [r.backdoor_accuracy_target for r in result.records],
-        "backdoor_accuracy_clean": [r.backdoor_accuracy_clean for r in result.records],
-        "backdoor_loss": [r.backdoor_loss for r in result.records],
-    }
+    return {column: [getattr(rec, attr) for rec in result.records] for column, attr in RECORD_COLUMNS}
 
 
 def write_outputs(result: FederationResult, rc: config_mod.RunConfig, out_dir: str) -> None:
@@ -103,6 +89,7 @@ def _cmd_run(args) -> int:
             rc = config_mod.with_master_seed(rc, args.seed)
         consensus.threads_from_env()
         partition = config_mod.build_partition(rc)
+        os.makedirs(args.out, exist_ok=True)
     except (ValueError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
@@ -135,9 +122,13 @@ def _cmd_validate_chain(args) -> int:
 
 
 def _cmd_gen_data(args) -> int:
-    dataset = data_mod.gen_synthetic(args.classes, args.height, args.width,
-                                     args.per_class, args.noise_sigma, args.seed)
-    data_mod.save_csv(dataset, args.out)
+    try:
+        dataset = data_mod.gen_synthetic(args.classes, args.height, args.width,
+                                         args.per_class, args.noise_sigma, args.seed)
+        data_mod.save_csv(dataset, args.out)
+    except (ValueError, OSError) as exc:
+        print(f"gen-data failed: {exc}", file=sys.stderr)
+        return 1
     print(f"wrote {len(dataset)} examples to {args.out}")
     return 0
 
@@ -164,10 +155,7 @@ def _cmd_summarize(args) -> int:
     except (OSError, ValueError, csv.Error) as exc:
         print(f"summarize failed: {exc}", file=sys.stderr)
         return 1
-    rows = summary_rows(series, args.val_direction)
-    print("metric,direction,final,best,avg_last_10,nonfinite_in_window")
-    for name, direction, final, best, avg, skipped in rows:
-        print(f"{name},{direction},{final!r},{best!r},{avg!r},{skipped}")
+    print(summary_csv_text(series, args.val_direction), end="")
     return 0
 
 

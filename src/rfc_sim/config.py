@@ -9,7 +9,9 @@ empty file is the benign desk preset.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
+from functools import reduce
 from typing import Callable, Dict, Tuple
 
 from . import consensus, data as data_mod
@@ -86,7 +88,10 @@ def _parse_int(raw: str) -> int:
 
 
 def _parse_float(raw: str) -> float:
-    return float(raw)
+    value = float(raw)
+    if not math.isfinite(value):
+        raise ValueError(f"expected a finite number, got {raw!r}")
+    return value
 
 
 def _parse_bool(raw: str) -> bool:
@@ -133,106 +138,101 @@ def _render_partition(value: Tuple[str, int]) -> str:
     return f"label_shard:{spc}" if kind == "label_shard" else kind
 
 
-# key -> (parser, default, renderer). Defaults are the desk-scale preset.
+def _render_bool(value: bool) -> str:
+    return "true" if value else "false"
+
+
+# key -> (RunConfig field path, parser, renderer). A compound key names one path
+# per part of its parsed value. Defaults are read from RunConfig(), the desk preset.
 _DEFAULTS = RunConfig()
 SCHEMA: Dict[str, tuple] = {
-    "topology": (_parse_enum(TOPOLOGIES), _DEFAULTS.federation.topology, str),
-    "rounds": (_parse_int, _DEFAULTS.federation.rounds, str),
-    "num_pools": (_parse_int, _DEFAULTS.federation.num_pools, str),
-    "clients_per_pool": (_parse_int, _DEFAULTS.federation.clients_per_pool, str),
-    "clients_sampled_per_round": (_parse_int, _DEFAULTS.federation.clients_sampled_per_round, str),
-    "master_seed": (_parse_int, _DEFAULTS.federation.master_seed, str),
-    "server_eta": (_parse_float, _DEFAULTS.federation.server_eta, repr),
-    "chain_difficulty": (_parse_int, _DEFAULTS.federation.chain_difficulty, str),
-    "model.kind": (_parse_enum(MODEL_KINDS), _DEFAULTS.federation.model.kind, str),
-    "model.hidden_dim": (_parse_int, _DEFAULTS.federation.model.hidden_dim, str),
-    "optimizer.kind": (_parse_enum(OPTIMIZER_KINDS), _DEFAULTS.federation.optimizer.kind, str),
-    "optimizer.learning_rate": (_parse_float, _DEFAULTS.federation.optimizer.learning_rate, repr),
-    "optimizer.adam_beta1": (_parse_float, _DEFAULTS.federation.optimizer.adam_beta1, repr),
-    "optimizer.adam_beta2": (_parse_float, _DEFAULTS.federation.optimizer.adam_beta2, repr),
-    "optimizer.adam_epsilon": (_parse_float, _DEFAULTS.federation.optimizer.adam_epsilon, repr),
-    "optimizer.local_epochs": (_parse_int, _DEFAULTS.federation.optimizer.local_epochs, str),
-    "optimizer.batch_size": (_parse_int, _DEFAULTS.federation.optimizer.batch_size, str),
-    "aggregator.rule": (_parse_enum(AGGREGATION_RULES), _DEFAULTS.federation.aggregator.rule, str),
-    "aggregator.krum_f": (_parse_int, _DEFAULTS.federation.aggregator.krum_f, str),
-    "aggregator.bulyan_m": (_parse_int, _DEFAULTS.federation.aggregator.bulyan_m, str),
-    "metric.name": (_parse_enum(tuple(METRIC_DIRECTIONS)), _DEFAULTS.federation.metric.name, str),
-    "adversary.attack": (_parse_enum(ATTACK_KINDS), _DEFAULTS.federation.adversary.attack, str),
-    "adversary.placement": (_parse_placement,
-                            (_DEFAULTS.federation.adversary.placement, _DEFAULTS.federation.adversary.pool_id),
-                            _render_placement),
-    "adversary.adversaries_per_pool": (_parse_int, _DEFAULTS.federation.adversary.adversaries_per_pool, str),
-    "adversary.boost": (_parse_enum(BOOST_MODES), _DEFAULTS.federation.adversary.boost, str),
-    "adversary.boost_eta": (_parse_float, _DEFAULTS.federation.adversary.boost_eta, repr),
-    "adversary.trigger_size": (_parse_int, _DEFAULTS.federation.adversary.trigger_size, str),
-    "adversary.target_label": (_parse_int, _DEFAULTS.federation.adversary.target_label, str),
-    "adversary.poison_fraction": (_parse_float, _DEFAULTS.federation.adversary.poison_fraction, repr),
-    "data.source": (_parse_enum(DATA_SOURCES), _DEFAULTS.data.source, str),
-    "data.num_classes": (_parse_int, _DEFAULTS.data.num_classes, str),
-    "data.height": (_parse_int, _DEFAULTS.data.height, str),
-    "data.width": (_parse_int, _DEFAULTS.data.width, str),
-    "data.per_class": (_parse_int, _DEFAULTS.data.per_class, str),
-    "data.noise_sigma": (_parse_float, _DEFAULTS.data.noise_sigma, repr),
-    "data.csv_path": (str, _DEFAULTS.data.csv_path, str),
-    "data.val_fraction": (_parse_float, _DEFAULTS.data.val_fraction, repr),
-    "data.test_fraction": (_parse_float, _DEFAULTS.data.test_fraction, repr),
-    "data.partition": (_parse_partition,
-                       (_DEFAULTS.data.scheme, _DEFAULTS.data.shards_per_client),
-                       _render_partition),
-    "export.records": (_parse_bool, _DEFAULTS.export_records, lambda b: "true" if b else "false"),
-    "export.chain": (_parse_bool, _DEFAULTS.export_chain, lambda b: "true" if b else "false"),
-    "export.summary": (_parse_bool, _DEFAULTS.export_summary, lambda b: "true" if b else "false"),
+    "topology": ("federation.topology", _parse_enum(TOPOLOGIES), str),
+    "rounds": ("federation.rounds", _parse_int, str),
+    "num_pools": ("federation.num_pools", _parse_int, str),
+    "clients_per_pool": ("federation.clients_per_pool", _parse_int, str),
+    "clients_sampled_per_round": ("federation.clients_sampled_per_round", _parse_int, str),
+    "master_seed": ("federation.master_seed", _parse_int, str),
+    "server_eta": ("federation.server_eta", _parse_float, repr),
+    "chain_difficulty": ("federation.chain_difficulty", _parse_int, str),
+    "model.kind": ("federation.model.kind", _parse_enum(MODEL_KINDS), str),
+    "model.hidden_dim": ("federation.model.hidden_dim", _parse_int, str),
+    "optimizer.kind": ("federation.optimizer.kind", _parse_enum(OPTIMIZER_KINDS), str),
+    "optimizer.learning_rate": ("federation.optimizer.learning_rate", _parse_float, repr),
+    "optimizer.adam_beta1": ("federation.optimizer.adam_beta1", _parse_float, repr),
+    "optimizer.adam_beta2": ("federation.optimizer.adam_beta2", _parse_float, repr),
+    "optimizer.adam_epsilon": ("federation.optimizer.adam_epsilon", _parse_float, repr),
+    "optimizer.local_epochs": ("federation.optimizer.local_epochs", _parse_int, str),
+    "optimizer.batch_size": ("federation.optimizer.batch_size", _parse_int, str),
+    "aggregator.rule": ("federation.aggregator.rule", _parse_enum(AGGREGATION_RULES), str),
+    "aggregator.krum_f": ("federation.aggregator.krum_f", _parse_int, str),
+    "aggregator.bulyan_m": ("federation.aggregator.bulyan_m", _parse_int, str),
+    "metric.name": ("federation.metric.name", _parse_enum(tuple(METRIC_DIRECTIONS)), str),
+    "adversary.attack": ("federation.adversary.attack", _parse_enum(ATTACK_KINDS), str),
+    "adversary.placement": (("federation.adversary.placement", "federation.adversary.pool_id"),
+                            _parse_placement, _render_placement),
+    "adversary.adversaries_per_pool": ("federation.adversary.adversaries_per_pool", _parse_int, str),
+    "adversary.boost": ("federation.adversary.boost", _parse_enum(BOOST_MODES), str),
+    "adversary.boost_eta": ("federation.adversary.boost_eta", _parse_float, repr),
+    "adversary.trigger_size": ("federation.adversary.trigger_size", _parse_int, str),
+    "adversary.target_label": ("federation.adversary.target_label", _parse_int, str),
+    "adversary.poison_fraction": ("federation.adversary.poison_fraction", _parse_float, repr),
+    "data.source": ("data.source", _parse_enum(DATA_SOURCES), str),
+    "data.num_classes": ("data.num_classes", _parse_int, str),
+    "data.height": ("data.height", _parse_int, str),
+    "data.width": ("data.width", _parse_int, str),
+    "data.per_class": ("data.per_class", _parse_int, str),
+    "data.noise_sigma": ("data.noise_sigma", _parse_float, repr),
+    "data.csv_path": ("data.csv_path", str, str),
+    "data.val_fraction": ("data.val_fraction", _parse_float, repr),
+    "data.test_fraction": ("data.test_fraction", _parse_float, repr),
+    "data.partition": (("data.scheme", "data.shards_per_client"), _parse_partition, _render_partition),
+    "export.records": ("export_records", _parse_bool, _render_bool),
+    "export.chain": ("export_chain", _parse_bool, _render_bool),
+    "export.summary": ("export_summary", _parse_bool, _render_bool),
 }
 
+# Each nested dataclass and the prefix of its fields' paths, in build order:
+# the first invalid section of a bad file is the one reported.
+_SECTIONS = (("federation.model", ModelSpec), ("federation.optimizer", OptimizerConfig),
+             ("federation.aggregator", AggregatorConfig), ("federation.adversary", AdversaryConfig),
+             ("federation.metric", MetricSpec), ("federation", FederationConfig),
+             ("data", DataConfig), ("", RunConfig))
 
-def _assemble(values: Dict[str, object]) -> RunConfig:
-    placement, pool_id = values["adversary.placement"]
-    scheme, shards = values["data.partition"]
-    height, width = values["data.height"], values["data.width"]
-    num_classes = values["data.num_classes"]
-    model = ModelSpec(kind=values["model.kind"], input_dim=height * width,
-                      num_classes=num_classes, hidden_dim=values["model.hidden_dim"])
-    optimizer = OptimizerConfig(kind=values["optimizer.kind"],
-                                learning_rate=values["optimizer.learning_rate"],
-                                adam_beta1=values["optimizer.adam_beta1"],
-                                adam_beta2=values["optimizer.adam_beta2"],
-                                adam_epsilon=values["optimizer.adam_epsilon"],
-                                local_epochs=values["optimizer.local_epochs"],
-                                batch_size=values["optimizer.batch_size"])
-    aggregator = AggregatorConfig(rule=values["aggregator.rule"],
-                                  krum_f=values["aggregator.krum_f"],
-                                  bulyan_m=values["aggregator.bulyan_m"])
-    adversary = AdversaryConfig(attack=values["adversary.attack"], placement=placement,
-                                pool_id=pool_id,
-                                adversaries_per_pool=values["adversary.adversaries_per_pool"],
-                                boost=values["adversary.boost"],
-                                boost_eta=values["adversary.boost_eta"],
-                                trigger_size=values["adversary.trigger_size"],
-                                target_label=values["adversary.target_label"],
-                                poison_fraction=values["adversary.poison_fraction"])
-    federation = FederationConfig(num_pools=values["num_pools"],
-                                  clients_per_pool=values["clients_per_pool"],
-                                  rounds=values["rounds"],
-                                  clients_sampled_per_round=values["clients_sampled_per_round"],
-                                  model=model, optimizer=optimizer, aggregator=aggregator,
-                                  metric=MetricSpec(values["metric.name"]), adversary=adversary,
-                                  master_seed=values["master_seed"], topology=values["topology"],
-                                  server_eta=values["server_eta"],
-                                  chain_difficulty=values["chain_difficulty"])
-    dcfg = DataConfig(source=values["data.source"], num_classes=num_classes, height=height,
-                      width=width, per_class=values["data.per_class"],
-                      noise_sigma=values["data.noise_sigma"], csv_path=values["data.csv_path"],
-                      val_fraction=values["data.val_fraction"],
-                      test_fraction=values["data.test_fraction"], scheme=scheme,
-                      shards_per_client=shards)
-    return RunConfig(federation=federation, data=dcfg,
-                     export_records=values["export.records"],
-                     export_chain=values["export.chain"],
-                     export_summary=values["export.summary"])
+
+def _read(rc: RunConfig, key: str):
+    """The value of one key in rc: a tuple for a compound key."""
+    paths = SCHEMA[key][0]
+    if isinstance(paths, str):
+        return reduce(getattr, paths.split("."), rc)
+    return tuple(reduce(getattr, path.split("."), rc) for path in paths)
+
+
+def _store(fields: Dict[str, object], key: str, value) -> None:
+    paths = SCHEMA[key][0]
+    if isinstance(paths, str):
+        fields[paths] = value
+    else:
+        fields.update(zip(paths, value))
+
+
+def _assemble(fields: Dict[str, object]) -> RunConfig:
+    """Build RunConfig from its field paths, innermost section first."""
+    fields["federation.model.input_dim"] = fields["data.height"] * fields["data.width"]
+    fields["federation.model.num_classes"] = fields["data.num_classes"]
+    for prefix, cls in _SECTIONS:
+        kwargs = {}
+        for path, value in fields.items():
+            head, _, name = path.rpartition(".")
+            if head == prefix:
+                kwargs[name] = value
+        fields[prefix] = cls(**kwargs)
+    return fields[""]
 
 
 def parse_config_text(text: str, name: str = "<config>") -> RunConfig:
-    values = {key: default for key, (_, default, _) in SCHEMA.items()}
+    fields: Dict[str, object] = {}
+    for key in SCHEMA:
+        _store(fields, key, _read(_DEFAULTS, key))
     seen: Dict[str, int] = {}
     for lineno, raw_line in enumerate(text.splitlines(), start=1):
         line = raw_line.strip()
@@ -246,13 +246,13 @@ def parse_config_text(text: str, name: str = "<config>") -> RunConfig:
         if key in seen:
             raise ConfigError(f"{name}: line {lineno}: duplicate key {key!r} (first on line {seen[key]})")
         seen[key] = lineno
-        parser = SCHEMA[key][0]
+        parser = SCHEMA[key][1]
         try:
-            values[key] = parser(raw_value)
+            _store(fields, key, parser(raw_value))
         except ValueError as exc:
             raise ConfigError(f"{name}: line {lineno}: bad value for {key}: {exc}")
     try:
-        return _assemble(values)
+        return _assemble(fields)
     except ValueError as exc:
         raise ConfigError(f"{name}: {exc}")
 
@@ -264,36 +264,7 @@ def parse_config_file(path: str) -> RunConfig:
 
 def render_config(rc: RunConfig) -> str:
     """Canonical snapshot; parsing it back reproduces the config."""
-    fed, d, adv, opt = rc.federation, rc.data, rc.federation.adversary, rc.federation.optimizer
-    current: Dict[str, object] = {
-        "topology": fed.topology, "rounds": fed.rounds, "num_pools": fed.num_pools,
-        "clients_per_pool": fed.clients_per_pool,
-        "clients_sampled_per_round": fed.clients_sampled_per_round,
-        "master_seed": fed.master_seed, "server_eta": fed.server_eta,
-        "chain_difficulty": fed.chain_difficulty,
-        "model.kind": fed.model.kind, "model.hidden_dim": fed.model.hidden_dim,
-        "optimizer.kind": opt.kind, "optimizer.learning_rate": opt.learning_rate,
-        "optimizer.adam_beta1": opt.adam_beta1, "optimizer.adam_beta2": opt.adam_beta2,
-        "optimizer.adam_epsilon": opt.adam_epsilon, "optimizer.local_epochs": opt.local_epochs,
-        "optimizer.batch_size": opt.batch_size,
-        "aggregator.rule": fed.aggregator.rule, "aggregator.krum_f": fed.aggregator.krum_f,
-        "aggregator.bulyan_m": fed.aggregator.bulyan_m,
-        "metric.name": fed.metric.name,
-        "adversary.attack": adv.attack,
-        "adversary.placement": (adv.placement, adv.pool_id),
-        "adversary.adversaries_per_pool": adv.adversaries_per_pool,
-        "adversary.boost": adv.boost, "adversary.boost_eta": adv.boost_eta,
-        "adversary.trigger_size": adv.trigger_size, "adversary.target_label": adv.target_label,
-        "adversary.poison_fraction": adv.poison_fraction,
-        "data.source": d.source, "data.num_classes": d.num_classes,
-        "data.height": d.height, "data.width": d.width, "data.per_class": d.per_class,
-        "data.noise_sigma": d.noise_sigma, "data.csv_path": d.csv_path,
-        "data.val_fraction": d.val_fraction, "data.test_fraction": d.test_fraction,
-        "data.partition": (d.scheme, d.shards_per_client),
-        "export.records": rc.export_records, "export.chain": rc.export_chain,
-        "export.summary": rc.export_summary,
-    }
-    lines = [f"{key} = {SCHEMA[key][2](current[key])}" for key in SCHEMA]
+    lines = [f"{key} = {render(_read(rc, key))}" for key, (_, _, render) in SCHEMA.items()]
     return "\n".join(lines) + "\n"
 
 

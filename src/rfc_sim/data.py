@@ -75,8 +75,8 @@ def gen_synthetic(num_classes: int, height: int, width: int, per_class: int,
         raise ValueError(f"grid {height}x{width} too small for {num_classes} class templates")
     if per_class < 1:
         raise ValueError(f"per_class must be >= 1, got {per_class}")
-    if noise_sigma < 0:
-        raise ValueError(f"noise_sigma must be >= 0, got {noise_sigma}")
+    if not 0 <= noise_sigma < float("inf"):
+        raise ValueError(f"noise_sigma must be finite and >= 0, got {noise_sigma}")
     key = (num_classes, height, width, per_class, noise_sigma, seed)
     cached = _synthetic_cache.get(key)
     if cached is not None:

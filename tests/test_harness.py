@@ -1,11 +1,14 @@
 import math
 import os
+import re
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
 from rfc_sim import cli, metrics
 from rfc_sim import chain as chain_mod
+from rfc_sim import config as config_mod
 from rfc_sim import data as data_mod
 from rfc_sim.config import (SCHEMA, ConfigError, desk_default, parse_config_text, preset,
                             render_config, with_master_seed)
@@ -150,6 +153,26 @@ def test_render_parse_roundtrip_every_key(key):
     assert parse_config_text(rendered) == rc
 
 
+FLOAT_KEYS = [key for key, (_, parser, _) in SCHEMA.items() if parser is config_mod._parse_float]
+
+
+@pytest.mark.parametrize("key", FLOAT_KEYS)
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "NaN", "-Infinity"])
+def test_non_finite_float_rejected(key, value):
+    with pytest.raises(ConfigError, match=f"line 1: bad value for {re.escape(key)}: expected a finite"):
+        parse_config_text(f"{key} = {value}\n")
+
+
+def test_readme_run_config_table_lists_every_key():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("## Run config", 1)[1].split("\n## ", 1)[0]
+    first_cells = [line.split("|")[1] for line in section.splitlines()
+                   if line.startswith("| `")]
+    keys = [key for cell in first_cells for key in re.findall(r"`([^`]+)`", cell)]
+    assert len(keys) == len(set(keys))
+    assert set(keys) == set(SCHEMA)
+
+
 def test_presets():
     base = desk_default()
     no_attack = preset("no_attack", base)
@@ -263,6 +286,19 @@ def test_cli_validate_chain_garbage_exits_3(tmp_path, capsys):
     assert cli.main(["validate-chain", str(bad)]) == 3
 
 
+@pytest.mark.parametrize("args,out_name", [(["--classes", "100"], "d.csv"),
+                                           (["--per-class", "0"], "d.csv"),
+                                           (["--noise-sigma", "-1"], "d.csv"),
+                                           (["--noise-sigma", "nan"], "d.csv"),
+                                           ([], "missing/d.csv")])
+def test_cli_gen_data_bad_input_exits_1(tmp_path, capsys, args, out_name):
+    out = tmp_path / out_name
+    assert cli.main(["gen-data", "--out", str(out)] + args) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("gen-data failed: ") and len(err.strip().splitlines()) == 1
+    assert not out.exists()
+
+
 def test_cli_gen_data_roundtrip(tmp_path, capsys):
     out = tmp_path / "synthetic.csv"
     code = cli.main(["gen-data", "--out", str(out), "--classes", "3", "--height", "3",
@@ -290,6 +326,15 @@ def test_cli_summarize_matches_library(tmp_path, capsys):
     assert rows["test_accuracy"][2] == repr(stats.final)
     assert rows["test_accuracy"][3] == repr(stats.best)
     assert rows["test_accuracy"][4] == repr(stats.avg_last_10)
+
+
+def test_cli_summarize_prints_summary_csv(tmp_path, capsys):
+    cfg = write_config(tmp_path)
+    out = tmp_path / "run"
+    assert cli.main(["run", "--config", cfg, "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert cli.main(["summarize", str(out / "records.csv")]) == 0
+    assert capsys.readouterr().out == (out / "summary.csv").read_text()
 
 
 def test_records_csv_columns(tmp_path):
@@ -336,6 +381,29 @@ def test_cli_run_bad_threads_env_exits_1(tmp_path, capsys, monkeypatch, value):
     cfg = write_config(tmp_path)
     assert cli.main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
     assert "RFC_SIM_THREADS must be an integer >= 1" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_cli_run_uncreatable_out_exits_1_before_training(tmp_path, capsys, monkeypatch):
+    from rfc_sim import models as models_mod
+
+    def never(*args, **kwargs):
+        raise AssertionError("train_local called before the output directory was checked")
+
+    monkeypatch.setattr(models_mod, "train_local", never)
+    (tmp_path / "afile").write_text("")
+    out = tmp_path / "afile" / "sub"
+    assert cli.main(["run", "--config", write_config(tmp_path), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert str(out) in err and len(err.strip().splitlines()) == 1
+
+
+def test_cli_run_nan_boost_eta_exits_1(tmp_path, capsys):
+    cfg = write_config(tmp_path, TINY_CONFIG + "adversary.attack = backdoor\n"
+                       "adversary.placement = all_pools\nadversary.boost = replacement\n"
+                       "adversary.boost_eta = nan\n")
+    assert cli.main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+    assert "bad value for adversary.boost_eta" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
 
 

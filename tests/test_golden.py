@@ -49,7 +49,8 @@ PRESET_PINS = {
 }
 
 # config text -> pins; these reach the paths the presets leave alone: label
-# shards, ragged batches, the MLP, SGD, every other rule and metric
+# shards, ragged batches, the MLP, SGD, every other rule and metric, and a
+# chain sealed at a difficulty above 0
 VARIANT_CONFIGS = {
     "label_shard_geomed": (
         "rounds = 3\ndata.partition = label_shard:2\naggregator.rule = geomed\n"
@@ -66,6 +67,7 @@ VARIANT_CONFIGS = {
         "adversary.attack = backdoor\nadversary.placement = all_pools\n"
         "adversary.adversaries_per_pool = 1\nadversary.trigger_size = 3\n"
         "adversary.target_label = 2\n"),
+    "desk_sealed_difficulty_12": "rounds = 3\nchain_difficulty = 12\n",
 }
 
 VARIANT_PINS = {
@@ -78,6 +80,9 @@ VARIANT_PINS = {
     "client_server_krum_loss_uneven": (
         "519acec440938680ccbfe1faa9c5f04589b739735e52590ac7fce809309b3be2",
         "0c1a12c07024515ebca737f7ad0781ae7a5e49350c8348f44a4ce48a10c5dba6"),
+    "desk_sealed_difficulty_12": (
+        "d5f6ea7a9660f18eca82eebd58a907f5ea2a2d6a5f7d72b4bed041c76b7e47d7",
+        "0009eedd565b6696444374c7442c9d24ff5065a9c3cb0437b45b5953eb473625"),
 }
 
 # gen-data --per-class 60 --seed 5, read back through the CSV source

@@ -12,6 +12,9 @@ A block meets difficulty d when its hash starts with d zero bits. Timestamps
 are logical round counters, never wall clock, so sealed chains are
 reproducible. Model payloads live off-chain in a ParamStore keyed by the
 sha256 digest of their wire encoding.
+
+``append`` checks only the tip it links to. ``validate`` checks every block;
+it is what ``validate-chain`` runs on an export.
 """
 
 from __future__ import annotations
@@ -28,11 +31,7 @@ from . import params
 
 ZERO32 = bytes(32)
 MAX_DIFFICULTY = 256  # a SHA-256 hash has 256 bits to be zero
-_MAX_NONCE = (1 << 64) - 1
-
-
-class NonceExhaustedError(RuntimeError):
-    """The 64-bit nonce space held no hash meeting the difficulty target."""
+_U64 = struct.Struct("<Q")
 
 
 @dataclass(frozen=True)
@@ -63,27 +62,26 @@ class Chain:
 
 def _pack_str(s: str) -> bytes:
     raw = s.encode("utf-8")
-    return struct.pack("<Q", len(raw)) + raw
+    return _U64.pack(len(raw)) + raw
 
 
-def block_preimage(block: Block) -> bytes:
+def _preimage_parts(block: Block) -> Tuple[bytes, bytes]:
+    """The preimage bytes before the nonce field, and the prev_hash after it."""
     m = block.meta
-    return (
-        struct.pack("<Q", block.index)
-        + struct.pack("<Q", block.timestamp)
+    head = (
+        struct.pack("<QQ", block.index, block.timestamp)
         + block.payload_digest
-        + struct.pack("<Q", m.round)
-        + struct.pack("<q", m.winning_pool_id)
+        + struct.pack("<Qq", m.round, m.winning_pool_id)
         + _pack_str(m.metric_name)
         + struct.pack("<d", m.metric_value)
         + _pack_str(m.aggregator_rule)
-        + struct.pack("<Q", block.nonce)
-        + block.prev_hash
     )
+    return head, block.prev_hash
 
 
 def block_hash(block: Block) -> bytes:
-    return hashlib.sha256(block_preimage(block)).digest()
+    head, tail = _preimage_parts(block)
+    return hashlib.sha256(head + _U64.pack(block.nonce) + tail).digest()
 
 
 def meets_difficulty(digest: bytes, difficulty: int) -> bool:
@@ -98,15 +96,12 @@ def seal_block(draft: Block, difficulty: int) -> Block:
     """Fill nonce and hash: smallest nonce from 0 upward whose hash meets difficulty."""
     if not 0 <= difficulty <= MAX_DIFFICULTY:
         raise ValueError(f"difficulty must lie in [0, {MAX_DIFFICULTY}], got {difficulty}")
-    nonce = 0
-    while True:
-        candidate = replace(draft, nonce=nonce, hash=b"")
-        h = block_hash(candidate)
+    head, tail = _preimage_parts(draft)
+    for nonce in range(1 << 64):
+        h = hashlib.sha256(head + _U64.pack(nonce) + tail).digest()
         if meets_difficulty(h, difficulty):
-            return replace(candidate, hash=h)
-        if nonce == _MAX_NONCE:
-            raise NonceExhaustedError(f"no valid nonce for block {draft.index} at difficulty {difficulty}")
-        nonce += 1
+            return replace(draft, nonce=nonce, hash=h)
+    raise RuntimeError(f"no valid nonce for block {draft.index} at difficulty {difficulty}")
 
 
 def genesis(initial_params: np.ndarray, difficulty: int = 0) -> Chain:
@@ -117,31 +112,27 @@ def genesis(initial_params: np.ndarray, difficulty: int = 0) -> Chain:
 
 
 def append(chain: Chain, model: np.ndarray, meta: RoundMeta) -> Chain:
-    bad = validate(chain)
-    if bad is not None:
-        raise ValueError(f"refusing to append to invalid chain (first invalid block {bad})")
-    tip = chain.blocks[-1]
-    draft = Block(index=len(chain.blocks), timestamp=meta.round,
-                  payload_digest=params.digest(model), meta=meta, prev_hash=tip.hash)
+    """Seal a block for model onto the tip; only the tip is checked, not the whole chain."""
+    tip = len(chain.blocks) - 1
+    if _invalid(chain, tip):
+        raise ValueError(f"refusing to append to invalid chain (invalid tip block {tip})")
+    draft = Block(index=tip + 1, timestamp=meta.round, payload_digest=params.digest(model),
+                  meta=meta, prev_hash=chain.blocks[tip].hash)
     return Chain(blocks=chain.blocks + (seal_block(draft, chain.difficulty),),
                  difficulty=chain.difficulty)
 
 
+def _invalid(chain: Chain, i: int) -> bool:
+    """True when block i breaks its index, its link to block i - 1, its hash or the difficulty."""
+    block = chain.blocks[i]
+    prev = chain.blocks[i - 1].hash if i else ZERO32
+    return (block.index != i or block.prev_hash != prev or block_hash(block) != block.hash
+            or not meets_difficulty(block.hash, chain.difficulty))
+
+
 def validate(chain: Chain) -> Optional[int]:
-    """None when every block checks out, else the first invalid index."""
-    for i, block in enumerate(chain.blocks):
-        if block.index != i:
-            return i
-        if i == 0:
-            if block.prev_hash != ZERO32:
-                return 0
-        elif block.prev_hash != chain.blocks[i - 1].hash:
-            return i
-        if block_hash(block) != block.hash:
-            return i
-        if not meets_difficulty(block.hash, chain.difficulty):
-            return i
-    return None
+    """None when every block checks out, else the first invalid index; checks the whole chain."""
+    return next((i for i in range(len(chain.blocks)) if _invalid(chain, i)), None)
 
 
 class ParamStore:
@@ -208,6 +199,8 @@ def load_lines(text: str) -> Chain:
                           prev_hash=bytes.fromhex(rec["prev_hash"]), nonce=int(rec["nonce"]),
                           hash=bytes.fromhex(rec["hash"]))
             line_difficulty = int(rec["difficulty"])
+            if not 0 <= line_difficulty <= MAX_DIFFICULTY:
+                raise ValueError(f"difficulty {line_difficulty} outside [0, {MAX_DIFFICULTY}]")
             if blocks and line_difficulty != difficulty:
                 raise ValueError(f"difficulty {line_difficulty} disagrees with {difficulty} "
                                  f"on the lines before")

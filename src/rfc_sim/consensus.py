@@ -89,7 +89,7 @@ class FederationConfig:
         if quota < need:
             raise ValueError(f"rule {self.aggregator.rule} needs at least {need} updates per aggregation, sample gives {quota}")
         adv = self.adversary
-        if adv.placement == "one_pool" and adv.pool_id >= self.num_pools:
+        if adv.placement == "one_pool" and not 0 <= adv.pool_id < self.num_pools:
             raise ValueError(f"adversary pool {adv.pool_id} out of range for {self.num_pools} pools")
         if adv.placement != "none" and adv.adversaries_per_pool > self.clients_per_pool:
             raise ValueError("adversaries_per_pool exceeds clients_per_pool")

@@ -117,12 +117,43 @@ def test_validate_detects_index_gap():
     assert validate(Chain(tuple(blocks), 0)) == 2
 
 
-def test_append_rejects_invalid_chain():
-    ledger = build_chain(2)
-    blocks = list(ledger.blocks)
-    blocks[1] = dataclasses.replace(blocks[1], nonce=blocks[1].nonce + 1)
+# a changed tip nonce, a changed tip index, and a predecessor whose stored hash
+# no longer matches the tip's prev_hash (build_chain(2) seals nonce 0, tip index 2)
+@pytest.mark.parametrize("pos,change", [(-1, {"nonce": 1}), (-1, {"index": 3}),
+                                        (-2, {"hash": bytes(32)})],
+                         ids=["tip_nonce", "tip_index", "predecessor_hash"])
+def test_append_rejects_invalid_chain(pos, change):
+    blocks = list(build_chain(2).blocks)
+    blocks[pos] = dataclasses.replace(blocks[pos], **change)
     with pytest.raises(ValueError, match="invalid chain"):
         append(Chain(tuple(blocks), 0), vec(1.0), meta(3))
+
+
+def test_append_checks_only_the_tip():
+    # append trusts the blocks behind the tip; validate still finds the tampered one
+    blocks = list(build_chain(4).blocks)
+    blocks[2] = dataclasses.replace(blocks[2], payload_digest=bytes(32))
+    longer = append(Chain(tuple(blocks), 0), vec(1.0), meta(5))
+    assert len(longer.blocks) == 6
+    assert validate(longer) == 2
+
+
+def test_append_hash_count_independent_of_length(monkeypatch):
+    short, long_ = build_chain(1), build_chain(299)
+    calls = []
+    real = chain_mod.block_hash
+
+    def counting(block):
+        calls.append(block.index)
+        return real(block)
+
+    monkeypatch.setattr(chain_mod, "block_hash", counting)
+    counts = []
+    for ledger in (short, long_):
+        calls.clear()
+        append(ledger, vec(1.0), meta(len(ledger.blocks)))
+        counts.append(len(calls))
+    assert counts[0] == counts[1]
 
 
 def test_export_import_roundtrip():

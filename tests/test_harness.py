@@ -4,6 +4,7 @@ import re
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from rfc_sim import cli, metrics
@@ -407,6 +408,14 @@ def test_cli_run_nan_boost_eta_exits_1(tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
+def test_cli_run_negative_placement_pool_exits_1(tmp_path, capsys):
+    cfg = write_config(tmp_path, TINY_CONFIG + "adversary.attack = labelflip\n"
+                       "adversary.placement = one_pool:-1\n")
+    assert cli.main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+    assert "adversary pool -1 out of range for 2 pools" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_cli_summarize_missing_file_exits_1(tmp_path, capsys):
     assert cli.main(["summarize", str(tmp_path / "absent.csv")]) == 1
     assert "absent.csv" in capsys.readouterr().err
@@ -434,3 +443,17 @@ def test_cli_validate_chain_difficulty_mismatch_exits_3(tmp_path, capsys):
     capsys.readouterr()
     assert cli.main(["validate-chain", str(bad_file)]) == 3
     assert "line 2: difficulty 0 disagrees with 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("difficulty", [-3, 257])
+def test_cli_validate_chain_out_of_range_difficulty_exits_3(tmp_path, capsys, difficulty):
+    import json
+    ledger = chain_mod.genesis(np.array([1.0, 2.0]), 0)
+    meta = chain_mod.RoundMeta(1, 0, "accuracy", 0.5, "fedavg")
+    ledger = chain_mod.append(ledger, np.array([3.0, 4.0]), meta)
+    records = [json.loads(line) for line in chain_mod.export_lines(ledger).splitlines()]
+    bad_file = tmp_path / "range.jsonl"
+    bad_file.write_text("".join(json.dumps({**rec, "difficulty": difficulty}) + "\n"
+                                for rec in records))
+    assert cli.main(["validate-chain", str(bad_file)]) == 3
+    assert f"line 1: difficulty {difficulty} outside [0, 256]" in capsys.readouterr().err

@@ -87,7 +87,6 @@ def _cmd_run(args) -> int:
             rc = config_mod.preset(args.preset, rc)
         if args.seed is not None:
             rc = config_mod.with_master_seed(rc, args.seed)
-        consensus.threads_from_env()
         partition = config_mod.build_partition(rc)
         os.makedirs(args.out, exist_ok=True)
     except (ValueError, OSError) as exc:

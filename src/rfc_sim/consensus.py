@@ -1,5 +1,5 @@
-"""The federation round engine: pool-parallel training, per-pool aggregation,
-candidate scoring on the public validation set, winner selection and chain append.
+"""The federation round engine: per-pool training and aggregation, candidate
+scoring on the public validation set, winner selection and chain append.
 
 Topologies:
 
@@ -10,15 +10,14 @@ Topologies:
   the single candidate is committed without a selection step (the classic
   baseline). The per-round server step is G <- G + eta * (aggregate - G).
 
-Pools may execute concurrently (``RFC_SIM_THREADS``); every random draw is
-pre-derived per (round, pool, client, purpose), so results are identical for
-any thread count.
+Pools run one after another in pool-id order, but no pool's result depends on
+that order: every random draw is pre-derived per (round, pool, client,
+purpose) rather than consumed from a shared generator, and the chain hashes
+rely on this.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
@@ -29,6 +28,10 @@ from .data import Dataset, FederatedPartition
 from .seeds import Sm64Stream, derive_seed
 
 TOPOLOGIES = ("rfc", "client_server")
+# Sealing a block takes about 2**d hashes of a few microseconds each, so 20 (about
+# 10**6 hashes, seconds per block) is the highest difficulty a run may ask for.
+# Validating an export costs one hash per block and accepts chain.MAX_DIFFICULTY.
+MAX_RUN_DIFFICULTY = 20
 
 
 class RoundAbortError(RuntimeError):
@@ -76,9 +79,9 @@ class FederationConfig:
             raise ValueError(f"unknown topology {self.topology!r}")
         if self.server_eta <= 0:
             raise ValueError("server_eta must be > 0")
-        if not 0 <= self.chain_difficulty <= chain_mod.MAX_DIFFICULTY:
-            raise ValueError(f"chain_difficulty must lie in [0, {chain_mod.MAX_DIFFICULTY}], "
-                             f"got {self.chain_difficulty}")
+        if not 0 <= self.chain_difficulty <= MAX_RUN_DIFFICULTY:
+            raise ValueError(f"chain_difficulty must lie in [0, {MAX_RUN_DIFFICULTY}], got "
+                             f"{self.chain_difficulty}: sealing takes about 2**d hashes per block")
         quota = self.sample_quota()
         if quota < 1:
             raise ValueError("per-aggregation sample size must be >= 1")
@@ -147,18 +150,6 @@ def select_winner(candidates: Sequence[PoolCandidate], direction: str) -> Option
 def server_update(global_model: np.ndarray, aggregate: np.ndarray, eta: float) -> np.ndarray:
     """G + eta * (aggregate - G); with eta = 1 the aggregate replaces the model."""
     return global_model + eta * (aggregate - global_model)
-
-
-def threads_from_env() -> int:
-    """Pool-level worker threads from ``RFC_SIM_THREADS`` (default 1)."""
-    raw = os.environ.get("RFC_SIM_THREADS", "1")
-    try:
-        threads = int(raw)
-    except ValueError:
-        threads = 0
-    if threads < 1:
-        raise ValueError(f"RFC_SIM_THREADS must be an integer >= 1, got {raw!r}")
-    return threads
 
 
 def _adversarial_ids(cfg: FederationConfig) -> frozenset:
@@ -263,52 +254,39 @@ def run_federation(cfg: FederationConfig, partition: FederatedPartition) -> Fede
     store.put(init)
     ledger = chain_mod.genesis(init, cfg.chain_difficulty)
 
-    n_threads = threads_from_env()
     records: List[metrics.RoundRecord] = []
     all_candidates: List[Tuple[PoolCandidate, ...]] = []
+    for round_idx in range(1, cfg.rounds + 1):
+        global_model = store.get(ledger.blocks[-1].payload_digest)
+        candidates = tuple(_run_pool(cfg, partition, gid, members, adversarial,
+                                     global_model, round_idx, quota)
+                           for gid, members in groups)
 
-    executor = ThreadPoolExecutor(max_workers=n_threads) if n_threads > 1 else None
-    try:
-        for round_idx in range(1, cfg.rounds + 1):
-            global_model = store.get(ledger.blocks[-1].payload_digest)
-            if executor is None:
-                candidates = tuple(_run_pool(cfg, partition, gid, members, adversarial,
-                                             global_model, round_idx, quota)
-                                   for gid, members in groups)
-            else:
-                futures = [executor.submit(_run_pool, cfg, partition, gid, members,
-                                           adversarial, global_model, round_idx, quota)
-                           for gid, members in groups]
-                candidates = tuple(f.result() for f in futures)
+        winner = select_winner(candidates, cfg.metric.direction)
+        if winner is None:
+            raise RoundAbortError(round_idx, [c.note or f"pool {c.pool_id} disqualified"
+                                              for c in candidates])
+        meta = chain_mod.RoundMeta(round=round_idx, winning_pool_id=winner.pool_id,
+                                   metric_name=cfg.metric.name,
+                                   metric_value=winner.metric_value,
+                                   aggregator_rule=cfg.aggregator.rule)
+        store.put(winner.model)
+        ledger = chain_mod.append(ledger, winner.model, meta)
 
-            winner = select_winner(candidates, cfg.metric.direction)
-            if winner is None:
-                raise RoundAbortError(round_idx, [c.note or f"pool {c.pool_id} disqualified"
-                                                  for c in candidates])
-            meta = chain_mod.RoundMeta(round=round_idx, winning_pool_id=winner.pool_id,
-                                       metric_name=cfg.metric.name,
-                                       metric_value=winner.metric_value,
-                                       aggregator_rule=cfg.aggregator.rule)
-            store.put(winner.model)
-            ledger = chain_mod.append(ledger, winner.model, meta)
-
-            test_loss, test_acc = models.evaluate(cfg.model, winner.model, partition.test)
-            if backdoor_test is not None:
-                bd_target, bd_loss = metrics.evaluate_backdoor(cfg.model, winner.model,
-                                                               backdoor_test, adv.target_label)
-                _, bd_clean = models.evaluate(cfg.model, winner.model, backdoor_test)
-            else:
-                bd_target = bd_clean = bd_loss = float("nan")
-            records.append(metrics.RoundRecord(
-                round=round_idx, winning_pool_id=winner.pool_id,
-                val_metric=winner.metric_value, test_accuracy=test_acc, test_loss=test_loss,
-                backdoor_accuracy_target=bd_target, backdoor_accuracy_clean=bd_clean,
-                backdoor_loss=bd_loss,
-                pool_metrics=tuple(c.metric_value for c in candidates)))
-            all_candidates.append(candidates)
-    finally:
-        if executor is not None:
-            executor.shutdown(wait=True)
+        test_loss, test_acc = models.evaluate(cfg.model, winner.model, partition.test)
+        if backdoor_test is not None:
+            bd_target, bd_loss = metrics.evaluate_backdoor(cfg.model, winner.model,
+                                                           backdoor_test, adv.target_label)
+            _, bd_clean = models.evaluate(cfg.model, winner.model, backdoor_test)
+        else:
+            bd_target = bd_clean = bd_loss = float("nan")
+        records.append(metrics.RoundRecord(
+            round=round_idx, winning_pool_id=winner.pool_id,
+            val_metric=winner.metric_value, test_accuracy=test_acc, test_loss=test_loss,
+            backdoor_accuracy_target=bd_target, backdoor_accuracy_clean=bd_clean,
+            backdoor_loss=bd_loss,
+            pool_metrics=tuple(c.metric_value for c in candidates)))
+        all_candidates.append(candidates)
 
     final_model = store.get(ledger.blocks[-1].payload_digest)
     return FederationResult(final_model=final_model, records=records, chain=ledger,

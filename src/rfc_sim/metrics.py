@@ -23,16 +23,15 @@ METRIC_DIRECTIONS = {"accuracy": "maximize", "loss": "minimize", "macro_f1": "ma
 @dataclass(frozen=True)
 class MetricSpec:
     name: str
-    direction: str = ""
 
     def __post_init__(self):
         if self.name not in METRIC_DIRECTIONS:
             raise ValueError(f"unknown metric {self.name!r}")
-        expected = METRIC_DIRECTIONS[self.name]
-        if self.direction == "":
-            object.__setattr__(self, "direction", expected)
-        elif self.direction != expected:
-            raise ValueError(f"metric {self.name} must have direction {expected}, got {self.direction!r}")
+
+    @property
+    def direction(self) -> str:
+        """``maximize`` or ``minimize``: fixed by the metric's name."""
+        return METRIC_DIRECTIONS[self.name]
 
 
 @dataclass(frozen=True)

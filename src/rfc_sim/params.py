@@ -2,7 +2,7 @@
 
 A parameter vector is a 1-D float64 numpy array; its length is fixed for the
 lifetime of a federation run. Summations are sequential left folds in input
-order so results are bit-identical across runs and thread schedules.
+order so results are bit-identical across runs.
 
 Wire format (used for hashing and chain export): a little-endian uint64
 element count followed by the elements as little-endian IEEE-754 doubles.

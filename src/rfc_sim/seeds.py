@@ -1,9 +1,9 @@
 """Deterministic seed derivation and a small portable PRNG.
 
 Every random draw in this package flows through SplitMix64 streams keyed by
-``derive_seed``, so a federation run is bit-reproducible for any thread count
-and any call order: randomness is pre-derived per (round, pool, client,
-purpose) instead of being consumed from a shared generator.
+``derive_seed``, so a federation run is bit-reproducible for any call order:
+randomness is pre-derived per (round, pool, client, purpose) instead of being
+consumed from a shared generator.
 
 The mixing function is fixed so independent implementations can agree:
 

@@ -10,6 +10,8 @@ import math
 import os
 import random
 import struct
+import subprocess
+import sys
 import time
 
 import numpy as np
@@ -249,26 +251,23 @@ def test_criterion_05_gradient_correctness():
                             f"(worst abs diff {worst:.2e} over 50 models)")
 
 
-def test_criterion_06_end_to_end_determinism():
-    outputs = {}
-    previous = os.environ.get("RFC_SIM_THREADS")
-    try:
-        for threads in ("1", "4"):
-            os.environ["RFC_SIM_THREADS"] = threads
-            result = execute_run(desk_default())
-            outputs[threads] = (records_csv_text(result), result.chain.blocks[-1].hash,
-                                chain_mod.export_lines(result.chain))
-    finally:
-        if previous is None:
-            os.environ.pop("RFC_SIM_THREADS", None)
-        else:
-            os.environ["RFC_SIM_THREADS"] = previous
-    same_records = outputs["1"][0] == outputs["4"][0]
-    same_tip = outputs["1"][1] == outputs["4"][1]
-    same_chain = outputs["1"][2] == outputs["4"][2]
-    report(6, same_records and same_tip and same_chain,
-           f"desk preset byte-identical for RFC_SIM_THREADS in {{1, 4}} "
-           f"(tip {outputs['1'][1].hex()[:12]})")
+def test_criterion_06_end_to_end_determinism(tmp_path):
+    # Two fresh interpreters with different string-hash seeds, so neither
+    # in-process caches nor set/dict iteration order can make the runs agree.
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.path.normpath(src))
+    exports = []
+    for hash_seed in ("0", "1"):
+        out = tmp_path / f"hashseed{hash_seed}"
+        subprocess.run([sys.executable, "-m", "rfc_sim", "run", "--out", str(out)],
+                       env=dict(env, PYTHONHASHSEED=hash_seed), check=True,
+                       capture_output=True, timeout=600)
+        exports.append(((out / "records.csv").read_bytes(), (out / "chain.jsonl").read_bytes()))
+    result = execute_run(desk_default())
+    in_process = (records_csv_text(result).encode(), chain_mod.export_lines(result.chain).encode())
+    report(6, exports[0] == exports[1] == in_process,
+           f"desk preset records.csv and chain.jsonl byte-identical across two processes "
+           f"(PYTHONHASHSEED 0 and 1) and in-process (tip {result.chain.blocks[-1].hash.hex()[:12]})")
 
 
 def test_criterion_07_pool_isolation():

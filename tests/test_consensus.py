@@ -56,8 +56,8 @@ def test_config_validation():
     with pytest.raises(ValueError, match="out of range"):
         tiny_config(adversary=AdversaryConfig(attack="labelflip", placement="one_pool", pool_id=9))
     with pytest.raises(ValueError, match="chain_difficulty"):
-        tiny_config(chain_difficulty=257)
-    assert tiny_config(chain_difficulty=256).chain_difficulty == 256
+        tiny_config(chain_difficulty=21)
+    assert tiny_config(chain_difficulty=20).chain_difficulty == 20
 
 
 def test_sample_quota_banker_rounding_documented():
@@ -272,15 +272,6 @@ def test_divergent_pool_disqualified_while_others_proceed(monkeypatch):
         assert "diverged" in round_cands[0].note
         assert not round_cands[1].disqualified
     assert all(rec.winning_pool_id == 1 for rec in result.records)
-
-
-def test_threads_env_var_does_not_change_results(monkeypatch):
-    monkeypatch.setenv("RFC_SIM_THREADS", "1")
-    a = run_tiny(rounds=4)
-    monkeypatch.setenv("RFC_SIM_THREADS", "4")
-    b = run_tiny(rounds=4)
-    assert a.chain.blocks[-1].hash == b.chain.blocks[-1].hash
-    assert records_csv_text(a) == records_csv_text(b)
 
 
 def test_partition_mismatch_rejected():

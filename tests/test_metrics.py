@@ -29,8 +29,6 @@ def test_metric_spec_directions():
     assert MetricSpec("loss").direction == "minimize"
     assert MetricSpec("macro_f1").direction == "maximize"
     with pytest.raises(ValueError):
-        MetricSpec("accuracy", "minimize")
-    with pytest.raises(ValueError):
         MetricSpec("auroc")
 
 

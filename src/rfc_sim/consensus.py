@@ -10,10 +10,11 @@ Topologies:
   the single candidate is committed without a selection step (the classic
   baseline). The per-round server step is G <- G + eta * (aggregate - G).
 
-Pools run one after another in pool-id order, but no pool's result depends on
-that order: every random draw is pre-derived per (round, pool, client,
-purpose) rather than consumed from a shared generator, and the chain hashes
-rely on this.
+A round samples every pool, trains all sampled clients in one
+``models.train_clients`` call, then aggregates and scores pool by pool. No
+pool's result depends on that order or on the other pools' clients: every
+random draw is pre-derived per (round, pool, client, purpose) rather than
+consumed from a shared generator, and the chain hashes rely on this.
 """
 
 from __future__ import annotations
@@ -174,28 +175,38 @@ def _client_data(cfg: FederationConfig, partition: FederatedPartition, cid: int,
     return attacks.poison_examples(data, partition.height, partition.width, adv, seed)
 
 
-def _run_pool(cfg: FederationConfig, partition: FederatedPartition, pool_id: int,
-              members: Sequence[int], adversarial: frozenset, global_model: np.ndarray,
-              round_idx: int, quota: int) -> PoolCandidate:
-    """Train one pool's sample and produce its candidate."""
-    sampled = sample_clients(members, pool_id, round_idx, quota, cfg.master_seed)
-    if not set(sampled) <= set(members):
-        raise ProvenanceError(f"round {round_idx}: pool {pool_id} sampled foreign clients")
+def _play_round(cfg: FederationConfig, partition: FederatedPartition,
+                groups: Sequence[Tuple[int, Sequence[int]]], adversarial: frozenset,
+                global_model: np.ndarray, round_idx: int, quota: int) -> Tuple[PoolCandidate, ...]:
+    """Sample every pool, train all sampled clients in one call, then build each pool's candidate."""
+    samples, datasets, seeds = [], [], []
+    for pool_id, members in groups:
+        sampled = sample_clients(members, pool_id, round_idx, quota, cfg.master_seed)
+        if not set(sampled) <= set(members):
+            raise ProvenanceError(f"round {round_idx}: pool {pool_id} sampled foreign clients")
+        samples.append((pool_id, sampled))
+        for cid in sampled:
+            datasets.append(_client_data(cfg, partition, cid, cid in adversarial, round_idx, pool_id))
+            seeds.append(derive_seed(cfg.master_seed, round_idx, pool_id, cid, "shuffle"))
+    trained = models.train_clients(cfg.model, global_model, datasets, cfg.optimizer, seeds)
+    candidates = []
+    for pool_id, sampled in samples:
+        # slice each pool's share off, so no list keeps a boosted update's original alive
+        updates, trained = trained[: len(sampled)], trained[len(sampled) :]
+        candidates.append(_pool_candidate(cfg, partition, pool_id, sampled, updates, adversarial,
+                                          global_model, round_idx))
+    return tuple(candidates)
 
-    updates: List[np.ndarray] = []
-    adv_positions: List[int] = []
-    for pos, cid in enumerate(sampled):
-        is_adv = cid in adversarial
-        data = _client_data(cfg, partition, cid, is_adv, round_idx, pool_id)
-        seed = derive_seed(cfg.master_seed, round_idx, pool_id, cid, "shuffle")
-        try:
-            update = models.train_local(cfg.model, global_model, data, cfg.optimizer, seed)
-        except models.DivergenceError as exc:
+
+def _pool_candidate(cfg: FederationConfig, partition: FederatedPartition, pool_id: int,
+                    sampled: Sequence[int], updates: list, adversarial: frozenset,
+                    global_model: np.ndarray, round_idx: int) -> PoolCandidate:
+    """Boost (in place), aggregate and score one pool's trained updates, in sample order."""
+    for cid, update in zip(sampled, updates):
+        if isinstance(update, models.DivergenceError):
             return PoolCandidate(pool_id, None, float("nan"), tuple(sampled), True,
-                                 f"client {cid} diverged in round {round_idx}: {exc}")
-        updates.append(update)
-        if is_adv:
-            adv_positions.append(pos)
+                                 f"client {cid} diverged in round {round_idx}: {update}")
+    adv_positions = [pos for pos, cid in enumerate(sampled) if cid in adversarial]
 
     adv = cfg.adversary
     if adv.boost == "replacement" and adv_positions:
@@ -258,9 +269,7 @@ def run_federation(cfg: FederationConfig, partition: FederatedPartition) -> Fede
     all_candidates: List[Tuple[PoolCandidate, ...]] = []
     for round_idx in range(1, cfg.rounds + 1):
         global_model = store.get(ledger.blocks[-1].payload_digest)
-        candidates = tuple(_run_pool(cfg, partition, gid, members, adversarial,
-                                     global_model, round_idx, quota)
-                           for gid, members in groups)
+        candidates = _play_round(cfg, partition, groups, adversarial, global_model, round_idx, quota)
 
         winner = select_winner(candidates, cfg.metric.direction)
         if winner is None:

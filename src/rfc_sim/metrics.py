@@ -61,15 +61,14 @@ def macro_f1(predictions: Sequence[int], labels: Sequence[int], num_classes: int
         raise ValueError(f"length mismatch: {len(predictions)} predictions vs {len(labels)} labels")
     if len(labels) == 0:
         raise ValueError("macro_f1 of empty inputs")
-    tp = [0] * num_classes
-    fp = [0] * num_classes
-    fn = [0] * num_classes
-    for pred, true in zip(predictions, labels):
-        if pred == true:
-            tp[true] += 1
-        else:
-            fp[pred] += 1
-            fn[true] += 1
+    pred = np.asarray(predictions, dtype=np.int64)
+    true = np.asarray(labels, dtype=np.int64)
+    if min(pred.min(), true.min()) < 0 or max(pred.max(), true.max()) >= num_classes:
+        raise ValueError(f"macro_f1 labels must lie in [0, {num_classes})")
+    hit = pred == true
+    tp = np.bincount(true[hit], minlength=num_classes).tolist()
+    fp = np.bincount(pred[~hit], minlength=num_classes).tolist()
+    fn = np.bincount(true[~hit], minlength=num_classes).tolist()
     total = 0.0
     for c in range(num_classes):
         precision = tp[c] / (tp[c] + fp[c]) if tp[c] + fp[c] > 0 else 0.0
@@ -127,7 +126,7 @@ def score_model(metric: MetricSpec, spec: models.ModelSpec, p: np.ndarray,
     if metric.name == "loss":
         return models.evaluate(spec, p, data)[0]
     preds = models.predict_labels(spec, p, data)
-    return macro_f1(preds.tolist(), data.y.tolist(), spec.num_classes)
+    return macro_f1(preds, data.y, spec.num_classes)
 
 
 def better(a: float, b: float, direction: str) -> bool:

@@ -6,24 +6,34 @@ Parameters live in a single flat float64 vector. Packing order:
 * mlp:     W1 (input_dim x hidden_dim), b1, W2 (hidden_dim x num_classes), b2
 
 Weights initialize uniformly in [-s, s] with s = sqrt(6 / (fan_in + fan_out)),
-drawn in packing order from an Sm64Stream; biases start at zero. Local
-training shuffles with Fisher-Yates, reseeded per epoch as
+drawn in packing order from the words of ``Sm64Stream(seed)``; biases start
+at zero. Local training shuffles with Fisher-Yates, reseeded per epoch as
 ``mix64(train_seed, epoch)``.
+
+``train_clients`` trains many clients from one start as stacks on a client
+axis: parameters ``[C, P]``, batches ``[C, b, input_dim]``. Clients with equal
+row counts share a stack, split so that a stack's ``[C, P]`` block stays within
+``STACK_BYTES``. Every client row gets exactly the bits it would get trained
+alone, and ``train_local`` is the one-client call.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Tuple
+from typing import Dict, List, Sequence, Tuple, Union
 
 import numpy as np
 
 from .data import Dataset
-from .seeds import Sm64Stream, mix64
+from .seeds import mix64, shuffle_orders, stream_words
 
 MODEL_KINDS = ("linear", "mlp")
 OPTIMIZER_KINDS = ("sgd", "adam")
+# Byte budget of one training stack's parameters (each Adam moment takes as
+# much again): 168 clients of the 195-parameter desk linear model, or one
+# client of a 17,411-parameter MLP, for which wider stacks only raise peak RSS.
+STACK_BYTES = 256 * 1024
 
 
 class DivergenceError(RuntimeError):
@@ -75,62 +85,57 @@ class OptimizerConfig:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
 
 
+def _shapes(spec: ModelSpec):
+    """Weight and bias blocks in packing order, as (rows, cols); a bias is one row."""
+    d, c, h = spec.input_dim, spec.num_classes, spec.hidden_dim
+    return [(d, c), (1, c)] if spec.kind == "linear" else [(d, h), (1, h), (h, c), (1, c)]
+
+
 def param_count(spec: ModelSpec) -> int:
-    d, c, h = spec.input_dim, spec.num_classes, spec.hidden_dim
-    if spec.kind == "linear":
-        return d * c + c
-    return d * h + h + h * c + c
-
-
-def _layer_segments(spec: ModelSpec):
-    """(num_weights, fan_in, fan_out, num_biases) per layer, in packing order."""
-    d, c, h = spec.input_dim, spec.num_classes, spec.hidden_dim
-    if spec.kind == "linear":
-        return [(d * c, d, c, c)]
-    return [(d * h, d, h, h), (h * c, h, c, c)]
+    return sum(rows * cols for rows, cols in _shapes(spec))
 
 
 def init_params(spec: ModelSpec, seed: int) -> np.ndarray:
-    stream = Sm64Stream(seed)
-    out = np.empty(param_count(spec), dtype=np.float64)
-    pos = 0
-    for n_weights, fan_in, fan_out, n_biases in _layer_segments(spec):
-        s = math.sqrt(6.0 / (fan_in + fan_out))
-        for i in range(n_weights):
-            out[pos + i] = (2.0 * stream.uniform() - 1.0) * s
-        pos += n_weights
-        out[pos : pos + n_biases] = 0.0
-        pos += n_biases
+    out = np.zeros(param_count(spec), dtype=np.float64)
+    weights = _unpack(spec, out)[::2]
+    words = stream_words([seed], sum(w.size for w in weights))[0]
+    uniform = (words >> np.uint64(11)).astype(np.float64) * 2.0**-53
+    used = 0
+    for w in weights:
+        s = math.sqrt(6.0 / (w.shape[0] + w.shape[1]))
+        w[...] = ((2.0 * uniform[used : used + w.size] - 1.0) * s).reshape(w.shape)
+        used += w.size
     return out
 
 
-def _unpack(spec: ModelSpec, p: np.ndarray):
-    d, c, h = spec.input_dim, spec.num_classes, spec.hidden_dim
-    if p.shape[0] != param_count(spec):
-        raise ValueError(f"parameter vector has {p.shape[0]} entries, spec needs {param_count(spec)}")
-    if spec.kind == "linear":
-        return p[: d * c].reshape(d, c), p[d * c :]
-    o = 0
-    w1 = p[o : o + d * h].reshape(d, h); o += d * h
-    b1 = p[o : o + h]; o += h
-    w2 = p[o : o + h * c].reshape(h, c); o += h * c
-    b2 = p[o:]
-    return w1, b1, w2, b2
+def _unpack(spec: ModelSpec, p: np.ndarray) -> list:
+    """Views of ``p`` (shape ``[..., P]``) as its ``_shapes`` blocks, with p's leading axes."""
+    if p.shape[-1] != param_count(spec):
+        raise ValueError(f"parameter vector has {p.shape[-1]} entries, spec needs {param_count(spec)}")
+    views, o = [], 0
+    for rows, cols in _shapes(spec):
+        views.append(p[..., o : o + rows * cols].reshape(p.shape[:-1] + (rows, cols)))
+        o += rows * cols
+    return views
 
 
 def _log_softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    shifted = logits - logits.max(axis=-1, keepdims=True)
+    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
 
 
 def _forward(spec: ModelSpec, p: np.ndarray, x: np.ndarray):
-    """Logits of the rows ``x``, plus the MLP activations the backward pass reuses."""
+    """Logits of the rows ``x``, plus the MLP activations the backward pass reuses.
+
+    ``p`` is ``[..., P]`` and ``x`` is ``[..., n, input_dim]`` with the same
+    leading (client) axes; each client's slice is computed as it would be alone.
+    """
     if not np.all(np.isfinite(p)):
         raise ValueError("non-finite model parameters")
-    if x.shape[0] == 0:
+    if x.shape[-2] == 0:
         raise ValueError("empty batch")
-    if x.shape[1] != spec.input_dim:
-        raise ValueError(f"feature dim {x.shape[1]} does not match spec input_dim {spec.input_dim}")
+    if x.shape[-1] != spec.input_dim:
+        raise ValueError(f"feature dim {x.shape[-1]} does not match spec input_dim {spec.input_dim}")
     if spec.kind == "linear":
         w, b = _unpack(spec, p)
         return x @ w + b, None
@@ -141,39 +146,40 @@ def _forward(spec: ModelSpec, p: np.ndarray, x: np.ndarray):
 
 
 def _loss_grad(spec: ModelSpec, p: np.ndarray, x: np.ndarray, y: np.ndarray, need_grad: bool):
-    n = x.shape[0]
+    """Per-client mean cross-entropy, its gradient and argmax hits, over ``p``'s leading axes."""
+    n = x.shape[-2]
     # overflow surfaces as a non-finite loss, which callers treat as divergence
     with np.errstate(over="ignore", invalid="ignore"):
         logits, acts = _forward(spec, p, x)
         logp = _log_softmax(logits)
-        loss = float(-logp[np.arange(n), y].mean())
-    correct = int((logits.argmax(axis=1) == y).sum())
+        # (example, label) pairs of the flattened leading axes
+        at = np.arange(y.size), y.reshape(-1)
+        loss = -logp.reshape(-1, spec.num_classes)[at].reshape(y.shape).mean(axis=-1)
+    correct = (logits.argmax(axis=-1) == y).sum(axis=-1)
     if not need_grad:
         return loss, None, correct
     dlogits = np.exp(logp)
-    dlogits[np.arange(n), y] -= 1.0
+    dlogits.reshape(-1, spec.num_classes)[at] -= 1.0
     dlogits /= n
     grad = np.empty_like(p)
     if spec.kind == "linear":
-        d, c = spec.input_dim, spec.num_classes
-        grad[: d * c] = (x.T @ dlogits).reshape(-1)
-        grad[d * c :] = dlogits.sum(axis=0)
+        grad_w, grad_b = _unpack(spec, grad)
+        grad_w[...] = np.swapaxes(x, -1, -2) @ dlogits
     else:
-        d, c, h = spec.input_dim, spec.num_classes, spec.hidden_dim
         w2, pre, hidden = acts
-        dhidden = dlogits @ w2.T
-        dpre = dhidden * (pre > 0.0)
-        o = 0
-        grad[o : o + d * h] = (x.T @ dpre).reshape(-1); o += d * h
-        grad[o : o + h] = dpre.sum(axis=0); o += h
-        grad[o : o + h * c] = (hidden.T @ dlogits).reshape(-1); o += h * c
-        grad[o:] = dlogits.sum(axis=0)
+        dpre = (dlogits @ np.swapaxes(w2, -1, -2)) * (pre > 0.0)
+        grad_w1, grad_b1, grad_w, grad_b = _unpack(spec, grad)
+        grad_w1[...] = np.swapaxes(x, -1, -2) @ dpre
+        grad_b1[...] = dpre.sum(axis=-2, keepdims=True)
+        grad_w[...] = np.swapaxes(hidden, -1, -2) @ dlogits
+    grad_b[...] = dlogits.sum(axis=-2, keepdims=True)
     return loss, grad, correct
 
 
 def forward_loss_grad(spec: ModelSpec, p: np.ndarray, batch: Dataset) -> Tuple[float, np.ndarray, int]:
     """Mean cross-entropy, its gradient, and the argmax hit count on one batch."""
-    return _loss_grad(spec, p, batch.x, batch.y, need_grad=True)
+    loss, grad, correct = _loss_grad(spec, p, batch.x, batch.y, need_grad=True)
+    return float(loss), grad, int(correct)
 
 
 def log_probs(spec: ModelSpec, p: np.ndarray, data: Dataset) -> np.ndarray:
@@ -188,36 +194,83 @@ def predict_labels(spec: ModelSpec, p: np.ndarray, data: Dataset) -> np.ndarray:
 def evaluate(spec: ModelSpec, p: np.ndarray, data: Dataset) -> Tuple[float, float]:
     """(mean cross-entropy, accuracy) over a nonempty dataset."""
     loss, _, correct = _loss_grad(spec, p, data.x, data.y, need_grad=False)
-    return loss, correct / len(data)
+    return float(loss), int(correct) / len(data)
 
 
 def train_local(spec: ModelSpec, start: np.ndarray, data: Dataset, opt: OptimizerConfig, seed: int) -> np.ndarray:
-    """Run ``local_epochs`` of shuffled mini-batch SGD or Adam from ``start``."""
-    x, y = data.x, data.y
-    n = len(data)
-    p = np.array(start, dtype=np.float64, copy=True)
-    if opt.kind == "adam":
-        m = np.zeros_like(p)
-        v = np.zeros_like(p)
-        t = 0
+    """Run ``local_epochs`` of shuffled mini-batch SGD or Adam from ``start``.
+
+    The one-client call of ``train_clients``; raises the client's DivergenceError.
+    """
+    (out,) = train_clients(spec, start, [data], opt, [seed])
+    if isinstance(out, DivergenceError):
+        raise out
+    return out
+
+
+def train_clients(spec: ModelSpec, start: np.ndarray, datasets: Sequence[Dataset],
+                  opt: OptimizerConfig, seeds: Sequence[int]) -> List[Union[np.ndarray, DivergenceError]]:
+    """Train one client per (dataset, seed) from the shared ``start``.
+
+    Returns, in input order, each client's parameters or the DivergenceError
+    that stopped it. Clients with equal row counts train as one stack.
+    """
+    width = max(1, STACK_BYTES // (8 * param_count(spec)))
+    by_length: Dict[int, List[int]] = {}
+    for i, data in enumerate(datasets):
+        by_length.setdefault(len(data), []).append(i)
+    out: list = [None] * len(datasets)
+    for n, members in by_length.items():
+        orders = shuffle_orders([mix64(seeds[i], e) for i in members for e in range(opt.local_epochs)], n)
+        orders = orders.reshape(len(members), opt.local_epochs, n)
+        for lo in range(0, len(members), width):
+            stack = members[lo : lo + width]
+            trained = _train_stack(spec, start, [datasets[i] for i in stack], orders[lo : lo + width], opt)
+            for i, result in zip(stack, trained):
+                out[i] = result
+    return out
+
+
+def _train_stack(spec: ModelSpec, start: np.ndarray, datasets: Sequence[Dataset], orders: np.ndarray,
+                 opt: OptimizerConfig) -> list:
+    """Train equal-length clients with per-epoch ``orders`` ``[C, E, n]`` as one stack.
+
+    Each row takes every step as the one-client loop would, with the same
+    operations in the same order; Adam's moments are updated in place. A row
+    whose loss or parameters turn non-finite leaves with its DivergenceError.
+    """
+    x = np.stack([data.x for data in datasets])
+    y = np.stack([data.y for data in datasets])
+    out: list = [None] * x.shape[0]
+    live = np.arange(x.shape[0])
+    p = np.tile(np.asarray(start, dtype=np.float64), (x.shape[0], 1))
+    m, v = np.zeros_like(p), np.zeros_like(p)
+    b1, b2 = opt.adam_beta1, opt.adam_beta2
+    t = 0
     for epoch in range(opt.local_epochs):
-        order = list(range(n))
-        Sm64Stream(mix64(seed, epoch)).shuffle(order)
-        idx = np.array(order, dtype=np.int64)
-        for lo in range(0, n, opt.batch_size):
-            rows = idx[lo : lo + opt.batch_size]
-            loss, grad, _ = _loss_grad(spec, p, x[rows], y[rows], need_grad=True)
-            if not math.isfinite(loss):
-                raise DivergenceError(f"non-finite loss at epoch {epoch}, batch offset {lo}")
-            if opt.kind == "sgd":
-                p -= opt.learning_rate * grad
-            else:
-                t += 1
-                m = opt.adam_beta1 * m + (1.0 - opt.adam_beta1) * grad
-                v = opt.adam_beta2 * v + (1.0 - opt.adam_beta2) * grad * grad
-                m_hat = m / (1.0 - opt.adam_beta1**t)
-                v_hat = v / (1.0 - opt.adam_beta2**t)
-                p -= opt.learning_rate * m_hat / (np.sqrt(v_hat) + opt.adam_epsilon)
-            if not np.all(np.isfinite(p)):
-                raise DivergenceError(f"parameters overflowed at epoch {epoch}, batch offset {lo}")
-    return p
+        for lo in range(0, x.shape[1], opt.batch_size):
+            rows = orders[live, epoch, lo : lo + opt.batch_size]
+            loss, grad, _ = _loss_grad(spec, p, x[live[:, None], rows], y[live[:, None], rows], need_grad=True)
+            t += 1
+            # a row with a non-finite loss steps too, but is dropped below before it is read
+            with np.errstate(over="ignore", invalid="ignore"):
+                if opt.kind == "sgd":
+                    p -= opt.learning_rate * grad
+                else:
+                    m *= b1
+                    m += (1.0 - b1) * grad
+                    v *= b2
+                    v += (1.0 - b2) * grad * grad
+                    p -= opt.learning_rate * (m / (1.0 - b1**t)) / (np.sqrt(v / (1.0 - b2**t)) + opt.adam_epsilon)
+            bad_loss = ~np.isfinite(loss)
+            bad = bad_loss | ~np.isfinite(p).all(axis=1)
+            if bad.any():
+                for r, lossy in zip(live[bad].tolist(), bad_loss[bad].tolist()):
+                    what = "non-finite loss" if lossy else "parameters overflowed"
+                    out[r] = DivergenceError(f"{what} at epoch {epoch}, batch offset {lo}")
+                live, p, m, v = (a[~bad] for a in (live, p, m, v))
+                if live.size == 0:
+                    return out
+    for r, row in zip(live.tolist(), p):
+        out[r] = row
+    return out

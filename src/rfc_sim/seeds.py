@@ -15,6 +15,11 @@ The mixing function is fixed so independent implementations can agree:
   ``acc = scramble((acc + GOLDEN + w) mod 2**64)`` with
   ``GOLDEN = 0x9E3779B97F4A7C15``.
 * string purpose tags are reduced to a word with FNV-1a 64.
+* ``Sm64Stream(seed)`` returns ``scramble(seed + k*GOLDEN mod 2**64)`` as its
+  k-th word (k = 1, 2, ...), so ``stream_words`` draws the first words of many
+  streams as one numpy ``uint64`` array (numpy's ``uint64`` arithmetic wraps
+  mod 2**64). ``shuffle_orders`` builds Fisher-Yates orders from those words;
+  a stream whose words ``rand_below`` would reject takes the scalar path.
 """
 
 from __future__ import annotations
@@ -22,13 +27,16 @@ from __future__ import annotations
 import math
 from typing import List, Sequence
 
+import numpy as np
+
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
 
 
-def _scramble(z: int) -> int:
+def _scramble(z):
+    """SplitMix64 finalizer of a Python int, or elementwise of a numpy uint64 array."""
     z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9 & _MASK64
     z = (z ^ (z >> 27)) * 0x94D049BB133111EB & _MASK64
     return z ^ (z >> 31)
@@ -88,10 +96,9 @@ class Sm64Stream:
                 return r % n
 
     def shuffle(self, items: List) -> None:
-        """In-place Fisher-Yates shuffle."""
-        for i in range(len(items) - 1, 0, -1):
-            j = self.rand_below(i + 1)
-            items[i], items[j] = items[j], items[i]
+        """In-place Fisher-Yates shuffle: position i, from the last down, swaps with rand_below(i + 1)."""
+        (draws,), (self._state,) = _fisher_yates_draws([self._state], len(items))
+        _swap(items, draws)
 
     def sample(self, items: Sequence, k: int) -> list:
         """k distinct items via partial Fisher-Yates; order is part of the draw."""
@@ -102,3 +109,42 @@ class Sm64Stream:
             j = i + self.rand_below(len(pool) - i)
             pool[i], pool[j] = pool[j], pool[i]
         return pool[:k]
+
+
+def stream_words(seeds: Sequence[int], k: int) -> np.ndarray:
+    """``[len(seeds), k]`` uint64: the first k words of ``Sm64Stream(seed)`` per seed."""
+    steps = np.arange(1, k + 1, dtype=np.uint64) * np.uint64(_GOLDEN)
+    return _scramble(np.array([s & _MASK64 for s in seeds], dtype=np.uint64).reshape(-1, 1) + steps)
+
+
+def _fisher_yates_draws(seeds: Sequence[int], n: int):
+    """Per seed, its stream's draws rand_below(n), ..., rand_below(2), and its state after them."""
+    k = max(n - 1, 0)
+    words = stream_words(seeds, k)
+    draws = (words % np.arange(n, 1, -1, dtype=np.uint64)).tolist()
+    states = [(seed + k * _GOLDEN) & _MASK64 for seed in seeds]
+    # rand_below(b) keeps r < (2**64 // b) * b; that bound is 2**64 when b is a
+    # power of two, so compare with the bound minus one, which fits in uint64
+    limits = np.array([((1 << 64) // b) * b - 1 for b in range(n, 1, -1)], dtype=np.uint64)
+    for row in np.flatnonzero(~(words <= limits).all(axis=1)).tolist():
+        stream = Sm64Stream(seeds[row])  # a word was rejected: draw this stream one word at a time
+        draws[row] = [stream.rand_below(b) for b in range(n, 1, -1)]
+        states[row] = stream._state
+    return draws, states
+
+
+def _swap(items: List, draws: Sequence[int]) -> None:
+    for i, j in zip(range(len(items) - 1, 0, -1), draws):
+        items[i], items[j] = items[j], items[i]
+
+
+def shuffle_orders(seeds: Sequence[int], n: int) -> np.ndarray:
+    """``[len(seeds), n]`` int64: row s is range(n) after ``Sm64Stream(seeds[s]).shuffle``.
+
+    The words of every stream are drawn at once; the swaps run per row in
+    Python, which beats a numpy pass per position unless there are dozens of rows.
+    """
+    orders = [list(range(n)) for _ in seeds]
+    for order, draws in zip(orders, _fisher_yates_draws(seeds, n)[0]):
+        _swap(order, draws)
+    return np.array(orders, dtype=np.int64).reshape(len(seeds), n)

@@ -242,10 +242,10 @@ def test_round_abort_when_every_candidate_bad(monkeypatch):
 def test_divergent_clients_disqualify_pool_and_abort_round(monkeypatch):
     from rfc_sim import models as models_mod
 
-    def blow_up(spec, start, data, opt, seed):
-        raise models_mod.DivergenceError("synthetic blow-up")
+    def blow_up(spec, start, datasets, opt, seeds):
+        return [models_mod.DivergenceError("synthetic blow-up") for _ in seeds]
 
-    monkeypatch.setattr(models_mod, "train_local", blow_up)
+    monkeypatch.setattr(models_mod, "train_clients", blow_up)
     with pytest.raises(RoundAbortError) as err:
         run_tiny()
     assert err.value.round_idx == 1
@@ -255,16 +255,16 @@ def test_divergent_clients_disqualify_pool_and_abort_round(monkeypatch):
 def test_divergent_pool_disqualified_while_others_proceed(monkeypatch):
     from rfc_sim import models as models_mod
     from rfc_sim.seeds import derive_seed
-    real_train = models_mod.train_local
+    real_train = models_mod.train_clients
     # training seeds are derived per (round, pool, client); poison all of pool 0's
     pool0_seeds = {derive_seed(7, r, 0, cid, "shuffle") for r in (1, 2) for cid in range(4)}
 
-    def pool0_blows_up(spec, start, data, opt, seed):
-        if seed in pool0_seeds:
-            raise models_mod.DivergenceError("synthetic blow-up")
-        return real_train(spec, start, data, opt, seed)
+    def pool0_blows_up(spec, start, datasets, opt, seeds):
+        trained = real_train(spec, start, datasets, opt, seeds)
+        return [models_mod.DivergenceError("synthetic blow-up") if seed in pool0_seeds else out
+                for seed, out in zip(seeds, trained)]
 
-    monkeypatch.setattr(models_mod, "train_local", pool0_blows_up)
+    monkeypatch.setattr(models_mod, "train_clients", pool0_blows_up)
     result = run_tiny(rounds=2)
     assert len(result.records) == 2
     for round_cands in result.candidates:

@@ -241,10 +241,10 @@ def test_cli_run_missing_config_exits_1(tmp_path, capsys):
 def test_cli_run_runtime_abort_exits_2(tmp_path, capsys, monkeypatch):
     from rfc_sim import models as models_mod
 
-    def blow_up(spec, start, data, opt, seed):
-        raise models_mod.DivergenceError("synthetic blow-up")
+    def blow_up(spec, start, datasets, opt, seeds):
+        return [models_mod.DivergenceError("synthetic blow-up") for _ in seeds]
 
-    monkeypatch.setattr(models_mod, "train_local", blow_up)
+    monkeypatch.setattr(models_mod, "train_clients", blow_up)
     cfg = write_config(tmp_path)
     assert cli.main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
     assert "aborted" in capsys.readouterr().err
@@ -374,9 +374,9 @@ def test_cli_run_uncreatable_out_exits_1_before_training(tmp_path, capsys, monke
     from rfc_sim import models as models_mod
 
     def never(*args, **kwargs):
-        raise AssertionError("train_local called before the output directory was checked")
+        raise AssertionError("train_clients called before the output directory was checked")
 
-    monkeypatch.setattr(models_mod, "train_local", never)
+    monkeypatch.setattr(models_mod, "train_clients", never)
     (tmp_path / "afile").write_text("")
     out = tmp_path / "afile" / "sub"
     assert cli.main(["run", "--config", write_config(tmp_path), "--out", str(out)]) == 1

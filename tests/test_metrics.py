@@ -52,6 +52,12 @@ def test_macro_f1_errors():
         macro_f1([], [], 2)
 
 
+def test_macro_f1_rejects_out_of_range_labels():
+    for preds, labels in (([0, 2], [0, 1]), ([0, 1], [-1, 1])):
+        with pytest.raises(ValueError, match=r"lie in \[0, 2\)"):
+            macro_f1(preds, labels, 2)
+
+
 def test_macro_f1_equals_accuracy_on_diagonal_confusion():
     labels = [0, 0, 1, 1, 2, 2]
     assert macro_f1(labels, labels, 3) == 1.0

@@ -2,11 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rfc_sim import models
 from rfc_sim.data import Dataset
 from rfc_sim.models import DivergenceError, ModelSpec, OptimizerConfig
-from rfc_sim.seeds import Sm64Stream
+from rfc_sim.seeds import Sm64Stream, mix64
 
 
 def make_batch(spec, n, seed=0):
@@ -227,3 +229,158 @@ def test_zero_params_balanced_binary():
     assert loss == pytest.approx(math.log(2), abs=1e-12)
     # argmax of uniform logits is class 0, half the balanced labels
     assert acc == 0.5
+
+
+def reference_loss_grad(spec, p, x, y):
+    """One client's 2-D forward and backward pass, as the trainer computed it per client."""
+    n = x.shape[0]
+    d, c, h = spec.input_dim, spec.num_classes, spec.hidden_dim
+    with np.errstate(over="ignore", invalid="ignore"):
+        if spec.kind == "linear":
+            logits = x @ p[: d * c].reshape(d, c) + p[d * c :]
+        else:
+            w1 = p[: d * h].reshape(d, h)
+            b1 = p[d * h : d * h + h]
+            w2 = p[d * h + h : d * h + h + h * c].reshape(h, c)
+            pre = x @ w1 + b1
+            hidden = np.maximum(pre, 0.0)
+            logits = hidden @ w2 + p[d * h + h + h * c :]
+        shifted = logits - logits.max(axis=1, keepdims=True)
+        logp = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+        loss = float(-logp[np.arange(n), y].mean())
+    dlogits = np.exp(logp)
+    dlogits[np.arange(n), y] -= 1.0
+    dlogits /= n
+    grad = np.empty_like(p)
+    if spec.kind == "linear":
+        grad[: d * c] = (x.T @ dlogits).reshape(-1)
+        grad[d * c :] = dlogits.sum(axis=0)
+    else:
+        dpre = (dlogits @ w2.T) * (pre > 0.0)
+        o = 0
+        grad[o : o + d * h] = (x.T @ dpre).reshape(-1); o += d * h
+        grad[o : o + h] = dpre.sum(axis=0); o += h
+        grad[o : o + h * c] = (hidden.T @ dlogits).reshape(-1); o += h * c
+        grad[o:] = dlogits.sum(axis=0)
+    return loss, grad
+
+
+def reference_train_local(spec, start, data, opt, seed):
+    """The per-client training loop: scalar Fisher-Yates orders, one batch at a time."""
+    x, y = data.x, data.y
+    n = len(data)
+    p = np.array(start, dtype=np.float64, copy=True)
+    m = np.zeros_like(p)
+    v = np.zeros_like(p)
+    t = 0
+    for epoch in range(opt.local_epochs):
+        stream = Sm64Stream(mix64(seed, epoch))
+        order = list(range(n))
+        for i in range(n - 1, 0, -1):
+            j = stream.rand_below(i + 1)
+            order[i], order[j] = order[j], order[i]
+        idx = np.array(order, dtype=np.int64)
+        for lo in range(0, n, opt.batch_size):
+            rows = idx[lo : lo + opt.batch_size]
+            loss, grad = reference_loss_grad(spec, p, x[rows], y[rows])
+            if not math.isfinite(loss):
+                raise DivergenceError(f"non-finite loss at epoch {epoch}, batch offset {lo}")
+            if opt.kind == "sgd":
+                p -= opt.learning_rate * grad
+            else:
+                t += 1
+                m = opt.adam_beta1 * m + (1.0 - opt.adam_beta1) * grad
+                v = opt.adam_beta2 * v + (1.0 - opt.adam_beta2) * grad * grad
+                m_hat = m / (1.0 - opt.adam_beta1**t)
+                v_hat = v / (1.0 - opt.adam_beta2**t)
+                p -= opt.learning_rate * m_hat / (np.sqrt(v_hat) + opt.adam_epsilon)
+            if not np.all(np.isfinite(p)):
+                raise DivergenceError(f"parameters overflowed at epoch {epoch}, batch offset {lo}")
+    return p
+
+
+def outcome(train, *args):
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            return train(*args)
+    except DivergenceError as exc:
+        return exc
+
+
+def assert_same_outcome(got, want):
+    if isinstance(want, DivergenceError):
+        assert isinstance(got, DivergenceError) and str(got) == str(want)
+    else:
+        assert not isinstance(got, DivergenceError), str(got)
+        assert np.array_equal(got, want) and got.tobytes() == want.tobytes()
+
+
+def client_data(stream, spec, n, scale=1.0):
+    x = np.array([[stream.uniform() for _ in range(spec.input_dim)] for _ in range(n)])
+    x = x.reshape(n, spec.input_dim) * scale
+    return Dataset(x, np.array([stream.rand_below(spec.num_classes) for _ in range(n)]))
+
+
+@settings(max_examples=80)
+@given(kind=st.sampled_from(["linear", "mlp"]), dims=st.tuples(st.integers(1, 6), st.integers(2, 4),
+                                                                 st.integers(1, 5)),
+       opt_kind=st.sampled_from(["sgd", "adam"]), lr=st.sampled_from([0.0, 0.05, 1.5, 1e300]),
+       epochs=st.integers(1, 3), batch=st.integers(1, 7),
+       clients=st.lists(st.tuples(st.integers(0, 9), st.booleans()), min_size=1, max_size=8),
+       big_start=st.booleans(), seed=st.integers(0, 2**64 - 1))
+def test_train_clients_equals_per_client_reference(kind, dims, opt_kind, lr, epochs, batch, clients,
+                                                   big_start, seed):
+    d, c, h = dims
+    spec = ModelSpec(kind, d, c, hidden_dim=h if kind == "mlp" else 0)
+    opt = OptimizerConfig(kind=opt_kind, learning_rate=lr, local_epochs=epochs, batch_size=batch)
+    stream = Sm64Stream(seed)
+    # a 1e308 start overflows every client at its first batch
+    start = (np.full(models.param_count(spec), 1e308) if big_start
+             else models.init_params(spec, stream.next_u64()))
+    # features scaled by 1e200 make a client's logits or steps overflow sooner or later
+    datasets = [client_data(stream, spec, n, 1e200 if large else 1.0) for n, large in clients]
+    seeds = [stream.next_u64() for _ in clients]
+    got = models.train_clients(spec, start, datasets, opt, seeds)
+    assert len(got) == len(datasets)
+    for g, data, s in zip(got, datasets, seeds):
+        assert_same_outcome(g, outcome(reference_train_local, spec, start, data, opt, s))
+        assert_same_outcome(outcome(models.train_local, spec, start, data, opt, s), g)
+
+
+def test_diverged_client_leaves_stack_and_others_step():
+    spec = ModelSpec("mlp", 3, 2, hidden_dim=4)
+    opt = OptimizerConfig(kind="adam", learning_rate=0.05, local_epochs=2, batch_size=3)
+    stream = Sm64Stream(11)
+    # infinite features make the middle client's first loss NaN
+    datasets = [client_data(stream, spec, 7, scale) for scale in (1.0, np.inf, 1.0)]
+    start = models.init_params(spec, 2)
+    got = models.train_clients(spec, start, datasets, opt, [5, 6, 7])
+    assert str(got[1]) == "non-finite loss at epoch 0, batch offset 0"
+    for k in (0, 2):
+        assert_same_outcome(got[k], reference_train_local(spec, start, datasets[k], opt, 5 + k))
+
+
+def test_big_start_diverges_at_first_batch():
+    spec = ModelSpec("linear", 3, 2)
+    start = np.full(models.param_count(spec), 1e308)
+    (got,) = models.train_clients(spec, start, [make_batch(spec, 5)], OptimizerConfig(), [3])
+    assert str(got) == "non-finite loss at epoch 0, batch offset 0"
+
+
+def test_stack_width_follows_param_count(monkeypatch):
+    widths = []
+    real = models._train_stack
+
+    def spy(spec, start, datasets, orders, opt):
+        widths.append(len(datasets))
+        return real(spec, start, datasets, orders, opt)
+
+    monkeypatch.setattr(models, "_train_stack", spy)
+    opt = OptimizerConfig(local_epochs=1)
+    for spec, count, want in [(ModelSpec("linear", 64, 3), 18, [18]),
+                              (ModelSpec("linear", 64, 3), 170, [168, 2]),
+                              (ModelSpec("mlp", 64, 3, hidden_dim=256), 3, [1, 1, 1])]:
+        widths.clear()
+        data = [make_batch(spec, 4, seed=k) for k in range(count)]
+        models.train_clients(spec, models.init_params(spec, 0), data, opt, list(range(count)))
+        assert widths == want

@@ -1,8 +1,13 @@
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from rfc_sim.seeds import Sm64Stream, derive_seed, mix64, tag64
+from rfc_sim.seeds import Sm64Stream, derive_seed, mix64, shuffle_orders, stream_words, tag64
+
+MASK64 = (1 << 64) - 1
+GOLDEN = 0x9E3779B97F4A7C15
 
 
 def test_derive_seed_deterministic():
@@ -91,3 +96,51 @@ def test_sample_distinct_and_errors():
     assert set(picked) <= set(range(20))
     with pytest.raises(ValueError):
         Sm64Stream(5).sample(range(3), 4)
+
+
+def scalar_shuffle(stream, items):
+    """Fisher-Yates one rand_below at a time: the reference for the bulk draws."""
+    for i in range(len(items) - 1, 0, -1):
+        j = stream.rand_below(i + 1)
+        items[i], items[j] = items[j], items[i]
+
+
+@given(st.lists(st.integers(0, MASK64), max_size=4), st.integers(0, 70))
+def test_bulk_draws_match_scalar_stream(seeds, n):
+    words = stream_words(seeds, 5)
+    orders = shuffle_orders(seeds, n)
+    assert orders.shape == (len(seeds), n)
+    for seed, row_words, order in zip(seeds, words.tolist(), orders.tolist()):
+        stream = Sm64Stream(seed)
+        assert row_words == [stream.next_u64() for _ in range(5)]
+        ref_stream, want = Sm64Stream(seed), list(range(n))
+        scalar_shuffle(ref_stream, want)
+        got_stream, got = Sm64Stream(seed), list(range(n))
+        got_stream.shuffle(got)
+        assert order == want and got == want
+        # the stream advanced by exactly the words the shuffle consumed
+        assert got_stream.next_u64() == ref_stream.next_u64()
+
+
+def _unshift(y, s):
+    x = y
+    for _ in range(64 // s + 1):
+        x = y ^ (x >> s)
+    return x
+
+
+def test_rejected_word_falls_back_to_scalar_path():
+    # invert the SplitMix64 finalizer to find the seed whose first word is 2**64 - 1
+    z = _unshift(MASK64, 31)
+    z = _unshift(z * pow(0x94D049BB133111EB, -1, 1 << 64) & MASK64, 27)
+    z = _unshift(z * pow(0xBF58476D1CE4E5B9, -1, 1 << 64) & MASK64, 30)
+    seed = (z - GOLDEN) & MASK64
+    assert Sm64Stream(seed).next_u64() == MASK64
+    # 3 does not divide 2**64, so rand_below(3), the first draw of a 3-item shuffle, rejects it
+    ref_stream, want = Sm64Stream(seed), [0, 1, 2]
+    scalar_shuffle(ref_stream, want)
+    assert shuffle_orders([seed, 7], 3)[0].tolist() == want
+    got_stream, got = Sm64Stream(seed), [0, 1, 2]
+    got_stream.shuffle(got)
+    assert got == want
+    assert got_stream.next_u64() == ref_stream.next_u64()

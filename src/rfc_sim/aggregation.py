@@ -39,11 +39,6 @@ def min_updates(cfg: AggregatorConfig) -> int:
     return 1
 
 
-def _check_nonempty(updates: Sequence[np.ndarray], rule: str) -> None:
-    if len(updates) == 0:
-        raise ValueError(f"{rule}: empty update list")
-
-
 def _sq_dist_matrix(updates: Sequence[np.ndarray]) -> np.ndarray:
     n = len(updates)
     d = np.zeros((n, n), dtype=np.float64)
@@ -54,7 +49,6 @@ def _sq_dist_matrix(updates: Sequence[np.ndarray]) -> np.ndarray:
 
 
 def fedavg(updates: Sequence[np.ndarray]) -> np.ndarray:
-    _check_nonempty(updates, "fedavg")
     return params.mean(updates)
 
 
@@ -98,7 +92,8 @@ def geomed(updates: Sequence[np.ndarray]) -> np.ndarray:
     Not RFA's geometric median (Pillutla et al.; Weiszfeld iterations), which
     minimizes the summed distance and need not be one of the inputs.
     """
-    _check_nonempty(updates, "geomed")
+    if len(updates) == 0:
+        raise ValueError("geomed: empty update list")
     dist = _sq_dist_matrix(updates)
     totals = dist.sum(axis=1)
     return updates[int(np.argmin(totals))]

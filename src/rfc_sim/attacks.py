@@ -106,17 +106,10 @@ def boost_update(v_adv: np.ndarray, v_global: np.ndarray, n: int, eta: float) ->
 
 def assign_adversaries(num_pools: int, clients_per_pool: int, cfg: AdversaryConfig,
                        seed: int) -> Dict[int, FrozenSet[int]]:
-    """Map pool_id -> adversarial client slots (indices within the pool)."""
+    """Map pool_id -> adversarial slots within the pool; FederationConfig checked that they fit."""
     if cfg.placement == "none":
         return {}
-    if cfg.adversaries_per_pool > clients_per_pool:
-        raise ValueError(f"{cfg.adversaries_per_pool} adversaries do not fit in pools of {clients_per_pool}")
-    if cfg.placement == "one_pool":
-        if not (0 <= cfg.pool_id < num_pools):
-            raise ValueError(f"placement pool {cfg.pool_id} out of range for {num_pools} pools")
-        pools = [cfg.pool_id]
-    else:
-        pools = list(range(num_pools))
+    pools = [cfg.pool_id] if cfg.placement == "one_pool" else range(num_pools)
     out = {}
     for p in pools:
         stream = Sm64Stream(derive_seed(seed, 0, p, 0, "adversary-slots"))

@@ -22,7 +22,7 @@ from __future__ import annotations
 import hashlib
 import json
 import struct
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import Dict, Optional, Tuple
 
 import numpy as np
@@ -181,6 +181,16 @@ def export_lines(chain: Chain) -> str:
     return "\n".join(lines) + "\n"
 
 
+# Export field -> the JSON type export_lines writes for it and, for an integer,
+# the range of its packed field. Nothing else loads, so no edited value can be
+# coerced back to the one that was hashed.
+_FIELDS = {**dict.fromkeys(("index", "timestamp", "round", "nonce"), (int, 0, (1 << 64) - 1)),
+           "winning_pool_id": (int, -(1 << 63), (1 << 63) - 1),
+           "difficulty": (int, 0, MAX_DIFFICULTY), "metric_value": (float,),
+           **dict.fromkeys(("metric_name", "aggregator_rule", "payload_digest", "prev_hash", "hash"),
+                           (str,))}
+
+
 def load_lines(text: str) -> Chain:
     blocks = []
     difficulty = 0
@@ -189,22 +199,23 @@ def load_lines(text: str) -> Chain:
             continue
         try:
             rec = json.loads(line)
-            meta = RoundMeta(round=int(rec["round"]),
-                             winning_pool_id=int(rec["winning_pool_id"]),
-                             metric_name=str(rec["metric_name"]),
-                             metric_value=float(rec["metric_value"]),
-                             aggregator_rule=str(rec["aggregator_rule"]))
-            block = Block(index=int(rec["index"]), timestamp=int(rec["timestamp"]),
+            for key, (kind, *bounds) in _FIELDS.items():
+                value = rec[key]
+                if type(value) is not kind:  # exact, so a bool is no int
+                    raise ValueError(f"{key} must be a JSON {kind.__name__}, got {value!r}")
+                if bounds and not bounds[0] <= value <= bounds[1]:
+                    raise ValueError(f"{key} {value} outside [{bounds[0]}, {bounds[1]}]")
+                if kind is str:
+                    value.encode("utf-8")  # a lone surrogate would fail when hashed
+            meta = RoundMeta(**{f.name: rec[f.name] for f in fields(RoundMeta)})
+            block = Block(index=rec["index"], timestamp=rec["timestamp"],
                           payload_digest=bytes.fromhex(rec["payload_digest"]), meta=meta,
-                          prev_hash=bytes.fromhex(rec["prev_hash"]), nonce=int(rec["nonce"]),
+                          prev_hash=bytes.fromhex(rec["prev_hash"]), nonce=rec["nonce"],
                           hash=bytes.fromhex(rec["hash"]))
-            line_difficulty = int(rec["difficulty"])
-            if not 0 <= line_difficulty <= MAX_DIFFICULTY:
-                raise ValueError(f"difficulty {line_difficulty} outside [0, {MAX_DIFFICULTY}]")
-            if blocks and line_difficulty != difficulty:
-                raise ValueError(f"difficulty {line_difficulty} disagrees with {difficulty} "
+            if blocks and rec["difficulty"] != difficulty:
+                raise ValueError(f"difficulty {rec['difficulty']} disagrees with {difficulty} "
                                  f"on the lines before")
-            difficulty = line_difficulty
+            difficulty = rec["difficulty"]
         except (KeyError, ValueError, TypeError) as exc:
             raise ValueError(f"chain export line {lineno}: {exc}")
         blocks.append(block)

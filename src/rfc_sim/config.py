@@ -52,11 +52,9 @@ class DataConfig:
         if self.source == "csv" and not self.csv_path:
             raise ValueError("data.source = csv requires data.csv_path")
         if self.num_classes < 2:
-            raise ValueError("data.num_classes must be >= 2")
+            raise ValueError(f"data.num_classes must be >= 2, got {self.num_classes}")
         if self.height < 1 or self.width < 1:
-            raise ValueError("grid dimensions must be >= 1")
-        if self.scheme not in data_mod.PARTITION_SCHEMES:
-            raise ValueError(f"unknown partition scheme {self.scheme!r}")
+            raise ValueError(f"data.height and data.width must be >= 1, got {self.height}x{self.width}")
 
 
 @dataclass(frozen=True)
@@ -68,13 +66,7 @@ class RunConfig:
     export_summary: bool = True
 
     def __post_init__(self):
-        fed, d = self.federation, self.data
-        if fed.model.input_dim != d.height * d.width:
-            raise ValueError(f"model input_dim {fed.model.input_dim} does not match grid "
-                             f"{d.height}x{d.width}")
-        if fed.model.num_classes != d.num_classes:
-            raise ValueError("model num_classes does not match data.num_classes")
-        adv = fed.adversary
+        adv, d = self.federation.adversary, self.data
         if adv.attack == "backdoor":
             if adv.trigger_size >= min(d.height, d.width):
                 raise ValueError(f"trigger_size {adv.trigger_size} must be smaller than "
@@ -124,6 +116,8 @@ def _parse_partition(raw: str) -> Tuple[str, int]:
         return "iid", 1
     if raw.startswith("label_shard:"):
         spc = int(raw.split(":", 1)[1])
+        if spc < 1:
+            raise ValueError(f"label_shard needs >= 1 shard per client, got {spc}")
         return "label_shard", spc
     raise ValueError(f"expected iid or label_shard:<shards>, got {raw!r}")
 
@@ -192,11 +186,13 @@ SCHEMA: Dict[str, tuple] = {
 }
 
 # Each nested dataclass and the prefix of its fields' paths, in build order:
-# the first invalid section of a bad file is the one reported.
-_SECTIONS = (("federation.model", ModelSpec), ("federation.optimizer", OptimizerConfig),
-             ("federation.aggregator", AggregatorConfig), ("federation.adversary", AdversaryConfig),
-             ("federation.metric", MetricSpec), ("federation", FederationConfig),
-             ("data", DataConfig), ("", RunConfig))
+# the first invalid section of a bad file is the one reported. The model's
+# input_dim and num_classes are derived from data, so data is checked first
+# and a bad data key is reported by its own name.
+_SECTIONS = (("data", DataConfig), ("federation.model", ModelSpec),
+             ("federation.optimizer", OptimizerConfig), ("federation.aggregator", AggregatorConfig),
+             ("federation.adversary", AdversaryConfig), ("federation.metric", MetricSpec),
+             ("federation", FederationConfig), ("", RunConfig))
 
 
 def _read(rc: RunConfig, key: str):

@@ -131,8 +131,6 @@ class FederationResult:
 def sample_clients(members: Sequence[int], pool_id: int, round_idx: int, quota: int,
                    master_seed: int) -> List[int]:
     """Uniform without-replacement sample from one pool's fixed client set."""
-    if quota > len(members):
-        raise ValueError(f"sample size {quota} exceeds pool size {len(members)}")
     stream = Sm64Stream(derive_seed(master_seed, round_idx, pool_id, 0, "sample"))
     return stream.sample(members, quota)
 

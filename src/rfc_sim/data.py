@@ -154,8 +154,6 @@ def partition(data: Dataset, num_clients: int, scheme: str,
         raise ValueError(f"unknown partition scheme {scheme!r}")
     if num_clients < 1:
         raise ValueError(f"num_clients must be >= 1, got {num_clients}")
-    if shards_per_client < 1:
-        raise ValueError(f"shards_per_client must be >= 1, got {shards_per_client}")
     if not (0 <= val_fraction < 1 and 0 <= test_fraction < 1 and val_fraction + test_fraction < 1):
         raise ValueError("val_fraction/test_fraction must be fractions summing below 1")
     if data.x.shape[1] != height * width:

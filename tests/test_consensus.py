@@ -55,6 +55,9 @@ def test_config_validation():
         tiny_config(aggregator=AggregatorConfig(rule="krum", krum_f=2))  # quota 2 < f+3
     with pytest.raises(ValueError, match="out of range"):
         tiny_config(adversary=AdversaryConfig(attack="labelflip", placement="one_pool", pool_id=9))
+    with pytest.raises(ValueError, match="adversaries_per_pool exceeds clients_per_pool"):
+        tiny_config(adversary=AdversaryConfig(attack="labelflip", placement="all_pools",
+                                              adversaries_per_pool=5))  # pools of 4
     with pytest.raises(ValueError, match="chain_difficulty"):
         tiny_config(chain_difficulty=21)
     assert tiny_config(chain_difficulty=20).chain_difficulty == 20

@@ -150,6 +150,14 @@ def test_label_shard_single_label_per_client():
         assert len(set(items.y.tolist())) == 1  # zero label entropy
 
 
+@pytest.mark.parametrize("shards", [0, -1])
+def test_label_shard_without_shards_raises(shards):
+    data = gen_synthetic(2, 2, 2, per_class=10, noise_sigma=0.1, seed=6)
+    with pytest.raises(ValueError):
+        partition(data, 2, "label_shard", 0.0, 0.0, seed=4, height=2, width=2,
+                  num_classes=2, shards_per_client=shards)
+
+
 def test_label_shard_conserves():
     data = gen_synthetic(3, 2, 2, per_class=30, noise_sigma=0.2, seed=6)
     part = partition(data, 5, "label_shard", 0.1, 0.1, seed=4, height=2, width=2,

@@ -1,11 +1,14 @@
 import math
 import os
 import re
+import tempfile
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from rfc_sim import cli, metrics
 from rfc_sim import chain as chain_mod
@@ -71,6 +74,12 @@ def test_partition_syntax():
     rc = parse_config_text("data.partition = label_shard:3\n")
     assert rc.data.scheme == "label_shard"
     assert rc.data.shards_per_client == 3
+
+
+@pytest.mark.parametrize("shards", ["0", "-1"])
+def test_partition_needs_a_shard_per_client(shards):
+    with pytest.raises(ConfigError, match="line 2: bad value for data.partition: label_shard needs"):
+        parse_config_text(f"rounds = 1\ndata.partition = label_shard:{shards}\n")
 
 
 def test_cross_field_validation():
@@ -393,6 +402,19 @@ def test_cli_run_nan_boost_eta_exits_1(tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("line,message", [
+    ("data.height = 0", "data.height and data.width must be >= 1, got 0x8"),
+    ("data.width = -2", "data.height and data.width must be >= 1, got 8x-2"),
+    ("data.num_classes = 1", "data.num_classes must be >= 2, got 1"),
+])
+def test_cli_run_bad_data_key_names_the_key(tmp_path, capsys, line, message):
+    cfg = write_config(tmp_path, f"rounds = 1\n{line}\n")
+    assert cli.main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert message in err and len(err.strip().splitlines()) == 1
+    assert not (tmp_path / "o").exists()
+
+
 def test_cli_run_negative_placement_pool_exits_1(tmp_path, capsys):
     cfg = write_config(tmp_path, TINY_CONFIG + "adversary.attack = labelflip\n"
                        "adversary.placement = one_pool:-1\n")
@@ -442,3 +464,91 @@ def test_cli_validate_chain_out_of_range_difficulty_exits_3(tmp_path, capsys, di
                                 for rec in records))
     assert cli.main(["validate-chain", str(bad_file)]) == 3
     assert f"line 1: difficulty {difficulty} outside [0, 256]" in capsys.readouterr().err
+
+
+def _two_round_export() -> str:
+    ledger = chain_mod.genesis(np.array([1.0, 2.0]), 0)
+    for r in (1, 2):
+        ledger = chain_mod.append(ledger, np.array([3.0, float(r)]),
+                                  chain_mod.RoundMeta(r, 0, "accuracy", 0.5 + r / 8, "fedavg"))
+    return chain_mod.export_lines(ledger)
+
+
+# Each edit of line 2 packs to bytes no export holds, or would be coerced back
+# to the hashed value by int()/float().
+@pytest.mark.parametrize("pattern,replacement", [
+    (r'"round":1,', '"round":-1,'),
+    (r'"nonce":0,', '"nonce":-5,'),
+    (r'"timestamp":1,', f'"timestamp":{2**64},'),
+    (r'"round":1,', '"round":1.5,'),
+    (r'"round":1,', '"round":"1",'),
+    (r'"round":1,', '"round":true,'),
+    (r'"metric_value":([^,]+),', r'"metric_value":"\1",'),
+    (r'"metric_name":"accuracy"', r'"metric_name":"\\ud800"'),  # unencodable when hashed
+], ids=["negative_round", "negative_nonce", "timestamp_2_64", "float_round", "string_round",
+        "bool_round", "string_metric_value", "lone_surrogate_metric_name"])
+def test_cli_validate_chain_wrong_field_type_or_range_exits_3(tmp_path, capsys, pattern, replacement):
+    lines = _two_round_export().splitlines()
+    good = tmp_path / "good.jsonl"
+    good.write_text("\n".join(lines) + "\n")
+    assert cli.main(["validate-chain", str(good)]) == 0
+    lines[1], count = re.subn(pattern, replacement, lines[1])
+    assert count == 1
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert cli.main(["validate-chain", str(bad)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("chain validation failed: chain export line 2: ")
+    assert len(err.strip().splitlines()) == 1
+
+
+# config key -> raw values, valid and invalid, that the exit-code property draws
+FUZZ_VALUES = {
+    "topology": ["rfc", "client_server", "p2p"],
+    "num_pools": ["1", "2", "3", "0"],
+    "clients_per_pool": ["1", "2", "4", "0"],
+    "clients_sampled_per_round": ["1", "2", "4", "6", "0", "99"],
+    "aggregator.rule": ["fedavg", "krum", "bulyan", "geomed", "median"],
+    "aggregator.krum_f": ["0", "1", "-1"],
+    "aggregator.bulyan_m": ["1", "2", "0"],
+    "adversary.attack": ["none", "labelflip", "backdoor"],
+    "adversary.placement": ["none", "all_pools", "one_pool:0", "one_pool:1", "one_pool:4",
+                            "one_pool:-1", "one_pool"],
+    "adversary.adversaries_per_pool": ["1", "2", "5", "0"],
+    "adversary.boost": ["off", "replacement"],
+    "adversary.trigger_size": ["1", "2", "3"],
+    "adversary.target_label": ["0", "2", "3", "-1"],
+    "data.num_classes": ["2", "3", "1"],
+    "data.height": ["3", "1", "0"],
+    "data.width": ["3", "2", "-2"],
+    "data.per_class": ["12", "2", "0"],
+    "data.partition": ["iid", "label_shard:1", "label_shard:2", "label_shard:0", "label_shard:x"],
+    "optimizer.learning_rate": ["0.01", "1e308"],  # 1e308 diverges: every pool disqualified
+}
+# a tiny run unless a drawn line overrides it
+FUZZ_BASE = {"num_pools": "2", "clients_per_pool": "4", "clients_sampled_per_round": "4",
+             "data.height": "3", "data.width": "3", "data.per_class": "12",
+             "optimizer.local_epochs": "1"}
+
+
+@st.composite
+def fuzz_configs(draw):
+    lines = dict(FUZZ_BASE, rounds=draw(st.sampled_from(["1", "2"])))
+    for key in draw(st.lists(st.sampled_from(sorted(FUZZ_VALUES)), unique=True, max_size=8)):
+        lines[key] = draw(st.sampled_from(FUZZ_VALUES[key]))
+    return "".join(f"{key} = {value}\n" for key, value in lines.items())
+
+
+@given(text=fuzz_configs())
+def test_cli_run_exit_code_contract(text):
+    """Any config exits 0, 1 or 2 and raises nothing; a completed run's chain validates."""
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = os.path.join(tmp, "run.cfg")
+        with open(cfg, "w") as fh:
+            fh.write(text)
+        out = os.path.join(tmp, "out")
+        code = cli.main(["run", "--config", cfg, "--out", out])
+        assert code in (0, 1, 2)
+        if code == 0:
+            assert cli.main(["validate-chain", os.path.join(out, "chain.jsonl")]) == 0

@@ -10,8 +10,8 @@ Block hashes are SHA-256 over a canonical little-endian field serialization::
 
 A block meets difficulty d when its hash starts with d zero bits. Timestamps
 are logical round counters, never wall clock, so sealed chains are
-reproducible. Model payloads live off-chain in a ParamStore keyed by the
-sha256 digest of their wire encoding.
+reproducible. A block holds no model: its payload_digest is the SHA-256 of
+the winning model's wire encoding (``params.to_bytes``), computed once, here.
 
 ``append`` checks only the tip it links to. ``validate`` checks every block;
 it is what ``validate-chain`` runs on an export.
@@ -23,7 +23,7 @@ import hashlib
 import json
 import struct
 from dataclasses import dataclass, fields, replace
-from typing import Dict, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -133,31 +133,6 @@ def _invalid(chain: Chain, i: int) -> bool:
 def validate(chain: Chain) -> Optional[int]:
     """None when every block checks out, else the first invalid index; checks the whole chain."""
     return next((i for i in range(len(chain.blocks)) if _invalid(chain, i)), None)
-
-
-class ParamStore:
-    """Off-chain model storage keyed by payload digest; round-trips bit-exactly."""
-
-    def __init__(self):
-        self._blobs: Dict[bytes, bytes] = {}
-
-    def put(self, v: np.ndarray) -> bytes:
-        blob = params.to_bytes(v)
-        key = hashlib.sha256(blob).digest()
-        self._blobs[key] = blob
-        return key
-
-    def get(self, digest: bytes) -> np.ndarray:
-        try:
-            return params.from_bytes(self._blobs[digest])
-        except KeyError:
-            raise KeyError(f"no model stored under digest {digest.hex()}")
-
-    def __contains__(self, digest: bytes) -> bool:
-        return digest in self._blobs
-
-    def __len__(self) -> int:
-        return len(self._blobs)
 
 
 def export_lines(chain: Chain) -> str:

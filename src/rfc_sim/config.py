@@ -55,6 +55,18 @@ class DataConfig:
             raise ValueError(f"data.num_classes must be >= 2, got {self.num_classes}")
         if self.height < 1 or self.width < 1:
             raise ValueError(f"data.height and data.width must be >= 1, got {self.height}x{self.width}")
+        if self.source == "synthetic":  # gen_synthetic's inputs
+            if self.height * self.width < self.num_classes:
+                raise ValueError(f"data.height x data.width grid {self.height}x{self.width} has "
+                                 f"fewer cells than data.num_classes = {self.num_classes}")
+            if self.per_class < 1:
+                raise ValueError(f"data.per_class must be >= 1, got {self.per_class}")
+            if not 0 <= self.noise_sigma < math.inf:
+                raise ValueError(f"data.noise_sigma must be finite and >= 0, got {self.noise_sigma!r}")
+        v, t = self.val_fraction, self.test_fraction
+        if not (0 <= v < 1 and 0 <= t < 1 and v + t < 1):
+            raise ValueError(f"data.val_fraction and data.test_fraction must lie in [0, 1) "
+                             f"and sum below 1, got {v!r} and {t!r}")
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,7 @@ consumed from a shared generator, and the chain hashes rely on this.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -123,7 +123,6 @@ class FederationResult:
     final_model: np.ndarray
     records: List[metrics.RoundRecord]
     chain: chain_mod.Chain
-    store: chain_mod.ParamStore
     pool_members: Tuple[Tuple[int, ...], ...]
     candidates: List[Tuple[PoolCandidate, ...]]
 
@@ -207,24 +206,26 @@ def _pool_candidate(cfg: FederationConfig, partition: FederatedPartition, pool_i
     adv_positions = [pos for pos, cid in enumerate(sampled) if cid in adversarial]
 
     adv = cfg.adversary
-    if adv.boost == "replacement" and adv_positions:
-        # Colluding adversaries in one aggregation split the replacement factor
-        # n/eta between them so the averaged update still lands on their model.
-        k = len(adv_positions)
-        for pos in adv_positions:
-            updates[pos] = attacks.boost_update(updates[pos], global_model,
-                                                len(updates), adv.boost_eta * k)
+    # Overflow here only yields inf/nan, which the finiteness checks below disqualify.
+    with np.errstate(over="ignore", invalid="ignore"):
+        if adv.boost == "replacement" and adv_positions:
+            # Colluding adversaries in one aggregation split the replacement factor
+            # n/eta between them so the averaged update still lands on their model.
+            k = len(adv_positions)
+            for pos in adv_positions:
+                updates[pos] = attacks.boost_update(updates[pos], global_model,
+                                                    len(updates), adv.boost_eta * k)
 
-    try:
-        aggregated = aggregation.aggregate(cfg.aggregator, updates)
-    except ValueError as exc:
-        return PoolCandidate(pool_id, None, float("nan"), tuple(sampled), True,
-                             f"aggregation failed in round {round_idx}: {exc}")
-    candidate_model = server_update(global_model, aggregated, cfg.server_eta)
-    if not np.all(np.isfinite(candidate_model)):
-        return PoolCandidate(pool_id, None, float("nan"), tuple(sampled), True,
-                             f"non-finite candidate in round {round_idx}")
-    value = metrics.score_model(cfg.metric, cfg.model, candidate_model, partition.validation)
+        try:
+            aggregated = aggregation.aggregate(cfg.aggregator, updates)
+        except ValueError as exc:
+            return PoolCandidate(pool_id, None, float("nan"), tuple(sampled), True,
+                                 f"aggregation failed in round {round_idx}: {exc}")
+        candidate_model = server_update(global_model, aggregated, cfg.server_eta)
+        if not np.all(np.isfinite(candidate_model)):
+            return PoolCandidate(pool_id, None, float("nan"), tuple(sampled), True,
+                                 f"non-finite candidate in round {round_idx}")
+        value = metrics.score_model(cfg.metric, cfg.model, candidate_model, partition.validation)
     if not np.isfinite(value):
         return PoolCandidate(pool_id, candidate_model, float("nan"), tuple(sampled), True,
                              f"non-finite validation metric in round {round_idx}")
@@ -258,15 +259,12 @@ def run_federation(cfg: FederationConfig, partition: FederatedPartition) -> Fede
         backdoor_test = attacks.build_backdoor_test(partition.test, partition.height,
                                                     partition.width, adv.trigger_size)
 
-    store = chain_mod.ParamStore()
-    init = models.init_params(cfg.model, derive_seed(cfg.master_seed, 0, 0, 0, "init"))
-    store.put(init)
-    ledger = chain_mod.genesis(init, cfg.chain_difficulty)
+    global_model = models.init_params(cfg.model, derive_seed(cfg.master_seed, 0, 0, 0, "init"))
+    ledger = chain_mod.genesis(global_model, cfg.chain_difficulty)
 
     records: List[metrics.RoundRecord] = []
     all_candidates: List[Tuple[PoolCandidate, ...]] = []
     for round_idx in range(1, cfg.rounds + 1):
-        global_model = store.get(ledger.blocks[-1].payload_digest)
         candidates = _play_round(cfg, partition, groups, adversarial, global_model, round_idx, quota)
 
         winner = select_winner(candidates, cfg.metric.direction)
@@ -277,14 +275,13 @@ def run_federation(cfg: FederationConfig, partition: FederatedPartition) -> Fede
                                    metric_name=cfg.metric.name,
                                    metric_value=winner.metric_value,
                                    aggregator_rule=cfg.aggregator.rule)
-        store.put(winner.model)
-        ledger = chain_mod.append(ledger, winner.model, meta)
+        global_model = winner.model
+        ledger = chain_mod.append(ledger, global_model, meta)
 
-        test_loss, test_acc = models.evaluate(cfg.model, winner.model, partition.test)
+        test_loss, test_acc = models.evaluate(cfg.model, global_model, partition.test)
         if backdoor_test is not None:
-            bd_target, bd_loss = metrics.evaluate_backdoor(cfg.model, winner.model,
-                                                           backdoor_test, adv.target_label)
-            _, bd_clean = models.evaluate(cfg.model, winner.model, backdoor_test)
+            bd_target, bd_clean, bd_loss = metrics.evaluate_backdoor(cfg.model, global_model,
+                                                                     backdoor_test, adv.target_label)
         else:
             bd_target = bd_clean = bd_loss = float("nan")
         records.append(metrics.RoundRecord(
@@ -293,8 +290,8 @@ def run_federation(cfg: FederationConfig, partition: FederatedPartition) -> Fede
             backdoor_accuracy_target=bd_target, backdoor_accuracy_clean=bd_clean,
             backdoor_loss=bd_loss,
             pool_metrics=tuple(c.metric_value for c in candidates)))
-        all_candidates.append(candidates)
+        # the winner lives on as global_model; the record keeps no candidate's model
+        all_candidates.append(tuple(replace(c, model=None) for c in candidates))
 
-    final_model = store.get(ledger.blocks[-1].payload_digest)
-    return FederationResult(final_model=final_model, records=records, chain=ledger,
-                            store=store, pool_members=pools, candidates=all_candidates)
+    return FederationResult(final_model=global_model, records=records, chain=ledger,
+                            pool_members=pools, candidates=all_candidates)

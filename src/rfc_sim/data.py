@@ -146,6 +146,8 @@ def partition(data: Dataset, num_clients: int, scheme: str,
               shards_per_client: int = 1) -> FederatedPartition:
     """Split off validation/test, then deal the rest to clients.
 
+    The fractions are taken as given: ``config.DataConfig`` checks them.
+
     ``iid`` deals the shuffled rest round-robin; ``label_shard`` sorts it by
     label (stable), cuts ``num_clients * shards_per_client`` contiguous shards
     and deals ``shards_per_client`` shards to each client.
@@ -154,8 +156,6 @@ def partition(data: Dataset, num_clients: int, scheme: str,
         raise ValueError(f"unknown partition scheme {scheme!r}")
     if num_clients < 1:
         raise ValueError(f"num_clients must be >= 1, got {num_clients}")
-    if not (0 <= val_fraction < 1 and 0 <= test_fraction < 1 and val_fraction + test_fraction < 1):
-        raise ValueError("val_fraction/test_fraction must be fractions summing below 1")
     if data.x.shape[1] != height * width:
         raise ValueError(f"example feature length {data.x.shape[1]} does not match grid {height}x{width}")
 

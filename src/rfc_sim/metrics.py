@@ -107,15 +107,17 @@ def summarize(series: Sequence[float], direction: str) -> SummaryStats:
 
 
 def evaluate_backdoor(spec: models.ModelSpec, p: np.ndarray, backdoor_test: Dataset,
-                      target_label: int) -> Tuple[float, float]:
-    """(share predicted as target, mean cross-entropy toward target) on triggered inputs."""
+                      target_label: int) -> Tuple[float, float, float]:
+    """(share predicted as target, share predicted as the original label, mean
+    cross-entropy toward target) on triggered inputs, from one forward pass."""
     if len(backdoor_test) == 0:
         raise ValueError("empty backdoor test set")
     logp = models.log_probs(spec, p, backdoor_test)
     preds = logp.argmax(axis=1)
     accuracy = float((preds == target_label).mean())
+    clean = int((preds == backdoor_test.y).sum()) / len(backdoor_test)
     loss = float(-logp[:, target_label].mean())
-    return accuracy, loss
+    return accuracy, clean, loss
 
 
 def score_model(metric: MetricSpec, spec: models.ModelSpec, p: np.ndarray,

@@ -58,5 +58,5 @@ def from_bytes(buf: bytes) -> np.ndarray:
 
 
 def digest(v: np.ndarray) -> bytes:
-    """SHA-256 of the wire encoding; keys the off-chain model store."""
+    """SHA-256 of the wire encoding: a chain block's payload_digest."""
     return hashlib.sha256(to_bytes(v)).digest()

@@ -6,7 +6,7 @@ import pytest
 
 from rfc_sim import chain as chain_mod
 from rfc_sim import params
-from rfc_sim.chain import (Block, Chain, ParamStore, RoundMeta, append, block_hash, export_lines,
+from rfc_sim.chain import (Block, Chain, RoundMeta, append, block_hash, export_lines,
                            genesis, load_lines, meets_difficulty, seal_block, validate)
 
 
@@ -174,19 +174,6 @@ def test_load_rejects_garbage():
         load_lines("not json\n")
     with pytest.raises(ValueError):
         load_lines("")
-
-
-def test_param_store_roundtrip_bit_exact():
-    store = ParamStore()
-    v = vec(0.1, -0.0, 1e300, 3.14159)
-    key = store.put(v)
-    assert key == params.digest(v)
-    assert key in store
-    back = store.get(key)
-    assert back.tobytes() == v.tobytes()
-    with pytest.raises(KeyError):
-        store.get(bytes(32))
-    assert len(store) == 1
 
 
 def test_meets_difficulty_boundaries():

@@ -259,6 +259,28 @@ def test_cli_run_runtime_abort_exits_2(tmp_path, capsys, monkeypatch):
     assert "aborted" in capsys.readouterr().err
 
 
+@pytest.mark.filterwarnings("error")
+def test_cli_run_overflowing_updates_abort_with_one_line(tmp_path, capsys):
+    # updates overflow to inf; the candidates are disqualified without a numpy warning
+    cfg = write_config(tmp_path, "rounds = 1\noptimizer.learning_rate = 1e308\n"
+                       "optimizer.local_epochs = 1\noptimizer.batch_size = 64\n")
+    assert cli.main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("run aborted:")
+
+
+def test_cli_run_foreign_sampled_client_exits_2(tmp_path, capsys, monkeypatch):
+    from rfc_sim import consensus
+
+    def foreign(members, pool_id, round_idx, quota, master_seed):
+        return [c for c in range(8) if c not in members][:quota]  # TINY_CONFIG has 8 clients
+
+    monkeypatch.setattr(consensus, "sample_clients", foreign)
+    assert cli.main(["run", "--config", write_config(tmp_path), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert "round 1: pool 0 sampled foreign clients" in err and len(err.strip().splitlines()) == 1
+
+
 def test_cli_run_preset_and_seed_flags(tmp_path):
     cfg = write_config(tmp_path)
     out = tmp_path / "p"
@@ -406,6 +428,12 @@ def test_cli_run_nan_boost_eta_exits_1(tmp_path, capsys):
     ("data.height = 0", "data.height and data.width must be >= 1, got 0x8"),
     ("data.width = -2", "data.height and data.width must be >= 1, got 8x-2"),
     ("data.num_classes = 1", "data.num_classes must be >= 2, got 1"),
+    ("data.per_class = 0", "data.per_class must be >= 1, got 0"),
+    ("data.noise_sigma = -1.0", "data.noise_sigma must be finite and >= 0, got -1.0"),
+    ("data.val_fraction = 0.6\ndata.test_fraction = 0.5",
+     "data.val_fraction and data.test_fraction must lie in [0, 1) and sum below 1, got 0.6 and 0.5"),
+    ("data.height = 1\ndata.width = 2",
+     "data.height x data.width grid 1x2 has fewer cells than data.num_classes = 3"),
 ])
 def test_cli_run_bad_data_key_names_the_key(tmp_path, capsys, line, message):
     cfg = write_config(tmp_path, f"rounds = 1\n{line}\n")

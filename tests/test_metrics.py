@@ -138,8 +138,9 @@ def test_evaluate_backdoor_hardcoded_target_model():
     p[4 * 3 + 1] = 100.0  # bias of class 1
     data = gen_synthetic(3, 2, 2, per_class=5, noise_sigma=0.1, seed=1)
     triggered = build_backdoor_test(data, 2, 2, 1)
-    acc, loss = evaluate_backdoor(spec, p, triggered, target_label=1)
+    acc, clean, loss = evaluate_backdoor(spec, p, triggered, target_label=1)
     assert acc == 1.0
+    assert clean == float(np.mean(triggered.y == 1))
     assert loss < 1e-6
 
 
@@ -148,9 +149,10 @@ def test_evaluate_backdoor_uniform_model_loss():
     p = np.zeros(models.param_count(spec))
     data = gen_synthetic(3, 2, 2, per_class=4, noise_sigma=0.1, seed=2)
     triggered = build_backdoor_test(data, 2, 2, 1)
-    acc, loss = evaluate_backdoor(spec, p, triggered, target_label=2)
+    acc, clean, loss = evaluate_backdoor(spec, p, triggered, target_label=2)
     assert loss == pytest.approx(math.log(3), abs=1e-12)
     assert acc == 0.0  # uniform logits argmax to class 0, target is 2
+    assert clean == models.evaluate(spec, p, triggered)[1]
 
 
 def test_evaluate_backdoor_clean_model_near_target_prior():
@@ -162,8 +164,10 @@ def test_evaluate_backdoor_clean_model_near_target_prior():
     trained = models.train_local(spec, models.init_params(spec, 4), train, opt, seed=5)
     test = gen_synthetic(3, 4, 4, per_class=40, noise_sigma=0.2, seed=6)
     triggered = build_backdoor_test(test, 4, 4, 2)
-    acc, _ = evaluate_backdoor(spec, trained, triggered, target_label=0)
+    acc, clean, _ = evaluate_backdoor(spec, trained, triggered, target_label=0)
     assert abs(acc - 1 / 3) < 0.15
+    # the clean-label reading is the plain accuracy of the same forward pass
+    assert clean == models.evaluate(spec, trained, triggered)[1]
 
 
 def test_evaluate_backdoor_empty():

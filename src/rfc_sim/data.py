@@ -5,7 +5,9 @@ flattened row-major into [0, 1] float64 features (shape ``[n, H*W]``), so
 trigger geometry stays meaningful on synthetic data, and ``y`` holds the n
 int64 labels. Splits and client shards are row subsets that keep the source
 order of their rows. The synthetic task gives class c a fixed bright cell
-(flat index c) of intensity 0.95 plus clipped Gaussian noise.
+(flat index c) of intensity 0.95 plus clipped Gaussian noise: the features,
+row by row, take ``seeds.normals(seed, n*H*W)``, the values of
+``Sm64Stream(seed).gauss()`` in order, drawn in bulk.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from typing import Dict
 
 import numpy as np
 
-from .seeds import Sm64Stream, mix64, tag64
+from .seeds import Sm64Stream, mix64, normals, tag64
 
 TEMPLATE_BRIGHT = 0.95
 
@@ -86,9 +88,7 @@ def gen_synthetic(num_classes: int, height: int, width: int, per_class: int,
     x[np.arange(y.shape[0]), y] = TEMPLATE_BRIGHT
     if noise_sigma != 0.0:
         # template + sigma * noise, clipped; in place, so only one extra array lives
-        stream = Sm64Stream(seed)
-        noise = np.fromiter((stream.gauss() for _ in range(x.size)), dtype=np.float64,
-                            count=x.size).reshape(x.shape)
+        noise = normals(seed, x.size).reshape(x.shape)
         noise *= noise_sigma
         x += noise
         np.clip(x, 0.0, 1.0, out=x)

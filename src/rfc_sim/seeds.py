@@ -20,6 +20,15 @@ The mixing function is fixed so independent implementations can agree:
   streams as one numpy ``uint64`` array (numpy's ``uint64`` arithmetic wraps
   mod 2**64). ``shuffle_orders`` builds Fisher-Yates orders from those words;
   a stream whose words ``rand_below`` would reject takes the scalar path.
+* ``gauss`` is Box-Muller (Box & Muller, 1958) on two words.
+  ``normals(seed, n)`` is the first n ``Sm64Stream(seed).gauss()`` values,
+  drawn ``NORMALS_CHUNK`` at a time (each draw takes two words, so the chunk
+  at draw ``lo`` starts from state ``seed + 2*lo*GOLDEN``). The uniforms,
+  ``sqrt`` and products run in numpy, correctly rounded as in ``gauss``;
+  ``log`` and ``cos`` stay libm's ``math.log`` and ``math.cos`` per value:
+  ``np.log`` differs from it in the last bit on some (AVX-512) hosts and
+  ``np.cos`` is not known to match on every host, while the synthetic data
+  feeds every exported hash.
 """
 
 from __future__ import annotations
@@ -33,6 +42,8 @@ _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
+# draws per ``normals`` chunk: its words and temporaries peak at ~230 KiB beyond the output
+NORMALS_CHUNK = 2048
 
 
 def _scramble(z):
@@ -101,9 +112,13 @@ class Sm64Stream:
         _swap(items, draws)
 
     def sample(self, items: Sequence, k: int) -> list:
-        """k distinct items via partial Fisher-Yates; order is part of the draw."""
+        """k distinct items via partial Fisher-Yates; order is part of the draw.
+
+        Stays scalar: its callers draw a handful of clients or rows, which
+        costs less than one numpy call.
+        """
         pool = list(items)
-        if k > len(pool):
+        if not 0 <= k <= len(pool):
             raise ValueError(f"cannot sample {k} from {len(pool)} items")
         for i in range(k):
             j = i + self.rand_below(len(pool) - i)
@@ -115,6 +130,20 @@ def stream_words(seeds: Sequence[int], k: int) -> np.ndarray:
     """``[len(seeds), k]`` uint64: the first k words of ``Sm64Stream(seed)`` per seed."""
     steps = np.arange(1, k + 1, dtype=np.uint64) * np.uint64(_GOLDEN)
     return _scramble(np.array([s & _MASK64 for s in seeds], dtype=np.uint64).reshape(-1, 1) + steps)
+
+
+def normals(seed: int, n: int) -> np.ndarray:
+    """float64 [n]: the first n values of ``Sm64Stream(seed).gauss()``, bit for bit."""
+    out = np.empty(n, dtype=np.float64)
+    for lo in range(0, n, NORMALS_CHUNK):
+        m = min(NORMALS_CHUNK, n - lo)
+        bits = stream_words([seed + 2 * lo * _GOLDEN], 2 * m)[0] >> np.uint64(11)
+        u1 = (bits[0::2] + np.uint64(1)) * 2.0**-53  # (0, 1]
+        u2 = bits[1::2] * 2.0**-53
+        log_u1 = np.fromiter(map(math.log, u1.tolist()), dtype=np.float64, count=m)
+        cos_u2 = np.fromiter(map(math.cos, (2.0 * math.pi * u2).tolist()), dtype=np.float64, count=m)
+        out[lo : lo + m] = np.sqrt(-2.0 * log_u1) * cos_u2
+    return out
 
 
 def _fisher_yates_draws(seeds: Sequence[int], n: int):

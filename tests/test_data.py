@@ -1,4 +1,5 @@
 import collections
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -235,14 +236,35 @@ def test_partition_matches_per_example_reference(per_class, clients, spc, scheme
 
 
 def test_gen_synthetic_matches_per_example_reference():
-    data = gen_synthetic(3, 2, 3, per_class=4, noise_sigma=0.4, seed=21)
-    stream = Sm64Stream(21)
-    row = 0
-    for c in range(3):
-        template = np.zeros(6)
-        template[c] = data_mod.TEMPLATE_BRIGHT
-        for _ in range(4):
-            noise = np.array([stream.gauss() for _ in range(6)])
-            expected = np.clip(template + 0.4 * noise, 0.0, 1.0)
-            assert data.x[row].tobytes() == expected.tobytes() and data.y[row] == c
-            row += 1
+    # a tiny grid, and the desk grid: 38,400 draws across many seeds.NORMALS_CHUNK chunks
+    for classes, height, width, per_class, sigma, seed in [(3, 2, 3, 4, 0.4, 21), (3, 8, 8, 200, 0.3, 2021)]:
+        data_mod._synthetic_cache.pop((classes, height, width, per_class, sigma, seed), None)
+        data = gen_synthetic(classes, height, width, per_class=per_class, noise_sigma=sigma, seed=seed)
+        stream = Sm64Stream(seed)
+        row = 0
+        for c in range(classes):
+            template = np.zeros(height * width)
+            template[c] = data_mod.TEMPLATE_BRIGHT
+            for _ in range(per_class):
+                noise = np.array([stream.gauss() for _ in range(height * width)])
+                expected = np.clip(template + sigma * noise, 0.0, 1.0)
+                assert data.x[row].tobytes() == expected.tobytes() and data.y[row] == c
+                row += 1
+
+
+def test_gen_synthetic_cold_peak_memory():
+    # a cold desk-size generation holds x, its noise and one chunk of draws, not every draw at once
+    key = (3, 8, 8, 200, 0.3, 2022)
+    data_mod._synthetic_cache.pop(key, None)
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        data = gen_synthetic(*key)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if started:
+            tracemalloc.stop()
+    assert peak <= 2 * data.x.nbytes + 512 * 1024

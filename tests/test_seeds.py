@@ -1,10 +1,12 @@
 import random
 
+import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rfc_sim.seeds import Sm64Stream, derive_seed, mix64, shuffle_orders, stream_words, tag64
+from rfc_sim.seeds import (NORMALS_CHUNK, Sm64Stream, derive_seed, mix64, normals, shuffle_orders,
+                          stream_words, tag64)
 
 MASK64 = (1 << 64) - 1
 GOLDEN = 0x9E3779B97F4A7C15
@@ -96,6 +98,28 @@ def test_sample_distinct_and_errors():
     assert set(picked) <= set(range(20))
     with pytest.raises(ValueError):
         Sm64Stream(5).sample(range(3), 4)
+    with pytest.raises(ValueError):
+        Sm64Stream(5).sample(range(4), -1)
+    assert Sm64Stream(5).sample(range(4), 0) == []
+
+
+def scalar_normals(seed, n):
+    stream = Sm64Stream(seed)
+    return np.array([stream.gauss() for _ in range(n)], dtype=np.float64)
+
+
+@pytest.mark.parametrize("seed", [0, MASK64, -1])
+@pytest.mark.parametrize("n", [1, NORMALS_CHUNK - 1, NORMALS_CHUNK, NORMALS_CHUNK + 1, 2 * NORMALS_CHUNK + 3])
+def test_normals_match_scalar_gauss(seed, n):
+    got = normals(seed, n)
+    assert got.dtype == np.float64 and got.shape == (n,)
+    assert got.tobytes() == scalar_normals(seed, n).tobytes()
+
+
+@settings(max_examples=30)
+@given(st.integers(-MASK64, MASK64), st.integers(0, 3 * NORMALS_CHUNK))
+def test_normals_sweep_match_scalar_gauss(seed, n):
+    assert normals(seed, n).tobytes() == scalar_normals(seed, n).tobytes()
 
 
 def scalar_shuffle(stream, items):

@@ -9,7 +9,7 @@ slots in which pools are adversarial.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet
+from typing import FrozenSet
 
 import numpy as np
 
@@ -105,13 +105,14 @@ def boost_update(v_adv: np.ndarray, v_global: np.ndarray, n: int, eta: float) ->
 
 
 def assign_adversaries(num_pools: int, clients_per_pool: int, cfg: AdversaryConfig,
-                       seed: int) -> Dict[int, FrozenSet[int]]:
-    """Map pool_id -> adversarial slots within the pool; FederationConfig checked that they fit."""
+                       seed: int) -> FrozenSet[int]:
+    """Adversarial client ids, pool * clients_per_pool + slot; FederationConfig checked that they fit."""
     if cfg.placement == "none":
-        return {}
+        return frozenset()
     pools = [cfg.pool_id] if cfg.placement == "one_pool" else range(num_pools)
-    out = {}
+    ids = set()
     for p in pools:
         stream = Sm64Stream(derive_seed(seed, 0, p, 0, "adversary-slots"))
-        out[p] = frozenset(stream.sample(range(clients_per_pool), cfg.adversaries_per_pool))
-    return out
+        ids.update(p * clients_per_pool + slot
+                   for slot in stream.sample(range(clients_per_pool), cfg.adversaries_per_pool))
+    return frozenset(ids)

@@ -66,18 +66,21 @@ def _result_series(result: FederationResult) -> Dict[str, List[float]]:
 
 
 def write_outputs(result: FederationResult, rc: config_mod.RunConfig, out_dir: str) -> None:
+    """Write config.txt and the enabled exports; an OSError names the file it failed on."""
     os.makedirs(out_dir, exist_ok=True)
-    with open(os.path.join(out_dir, "config.txt"), "w", newline="\n") as fh:
-        fh.write(config_mod.render_config(rc))
-    if rc.export_records:
-        with open(os.path.join(out_dir, "records.csv"), "w", newline="\n") as fh:
-            fh.write(records_csv_text(result))
-    if rc.export_chain:
-        with open(os.path.join(out_dir, "chain.jsonl"), "w", newline="\n") as fh:
-            fh.write(chain_mod.export_lines(result.chain))
-    if rc.export_summary:
-        with open(os.path.join(out_dir, "summary.csv"), "w", newline="\n") as fh:
-            fh.write(summary_csv_text(_result_series(result), rc.federation.metric.direction))
+    outputs = (("config.txt", True, lambda: config_mod.render_config(rc)),
+               ("records.csv", rc.export_records, lambda: records_csv_text(result)),
+               ("chain.jsonl", rc.export_chain, lambda: chain_mod.export_lines(result.chain)),
+               ("summary.csv", rc.export_summary, lambda: summary_csv_text(
+                   _result_series(result), rc.federation.metric.direction)))
+    for name, enabled, text in outputs:
+        if enabled:
+            path = os.path.join(out_dir, name)
+            try:
+                with open(path, "w", newline="\n") as fh:
+                    fh.write(text())
+            except OSError as exc:
+                raise OSError(f"{path}: {exc.strerror or exc}") from exc
 
 
 def _cmd_run(args) -> int:
@@ -89,7 +92,7 @@ def _cmd_run(args) -> int:
             rc = config_mod.with_master_seed(rc, args.seed)
         partition = config_mod.build_partition(rc)
         os.makedirs(args.out, exist_ok=True)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, MemoryError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
     try:
@@ -97,7 +100,11 @@ def _cmd_run(args) -> int:
     except (RoundAbortError, ProvenanceError) as exc:
         print(f"run aborted: {exc}", file=sys.stderr)
         return 2
-    write_outputs(result, rc, args.out)
+    try:
+        write_outputs(result, rc, args.out)
+    except OSError as exc:
+        print(f"output error: {exc}", file=sys.stderr)
+        return 1
     last = result.records[-1]
     print(f"completed {len(result.records)} rounds; final test accuracy {last.test_accuracy:.4f}, "
           f"chain tip {result.chain.blocks[-1].hash.hex()[:16]}…")
@@ -125,7 +132,7 @@ def _cmd_gen_data(args) -> int:
         dataset = data_mod.gen_synthetic(args.classes, args.height, args.width,
                                          args.per_class, args.noise_sigma, args.seed)
         data_mod.save_csv(dataset, args.out)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, MemoryError) as exc:
         print(f"gen-data failed: {exc}", file=sys.stderr)
         return 1
     print(f"wrote {len(dataset)} examples to {args.out}")
@@ -145,6 +152,8 @@ def _read_series(path: str) -> Dict[str, List[float]]:
                     except (TypeError, ValueError):
                         raise ValueError(f"{path}: line {reader.line_num}: {name} is not a number: "
                                          f"{row[name]!r}")
+    if not series:
+        raise ValueError(f"{path}: no records.csv rows to summarize")
     return series
 
 

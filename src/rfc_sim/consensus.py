@@ -20,6 +20,7 @@ consumed from a shared generator, and the chain hashes rely on this.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -86,7 +87,7 @@ class FederationConfig:
         quota = self.sample_quota()
         if quota < 1:
             raise ValueError("per-aggregation sample size must be >= 1")
-        group = self.clients_per_pool if self.topology == "rfc" else self.num_pools * self.clients_per_pool
+        _, group = self.group_shape()
         if quota > group:
             raise ValueError(f"sample size {quota} exceeds group size {group}")
         need = aggregation.min_updates(self.aggregator)
@@ -98,11 +99,17 @@ class FederationConfig:
         if adv.placement != "none" and adv.adversaries_per_pool > self.clients_per_pool:
             raise ValueError("adversaries_per_pool exceeds clients_per_pool")
 
-    def sample_quota(self) -> int:
-        """Updates entering one aggregation: the per-pool share, or all sampled clients."""
+    def group_shape(self) -> Tuple[int, int]:
+        """(groups, clients per group) that aggregate apart; group g holds client ids g * size onward."""
         if self.topology == "rfc":
-            return round(self.clients_sampled_per_round / self.num_pools)
-        return self.clients_sampled_per_round
+            return self.num_pools, self.clients_per_pool
+        return 1, self.total_clients()
+
+    def sample_quota(self) -> int:
+        """Updates entering one aggregation: each group's share of the sampled clients."""
+        count, _ = self.group_shape()
+        # exact half-to-even rounding: a float quotient overflows for a huge sample count
+        return round(Fraction(self.clients_sampled_per_round, count))
 
     def total_clients(self) -> int:
         return self.num_pools * self.clients_per_pool
@@ -123,7 +130,6 @@ class FederationResult:
     final_model: np.ndarray
     records: List[metrics.RoundRecord]
     chain: chain_mod.Chain
-    pool_members: Tuple[Tuple[int, ...], ...]
     candidates: List[Tuple[PoolCandidate, ...]]
 
 
@@ -150,16 +156,6 @@ def server_update(global_model: np.ndarray, aggregate: np.ndarray, eta: float) -
     return global_model + eta * (aggregate - global_model)
 
 
-def _adversarial_ids(cfg: FederationConfig) -> frozenset:
-    slot_map = attacks.assign_adversaries(cfg.num_pools, cfg.clients_per_pool,
-                                          cfg.adversary, cfg.master_seed)
-    ids = set()
-    for pool_id, slots in slot_map.items():
-        for slot in slots:
-            ids.add(pool_id * cfg.clients_per_pool + slot)
-    return frozenset(ids)
-
-
 def _client_data(cfg: FederationConfig, partition: FederatedPartition, cid: int,
                  is_adversary: bool, round_idx: int, pool_id: int) -> Dataset:
     data = partition.client_data[cid]
@@ -179,7 +175,7 @@ def _play_round(cfg: FederationConfig, partition: FederatedPartition,
     samples, datasets, seeds = [], [], []
     for pool_id, members in groups:
         sampled = sample_clients(members, pool_id, round_idx, quota, cfg.master_seed)
-        if not set(sampled) <= set(members):
+        if not all(cid in members for cid in sampled):
             raise ProvenanceError(f"round {round_idx}: pool {pool_id} sampled foreign clients")
         samples.append((pool_id, sampled))
         for cid in sampled:
@@ -244,14 +240,11 @@ def run_federation(cfg: FederationConfig, partition: FederatedPartition) -> Fede
     if missing:
         raise ValueError(f"partition lacks data for clients {missing[:5]}")
 
-    pools = tuple(tuple(range(p * cfg.clients_per_pool, (p + 1) * cfg.clients_per_pool))
-                  for p in range(cfg.num_pools))
-    if cfg.topology == "rfc":
-        groups = list(enumerate(pools))
-    else:
-        groups = [(0, tuple(range(cfg.total_clients())))]
+    count, size = cfg.group_shape()
+    groups = [(g, range(g * size, (g + 1) * size)) for g in range(count)]
     quota = cfg.sample_quota()
-    adversarial = _adversarial_ids(cfg)
+    adversarial = attacks.assign_adversaries(cfg.num_pools, cfg.clients_per_pool,
+                                             cfg.adversary, cfg.master_seed)
 
     adv = cfg.adversary
     backdoor_test = None
@@ -294,4 +287,4 @@ def run_federation(cfg: FederationConfig, partition: FederatedPartition) -> Fede
         all_candidates.append(tuple(replace(c, model=None) for c in candidates))
 
     return FederationResult(final_model=global_model, records=records, chain=ledger,
-                            pool_members=pools, candidates=all_candidates)
+                            candidates=all_candidates)

@@ -64,12 +64,6 @@ class FederatedPartition:
     num_classes: int
 
 
-# Runs in one process often repeat a seed (test suites, the experiment
-# matrix); a cold generation costs far more than a lookup. Entries are
-# read-only, so callers share them.
-_synthetic_cache: Dict[tuple, Dataset] = {}
-
-
 def gen_synthetic(num_classes: int, height: int, width: int, per_class: int,
                   noise_sigma: float, seed: int) -> Dataset:
     """per_class examples of each class in class order, deterministic in seed."""
@@ -79,10 +73,6 @@ def gen_synthetic(num_classes: int, height: int, width: int, per_class: int,
         raise ValueError(f"per_class must be >= 1, got {per_class}")
     if not 0 <= noise_sigma < float("inf"):
         raise ValueError(f"noise_sigma must be finite and >= 0, got {noise_sigma}")
-    key = (num_classes, height, width, per_class, noise_sigma, seed)
-    cached = _synthetic_cache.get(key)
-    if cached is not None:
-        return cached
     y = np.repeat(np.arange(num_classes, dtype=np.int64), per_class)
     x = np.zeros((y.shape[0], height * width), dtype=np.float64)
     x[np.arange(y.shape[0]), y] = TEMPLATE_BRIGHT
@@ -92,9 +82,7 @@ def gen_synthetic(num_classes: int, height: int, width: int, per_class: int,
         noise *= noise_sigma
         x += noise
         np.clip(x, 0.0, 1.0, out=x)
-    dataset = Dataset(x, y)
-    _synthetic_cache[key] = dataset
-    return dataset
+    return Dataset(x, y)
 
 
 def load_csv(path: str, num_classes: int | None = None) -> Dataset:

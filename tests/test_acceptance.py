@@ -273,11 +273,12 @@ def test_criterion_06_end_to_end_determinism(tmp_path):
 def test_criterion_07_pool_isolation():
     violations = 0
     checked = 0
+    cpp = desk_default().federation.clients_per_pool
     for seed in SEEDS:
         result = desk_run("one_pool_backdoor", "fedavg", "rfc", seed)
         for round_cands in result.candidates:
             for cand in round_cands:
-                members = set(result.pool_members[cand.pool_id])
+                members = set(range(cand.pool_id * cpp, (cand.pool_id + 1) * cpp))
                 checked += len(cand.clients)
                 violations += sum(1 for c in cand.clients if c not in members)
     report(7, violations == 0,

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from rfc_sim import aggregation, attacks, consensus
 from rfc_sim.attacks import AdversaryConfig, apply_trigger, assign_adversaries, boost_update, flip_labels
 from rfc_sim.data import Dataset
-from rfc_sim.seeds import Sm64Stream
+from rfc_sim.seeds import Sm64Stream, derive_seed
 
 
 def rand_examples(n, dim, num_classes, seed=0):
@@ -128,23 +128,30 @@ def test_boost_overrides_server_average(n, eta, seed):
 
 
 def test_assign_one_pool():
-    cfg = AdversaryConfig(attack="labelflip", placement="one_pool", pool_id=0,
+    cfg = AdversaryConfig(attack="labelflip", placement="one_pool", pool_id=1,
                           adversaries_per_pool=2)
-    slots = assign_adversaries(3, 10, cfg, seed=1)
-    assert set(slots) == {0}
-    assert len(slots[0]) == 2
-    assert all(0 <= s < 10 for s in slots[0])
+    ids = assign_adversaries(3, 10, cfg, seed=1)
+    assert isinstance(ids, frozenset) and len(ids) == 2
+    assert all(10 <= cid < 20 for cid in ids)  # pool 1 holds client ids 10..19
 
 
 def test_assign_all_pools_counts():
-    cfg = AdversaryConfig(attack="labelflip", placement="all_pools", adversaries_per_pool=1)
-    slots = assign_adversaries(3, 10, cfg, seed=1)
-    assert set(slots) == {0, 1, 2}
-    assert sum(len(v) for v in slots.values()) == 3
+    cfg = AdversaryConfig(attack="labelflip", placement="all_pools", adversaries_per_pool=2)
+    ids = assign_adversaries(3, 10, cfg, seed=1)
+    assert len(ids) == 6
+    assert [sum(1 for cid in ids if p * 10 <= cid < (p + 1) * 10) for p in range(3)] == [2, 2, 2]
+
+
+def test_assign_ids_are_the_drawn_slots():
+    # pool p's slots come from its own "adversary-slots" stream, offset by p * clients_per_pool
+    cfg = AdversaryConfig(attack="backdoor", placement="all_pools", adversaries_per_pool=3)
+    expected = {p * 8 + slot for p in range(4)
+                for slot in Sm64Stream(derive_seed(7, 0, p, 0, "adversary-slots")).sample(range(8), 3)}
+    assert assign_adversaries(4, 8, cfg, seed=7) == expected
 
 
 def test_assign_none_and_errors():
-    assert assign_adversaries(3, 10, AdversaryConfig(), seed=1) == {}
+    assert assign_adversaries(3, 10, AdversaryConfig(), seed=1) == frozenset()
     # a placement pool outside the federation is refused by FederationConfig
     too_many = AdversaryConfig(attack="labelflip", placement="all_pools", adversaries_per_pool=11)
     with pytest.raises(ValueError):

@@ -68,8 +68,22 @@ def test_config_validation():
 def test_sample_quota_banker_rounding_documented():
     cfg = tiny_config(num_pools=2, clients_sampled_per_round=4)
     assert cfg.sample_quota() == 2
+    assert tiny_config(num_pools=2, clients_sampled_per_round=5).sample_quota() == 2  # 2.5 -> 2
+    assert tiny_config(num_pools=2, clients_sampled_per_round=7).sample_quota() == 4  # 3.5 -> 4
     cs = tiny_config(topology="client_server", clients_sampled_per_round=5)
     assert cs.sample_quota() == 5
+
+
+def test_group_shape_per_topology():
+    assert tiny_config(num_pools=3, clients_per_pool=4).group_shape() == (3, 4)
+    assert tiny_config(num_pools=3, clients_per_pool=4, topology="client_server").group_shape() == (1, 12)
+
+
+@pytest.mark.parametrize("topology", ["rfc", "client_server"])
+def test_huge_sample_count_refused_by_group_size(topology):
+    # the quota is exact: a sample count past float range is refused, not an OverflowError
+    with pytest.raises(ValueError, match="exceeds group size"):
+        tiny_config(topology=topology, clients_sampled_per_round=10**400)
 
 
 def test_sample_clients_full_pool_and_determinism():
@@ -220,9 +234,10 @@ def test_pool_isolation_adversarial_run():
     adv = AdversaryConfig(attack="labelflip", placement="one_pool", pool_id=0,
                           adversaries_per_pool=1, boost="replacement")
     result = run_tiny(adversary=adv, rounds=4)
+    cpp = tiny_config().clients_per_pool
     for round_cands in result.candidates:
         for cand in round_cands:
-            members = set(result.pool_members[cand.pool_id])
+            members = set(range(cand.pool_id * cpp, (cand.pool_id + 1) * cpp))
             assert set(cand.clients) <= members
 
 

@@ -238,7 +238,6 @@ def test_partition_matches_per_example_reference(per_class, clients, spc, scheme
 def test_gen_synthetic_matches_per_example_reference():
     # a tiny grid, and the desk grid: 38,400 draws across many seeds.NORMALS_CHUNK chunks
     for classes, height, width, per_class, sigma, seed in [(3, 2, 3, 4, 0.4, 21), (3, 8, 8, 200, 0.3, 2021)]:
-        data_mod._synthetic_cache.pop((classes, height, width, per_class, sigma, seed), None)
         data = gen_synthetic(classes, height, width, per_class=per_class, noise_sigma=sigma, seed=seed)
         stream = Sm64Stream(seed)
         row = 0
@@ -255,7 +254,6 @@ def test_gen_synthetic_matches_per_example_reference():
 def test_gen_synthetic_cold_peak_memory():
     # a cold desk-size generation holds x, its noise and one chunk of draws, not every draw at once
     key = (3, 8, 8, 200, 0.3, 2022)
-    data_mod._synthetic_cache.pop(key, None)
     started = not tracemalloc.is_tracing()
     if started:
         tracemalloc.start()

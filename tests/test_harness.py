@@ -322,7 +322,9 @@ def test_cli_validate_chain_garbage_exits_3(tmp_path, capsys):
                                            (["--per-class", "0"], "d.csv"),
                                            (["--noise-sigma", "-1"], "d.csv"),
                                            (["--noise-sigma", "nan"], "d.csv"),
-                                           ([], "missing/d.csv")])
+                                           ([], "missing/d.csv"),
+                                           # 2.13 PiB of labels: no 48-bit address space holds it
+                                           (["--per-class", "100000000000000"], "d.csv")])
 def test_cli_gen_data_bad_input_exits_1(tmp_path, capsys, args, out_name):
     out = tmp_path / out_name
     assert cli.main(["gen-data", "--out", str(out)] + args) == 1
@@ -415,6 +417,37 @@ def test_cli_run_uncreatable_out_exits_1_before_training(tmp_path, capsys, monke
     assert str(out) in err and len(err.strip().splitlines()) == 1
 
 
+@pytest.mark.parametrize("name", ["config.txt", "records.csv", "chain.jsonl", "summary.csv"])
+def test_cli_run_unwritable_output_exits_1(tmp_path, capsys, name):
+    out = tmp_path / "o"
+    (out / name).mkdir(parents=True)
+    assert cli.main(["run", "--config", write_config(tmp_path), "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    err = captured.err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("output error: ") and str(out / name) in err[0]
+    assert "completed" not in captured.out
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs a /dev/full device")
+def test_cli_run_full_disk_names_the_file(tmp_path, capsys):
+    # a write to /dev/full fails with ENOSPC, an OSError that carries no file name of its own
+    out = tmp_path / "o"
+    out.mkdir()
+    (out / "chain.jsonl").symlink_to("/dev/full")
+    assert cli.main(["run", "--config", write_config(tmp_path), "--out", str(out)]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == [f"output error: {out / 'chain.jsonl'}: No space left on device"]
+
+
+def test_cli_run_dataset_too_large_exits_1(tmp_path, capsys):
+    # 2.13 PiB of labels: no 48-bit address space holds it, so allocation fails at once
+    cfg = write_config(tmp_path, "rounds = 1\ndata.per_class = 100000000000000\n")
+    assert cli.main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and len(err.strip().splitlines()) == 1
+    assert not (tmp_path / "o").exists()
+
+
 def test_cli_run_nan_boost_eta_exits_1(tmp_path, capsys):
     cfg = write_config(tmp_path, TINY_CONFIG + "adversary.attack = backdoor\n"
                        "adversary.placement = all_pools\nadversary.boost = replacement\n"
@@ -454,6 +487,17 @@ def test_cli_run_negative_placement_pool_exits_1(tmp_path, capsys):
 def test_cli_summarize_missing_file_exits_1(tmp_path, capsys):
     assert cli.main(["summarize", str(tmp_path / "absent.csv")]) == 1
     assert "absent.csv" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text", ["", "round,winning_pool,val_metric,test_accuracy\n", "a,b\n1,2\n"],
+                         ids=["empty", "header_only", "unrelated"])
+def test_cli_summarize_nothing_to_summarize_exits_1(tmp_path, capsys, text):
+    path = tmp_path / "records.csv"
+    path.write_text(text)
+    assert cli.main(["summarize", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"summarize failed: {path}: no records.csv rows to summarize\n"
 
 
 @pytest.mark.parametrize("body", ["1,0,0.5,oops\n", "1,0,0.5\n"])
@@ -550,7 +594,7 @@ FUZZ_VALUES = {
     "data.num_classes": ["2", "3", "1"],
     "data.height": ["3", "1", "0"],
     "data.width": ["3", "2", "-2"],
-    "data.per_class": ["12", "2", "0"],
+    "data.per_class": ["12", "2", "0", "100000000000000"],  # the last is too large to allocate
     "data.partition": ["iid", "label_shard:1", "label_shard:2", "label_shard:0", "label_shard:x"],
     "optimizer.learning_rate": ["0.01", "1e308"],  # 1e308 diverges: every pool disqualified
 }

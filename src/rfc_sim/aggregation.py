@@ -2,19 +2,22 @@
 and a squared-distance medoid (geomed); see bulyan() and geomed().
 
 All selection rules break ties by lowest input index, and Krum scores sum
-squared distances over the n - f - 2 nearest other updates.
+squared distances over the n - f - 2 nearest other updates, selected from a
+Gram matrix when certified exact, else per pair; see _certified_order().
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence
+from typing import List, Optional, Sequence
 
 import numpy as np
 
 from . import params
 
 AGGREGATION_RULES = ("fedavg", "krum", "bulyan", "geomed")
+# parameters per column block of the Gram product: an [n, 512] buffer, never [n, P]
+GRAM_BLOCK = 512
 
 
 @dataclass(frozen=True)
@@ -48,12 +51,57 @@ def _sq_dist_matrix(updates: Sequence[np.ndarray]) -> np.ndarray:
     return d
 
 
+def _gamma(k: int) -> float:
+    return k * 2.0**-53 / (1.0 - k * 2.0**-53)  # 2^-53: the unit roundoff of float64
+
+
+def _certified_order(updates: Sequence[np.ndarray], k: int, m: int) -> Optional[List[int]]:
+    """Indices of the m lowest scores in stable score order, or None unless certified.
+
+    Score i sums the k smallest squared distances from update i to the others
+    (Krum: k = n - f - 2; medoid: k = n - 1), here from the Gram matrix
+    G = D D^T of d_i = u_i - u_0, built over GRAM_BLOCK-column blocks, as
+    g_ij = (G_ii + G_jj) - 2 G_ij. With r_i = sqrt(G_ii) and the gamma_k of
+    Higham (2002, ch. 3), |g_ij - params.l2_dist_sq(u_i, u_j)| is at most
+    E_ij = 3 gamma_{P+4} (r_i + r_j)^2 + 16 P 2^-1074: gamma_P for the Gram sums
+    (trees of depth <= P), 4u for rounding d and for the add and subtract,
+    gamma_{P+2} for the exact path's subtraction and np.dot, and the rest for
+    bounding the true norms by r and for underflow. A sum of the k smallest
+    moves by at most k max_j E_ij, and each path's sum rounds by at most
+    gamma_{k+1} of its size. The order stands only if each chosen interval lies
+    strictly below the next chosen one and every unchosen one, so ties,
+    near-ties and non-finite input (NaN bounds compare False) return None.
+    """
+    n, c, p = len(updates), updates[0], updates[0].shape[0]
+    if k < 1 or any(u.shape != c.shape for u in updates):
+        return None  # the exact path raises for too few updates or mismatched dimensions
+    gram, buf = np.zeros((n, n)), np.empty((n, min(p, GRAM_BLOCK)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for lo in range(0, p, GRAM_BLOCK):
+            block = buf[:, : min(GRAM_BLOCK, p - lo)]
+            for row, u in zip(block, updates):
+                np.subtract(u[lo : lo + GRAM_BLOCK], c[lo : lo + GRAM_BLOCK], out=row)
+            gram += block @ block.T
+        sq = np.diag(gram)
+        dist = (sq[:, None] + sq[None, :]) - 2.0 * gram
+        np.fill_diagonal(dist, np.inf)
+        near = np.sort(dist, axis=1)[:, :k]
+        scores = near.sum(axis=1)
+        # k max_j E_ij plus both paths' summation error, doubled to cover this arithmetic
+        err = 3.0 * _gamma(p + 4) * (np.sqrt(sq) + np.sqrt(sq.max())) ** 2 + 16 * p * 2.0**-1074
+        slack = 2.0 * (k * err + 2.0 * _gamma(k + 1) * np.abs(near).sum(axis=1))
+        order = np.argsort(scores, kind="stable")
+        upper, lower = (scores + slack)[order], (scores - slack)[order]
+        certified = (upper[:m] < np.append(lower[1:m], lower[m:].min(initial=np.inf))).all()
+    return order[:m].tolist() if certified else None
+
+
 def fedavg(updates: Sequence[np.ndarray]) -> np.ndarray:
     return params.mean(updates)
 
 
 def krum_scores(updates: Sequence[np.ndarray], f: int) -> List[float]:
-    """Score s(i) = sum of squared distances to the n - f - 2 nearest others."""
+    """Score s(i) = sum of squared distances to the n - f - 2 nearest others; the exact path."""
     n = len(updates)
     if n < f + 3:
         raise ValueError(f"krum needs at least f + 3 = {f + 3} updates, got {n}")
@@ -68,8 +116,8 @@ def krum_scores(updates: Sequence[np.ndarray], f: int) -> List[float]:
 
 
 def krum(updates: Sequence[np.ndarray], f: int) -> np.ndarray:
-    scores = krum_scores(updates, f)
-    return updates[int(np.argmin(scores))]
+    best = _certified_order(updates, len(updates) - f - 2, 1)
+    return updates[best[0] if best is not None else int(np.argmin(krum_scores(updates, f)))]
 
 
 def bulyan(updates: Sequence[np.ndarray], f: int, m: int) -> np.ndarray:
@@ -81,9 +129,10 @@ def bulyan(updates: Sequence[np.ndarray], f: int, m: int) -> np.ndarray:
     n = len(updates)
     if m > n:
         raise ValueError(f"bulyan: m={m} exceeds n={n}")
-    scores = krum_scores(updates, f)
-    chosen = np.argsort(scores, kind="stable")[:m]
-    return params.mean([updates[int(i)] for i in chosen])
+    chosen = _certified_order(updates, n - f - 2, m)
+    if chosen is None:
+        chosen = np.argsort(krum_scores(updates, f), kind="stable")[:m].tolist()
+    return params.mean([updates[i] for i in chosen])
 
 
 def geomed(updates: Sequence[np.ndarray]) -> np.ndarray:
@@ -94,9 +143,8 @@ def geomed(updates: Sequence[np.ndarray]) -> np.ndarray:
     """
     if len(updates) == 0:
         raise ValueError("geomed: empty update list")
-    dist = _sq_dist_matrix(updates)
-    totals = dist.sum(axis=1)
-    return updates[int(np.argmin(totals))]
+    best = _certified_order(updates, len(updates) - 1, 1)
+    return updates[best[0] if best is not None else int(np.argmin(_sq_dist_matrix(updates).sum(axis=1)))]
 
 
 def aggregate(cfg: AggregatorConfig, updates: Sequence[np.ndarray]) -> np.ndarray:

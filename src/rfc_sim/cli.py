@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 config validation failure, 2 runtime abort,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import os
 import sys
@@ -66,21 +67,26 @@ def _result_series(result: FederationResult) -> Dict[str, List[float]]:
 
 
 def write_outputs(result: FederationResult, rc: config_mod.RunConfig, out_dir: str) -> None:
-    """Write config.txt and the enabled exports; an OSError names the file it failed on."""
+    """Write each enabled file as <name>.tmp, then rename all into place, config.txt last, so a
+    failed run leaves no config.txt; an OSError names the file and leaves no temporary."""
     os.makedirs(out_dir, exist_ok=True)
-    outputs = (("config.txt", True, lambda: config_mod.render_config(rc)),
-               ("records.csv", rc.export_records, lambda: records_csv_text(result)),
+    outputs = (("records.csv", rc.export_records, lambda: records_csv_text(result)),
                ("chain.jsonl", rc.export_chain, lambda: chain_mod.export_lines(result.chain)),
                ("summary.csv", rc.export_summary, lambda: summary_csv_text(
-                   _result_series(result), rc.federation.metric.direction)))
-    for name, enabled, text in outputs:
-        if enabled:
-            path = os.path.join(out_dir, name)
-            try:
-                with open(path, "w", newline="\n") as fh:
-                    fh.write(text())
-            except OSError as exc:
-                raise OSError(f"{path}: {exc.strerror or exc}") from exc
+                   _result_series(result), rc.federation.metric.direction)),
+               ("config.txt", True, lambda: config_mod.render_config(rc)))
+    enabled = [(os.path.join(out_dir, name), text) for name, on, text in outputs if on]
+    try:
+        for path, text in enabled:
+            with open(path + ".tmp", "w", newline="\n") as fh:
+                fh.write(text())
+        for path, _ in enabled:
+            os.replace(path + ".tmp", path)
+    except OSError as exc:
+        for target, _ in enabled:
+            with contextlib.suppress(OSError):
+                os.remove(target + ".tmp")
+        raise OSError(f"{path}: {exc.strerror or exc}") from exc
 
 
 def _cmd_run(args) -> int:
@@ -133,7 +139,8 @@ def _cmd_gen_data(args) -> int:
                                          args.per_class, args.noise_sigma, args.seed)
         data_mod.save_csv(dataset, args.out)
     except (ValueError, OSError, MemoryError) as exc:
-        print(f"gen-data failed: {exc}", file=sys.stderr)
+        hint = f"--per-class {args.per_class} is too large: " if isinstance(exc, MemoryError) else ""
+        print(f"gen-data failed: {hint}{exc}", file=sys.stderr)
         return 1
     print(f"wrote {len(dataset)} examples to {args.out}")
     return 0

@@ -306,8 +306,11 @@ def build_partition(rc: RunConfig) -> data_mod.FederatedPartition:
     """
     fed, d = rc.federation, rc.data
     if d.source == "synthetic":
-        dataset = data_mod.gen_synthetic(d.num_classes, d.height, d.width, d.per_class,
-                                         d.noise_sigma, derive_seed(fed.master_seed, 0, 0, 0, "dataset"))
+        try:
+            dataset = data_mod.gen_synthetic(d.num_classes, d.height, d.width, d.per_class,
+                                             d.noise_sigma, derive_seed(fed.master_seed, 0, 0, 0, "dataset"))
+        except MemoryError as exc:
+            raise ConfigError(f"data.per_class = {d.per_class} is too large: {exc}") from exc
     else:
         dataset = data_mod.load_csv(d.csv_path, num_classes=d.num_classes)
     for key, fraction in (("data.val_fraction", d.val_fraction), ("data.test_fraction", d.test_fraction)):

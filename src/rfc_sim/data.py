@@ -6,8 +6,9 @@ trigger geometry stays meaningful on synthetic data, and ``y`` holds the n
 int64 labels. Splits and client shards are row subsets that keep the source
 order of their rows. The synthetic task gives class c a fixed bright cell
 (flat index c) of intensity 0.95 plus clipped Gaussian noise: the features,
-row by row, take ``seeds.normals(seed, n*H*W)``, the values of
-``Sm64Stream(seed).gauss()`` in order, drawn in bulk.
+row by row, take ``seeds.normals(seed, n*H*W)``: Box-Muller values
+``sqrt(-2 * log(u1)) * cos(2 * pi * u2)`` from consecutive word pairs of
+``Sm64Stream(seed)``.
 """
 
 from __future__ import annotations

@@ -20,15 +20,15 @@ The mixing function is fixed so independent implementations can agree:
   streams as one numpy ``uint64`` array (numpy's ``uint64`` arithmetic wraps
   mod 2**64). ``shuffle_orders`` builds Fisher-Yates orders from those words;
   a stream whose words ``rand_below`` would reject takes the scalar path.
-* ``gauss`` is Box-Muller (Box & Muller, 1958) on two words.
-  ``normals(seed, n)`` is the first n ``Sm64Stream(seed).gauss()`` values,
-  drawn ``NORMALS_CHUNK`` at a time (each draw takes two words, so the chunk
-  at draw ``lo`` starts from state ``seed + 2*lo*GOLDEN``). The uniforms,
-  ``sqrt`` and products run in numpy, correctly rounded as in ``gauss``;
-  ``log`` and ``cos`` stay libm's ``math.log`` and ``math.cos`` per value:
-  ``np.log`` differs from it in the last bit on some (AVX-512) hosts and
-  ``np.cos`` is not known to match on every host, while the synthetic data
-  feeds every exported hash.
+* ``normals(seed, n)`` is Box-Muller (Box & Muller, 1958): words w1, w2 of
+  ``Sm64Stream(seed)`` give ``sqrt(-2 * log(u1)) * cos(2 * pi * u2)`` with
+  ``u1 = ((w1 >> 11) + 1) * 2**-53`` and ``u2 = (w2 >> 11) * 2**-53``, drawn
+  ``NORMALS_CHUNK`` at a time (the chunk at draw ``lo`` starts from state
+  ``seed + 2*lo*GOLDEN``). The uniforms, ``sqrt`` and products run in numpy,
+  correctly rounded; ``log`` and ``cos`` stay libm's ``math.log`` and
+  ``math.cos`` per value: ``np.log`` differs from it in the last bit on some
+  (AVX-512) hosts and ``np.cos`` is not known to match on every host, while
+  the synthetic data feeds every exported hash.
 """
 
 from __future__ import annotations
@@ -86,16 +86,6 @@ class Sm64Stream:
         self._state = (self._state + _GOLDEN) & _MASK64
         return _scramble(self._state)
 
-    def uniform(self) -> float:
-        """Uniform double in [0, 1), 53 significant bits."""
-        return (self.next_u64() >> 11) * 2.0**-53
-
-    def gauss(self) -> float:
-        """Standard normal via Box-Muller; consumes exactly two words."""
-        u1 = ((self.next_u64() >> 11) + 1) * 2.0**-53  # (0, 1]
-        u2 = (self.next_u64() >> 11) * 2.0**-53
-        return math.sqrt(-2.0 * math.log(u1)) * math.cos(2.0 * math.pi * u2)
-
     def rand_below(self, n: int) -> int:
         """Unbiased integer in [0, n) via rejection sampling."""
         if n <= 0:
@@ -133,7 +123,7 @@ def stream_words(seeds: Sequence[int], k: int) -> np.ndarray:
 
 
 def normals(seed: int, n: int) -> np.ndarray:
-    """float64 [n]: the first n values of ``Sm64Stream(seed).gauss()``, bit for bit."""
+    """float64 [n]: the first n Box-Muller values of ``Sm64Stream(seed)``'s words; see the module docstring."""
     out = np.empty(n, dtype=np.float64)
     for lo in range(0, n, NORMALS_CHUNK):
         m = min(NORMALS_CHUNK, n - lo)

@@ -1,13 +1,16 @@
 import math
 import random
+import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rfc_sim import aggregation
+from rfc_sim import aggregation, config, consensus, params
 from rfc_sim.aggregation import AggregatorConfig, bulyan, fedavg, geomed, krum, krum_scores
+from rfc_sim.models import ModelSpec
 
 
 # Brute-force reimplementations in plain Python, independent of the library path.
@@ -249,3 +252,131 @@ def test_aggregator_config_validation():
         AggregatorConfig(krum_f=-1)
     with pytest.raises(ValueError):
         AggregatorConfig(bulyan_m=0)
+
+
+# The certified Gram path against the exact per-pair path it must reproduce bit for bit.
+
+def ref_krum(updates, f):
+    return updates[int(np.argmin(krum_scores(updates, f)))]
+
+
+def ref_bulyan(updates, f, m):
+    chosen = np.argsort(krum_scores(updates, f), kind="stable")[:m]
+    return params.mean([updates[int(i)] for i in chosen])
+
+
+def ref_geomed(updates):
+    return updates[int(np.argmin(aggregation._sq_dist_matrix(updates).sum(axis=1)))]
+
+
+@pytest.fixture
+def exact_calls(monkeypatch):
+    """Counts the exact path's distance matrices, i.e. how often the Gram selection fell back."""
+    calls = []
+    exact = aggregation._sq_dist_matrix
+
+    def counted(updates):
+        calls.append(len(updates))
+        return exact(updates)
+
+    monkeypatch.setattr(aggregation, "_sq_dist_matrix", counted)
+    return calls
+
+
+@settings(max_examples=60)
+@given(st.integers(4, 9), st.integers(1, 40), st.integers(0, 8), st.integers(0, 4), st.booleans(),
+       st.integers(0, 2**32 - 1))
+def test_gram_selection_bit_identical_to_per_pair(n, dim, offset_exp, decades, near_dup, seed):
+    rng = np.random.default_rng(seed)
+    offset = rng.normal(size=dim) * 10.0 ** offset_exp  # far from the origin
+    spread = 10.0 ** rng.uniform(-decades, decades, size=(n, 1))  # row magnitudes over decades
+    rows = offset + spread * rng.normal(size=(n, dim))
+    if near_dup:  # copies of one row, each a few ulps away from it or not at all
+        src = rng.integers(n)
+        for i in rng.choice(n, size=n // 2, replace=False):
+            rows[i] = rows[src] + rng.integers(-4, 5, size=dim) * np.spacing(rows[src])
+    updates = [r.copy() for r in rows]
+    f = int(rng.integers(0, n - 2))
+    m = int(rng.integers(1, n + 1))
+    assert krum(updates, f) is ref_krum(updates, f)
+    assert bulyan(updates, f, m).tobytes() == ref_bulyan(updates, f, m).tobytes()
+    assert geomed(updates) is ref_geomed(updates)
+
+
+def test_gram_selection_falls_back_on_exact_tie(exact_calls):
+    rng = np.random.default_rng(0)
+    v = rng.normal(size=50)
+    # two copies of v at the centre of four far, mutually distant points: every rule ties them
+    updates = [v, v.copy()] + [v + rng.normal(size=50) for _ in range(4)]
+    assert krum(updates, f=1) is updates[0]
+    assert bulyan(updates, f=1, m=2).tobytes() == v.tobytes()
+    assert geomed(updates) is updates[0]
+    assert exact_calls == [6, 6, 6]
+
+
+def test_gram_selection_falls_back_on_near_tie(exact_calls):
+    rng = np.random.default_rng(3)
+    v = rng.normal(size=2000)
+    near = v.copy()
+    near[0] += 1e-10  # moves the exact score by ~1e-9 of ~4e3: distinct, but inside the bound
+    updates = [v, near] + [v + rng.normal(size=2000) for _ in range(4)]
+    scores = krum_scores(updates, f=1)
+    assert scores[1] != scores[0] and min(scores[2:]) > max(scores[:2])
+    exact_calls.clear()
+    assert krum(updates, f=1) is ref_krum(updates, 1)
+    assert geomed(updates) is ref_geomed(updates)
+    assert len(exact_calls) == 4  # each call fell back: one matrix for it, one for its reference
+    far = v.copy()
+    far[0] += 1e-5  # the same layout with a gap the bound clears
+    exact_calls.clear()
+    assert krum([v, far] + updates[2:], f=1) is far
+    assert exact_calls == []
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_gram_selection_falls_back_on_non_finite(exact_calls, bad):
+    rng = np.random.default_rng(1)
+    updates = [rng.normal(size=30) for _ in range(6)]
+    updates[4][7] = bad
+    assert krum(updates, f=1) is ref_krum(updates, 1)
+    assert geomed(updates) is ref_geomed(updates)
+    assert len(exact_calls) == 4
+
+
+def test_gram_selection_certifies_a_wide_krum_round(monkeypatch):
+    """One client-server round of 60 MLP updates of 17,411 parameters under Krum f = 10
+    selects without a single per-pair distance."""
+    rc = config.preset("all_pools_labelflip", config.desk_default())
+    fed = replace(rc.federation, topology="client_server", clients_per_pool=20,
+                  clients_sampled_per_round=60, rounds=1,
+                  aggregator=AggregatorConfig(rule="krum", krum_f=10),
+                  model=ModelSpec("mlp", 64, 3, hidden_dim=256),
+                  optimizer=replace(rc.federation.optimizer, local_epochs=1))
+    rc = config.with_master_seed(replace(rc, federation=fed), 42)
+    partition = config.build_partition(rc)
+    shapes = []
+    aggregate = aggregation.aggregate
+
+    def recorded(cfg, updates):
+        shapes.append((len(updates), updates[0].shape[0]))
+        return aggregate(cfg, updates)
+
+    def forbidden(a, b):
+        raise AssertionError("per-pair distance on the certified path")
+
+    monkeypatch.setattr(aggregation, "aggregate", recorded)
+    monkeypatch.setattr(params, "l2_dist_sq", forbidden)
+    result = consensus.run_federation(rc.federation, partition)
+    assert shapes == [(60, 17411)] and len(result.records) == 1
+
+
+def test_gram_selection_raises_no_warning(exact_calls):
+    rng = np.random.default_rng(2)
+    for scale in (1e-6, 1.0, 1e6):
+        updates = [scale * rng.normal(size=700) for _ in range(12)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            krum(updates, f=3)
+            bulyan(updates, f=3, m=5)
+            geomed(updates)
+    assert exact_calls == []

@@ -7,11 +7,12 @@ from rfc_sim import aggregation, attacks, consensus
 from rfc_sim.attacks import AdversaryConfig, apply_trigger, assign_adversaries, boost_update, flip_labels
 from rfc_sim.data import Dataset
 from rfc_sim.seeds import Sm64Stream, derive_seed
+from test_seeds import uniform
 
 
 def rand_examples(n, dim, num_classes, seed=0):
     stream = Sm64Stream(seed)
-    x = np.array([[stream.uniform() for _ in range(dim)] for _ in range(n)])
+    x = np.array([[uniform(stream) for _ in range(dim)] for _ in range(n)])
     return Dataset(x, np.arange(n) % num_classes)
 
 
@@ -119,8 +120,8 @@ def test_boost_update_examples():
 def test_boost_overrides_server_average(n, eta, seed):
     stream = Sm64Stream(seed)
     dim = 1 + seed % 5
-    v_adv = np.array([-3 + 6 * stream.uniform() for _ in range(dim)])
-    v_g = np.array([-3 + 6 * stream.uniform() for _ in range(dim)])
+    v_adv = np.array([-3 + 6 * uniform(stream) for _ in range(dim)])
+    v_g = np.array([-3 + 6 * uniform(stream) for _ in range(dim)])
     boosted = boost_update(v_adv, v_g, n, eta)
     updates = [boosted] + [v_g] * (n - 1)
     landed = consensus.server_update(v_g, aggregation.fedavg(updates), eta)

@@ -10,6 +10,7 @@ from rfc_sim import data as data_mod
 from rfc_sim import models
 from rfc_sim.data import Dataset, gen_synthetic, load_csv, partition, save_csv
 from rfc_sim.seeds import Sm64Stream, mix64, tag64
+from test_seeds import gauss
 
 
 def multiset(data):
@@ -245,7 +246,7 @@ def test_gen_synthetic_matches_per_example_reference():
             template = np.zeros(height * width)
             template[c] = data_mod.TEMPLATE_BRIGHT
             for _ in range(per_class):
-                noise = np.array([stream.gauss() for _ in range(height * width)])
+                noise = np.array([gauss(stream) for _ in range(height * width)])
                 expected = np.clip(template + sigma * noise, 0.0, 1.0)
                 assert data.x[row].tobytes() == expected.tobytes() and data.y[row] == c
                 row += 1

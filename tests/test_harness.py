@@ -331,6 +331,8 @@ def test_cli_gen_data_bad_input_exits_1(tmp_path, capsys, args, out_name):
     err = capsys.readouterr().err
     assert err.startswith("gen-data failed: ") and len(err.strip().splitlines()) == 1
     assert not out.exists()
+    if "100000000000000" in args:  # too large to allocate: the message names the flag
+        assert err.startswith("gen-data failed: --per-class 100000000000000 is too large: ")
 
 
 def test_cli_gen_data_roundtrip(tmp_path, capsys):
@@ -426,17 +428,22 @@ def test_cli_run_unwritable_output_exits_1(tmp_path, capsys, name):
     err = captured.err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("output error: ") and str(out / name) in err[0]
     assert "completed" not in captured.out
+    # config.txt is renamed into place last, and the temporaries are removed
+    assert not (out / "config.txt").is_file()
+    assert {p.name for p in out.iterdir()} <= {"config.txt", "records.csv", "chain.jsonl", "summary.csv"}
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs a /dev/full device")
 def test_cli_run_full_disk_names_the_file(tmp_path, capsys):
-    # a write to /dev/full fails with ENOSPC, an OSError that carries no file name of its own
+    # a write to /dev/full fails with ENOSPC, an OSError that carries no file name of its own;
+    # chain.jsonl is written to chain.jsonl.tmp before it is renamed into place
     out = tmp_path / "o"
     out.mkdir()
-    (out / "chain.jsonl").symlink_to("/dev/full")
+    (out / "chain.jsonl.tmp").symlink_to("/dev/full")
     assert cli.main(["run", "--config", write_config(tmp_path), "--out", str(out)]) == 1
     err = capsys.readouterr().err.strip().splitlines()
     assert err == [f"output error: {out / 'chain.jsonl'}: No space left on device"]
+    assert list(out.iterdir()) == []
 
 
 def test_cli_run_dataset_too_large_exits_1(tmp_path, capsys):
@@ -444,7 +451,8 @@ def test_cli_run_dataset_too_large_exits_1(tmp_path, capsys):
     cfg = write_config(tmp_path, "rounds = 1\ndata.per_class = 100000000000000\n")
     assert cli.main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("config error: ") and len(err.strip().splitlines()) == 1
+    assert err.startswith("config error: data.per_class = 100000000000000 is too large: ")
+    assert len(err.strip().splitlines()) == 1
     assert not (tmp_path / "o").exists()
 
 

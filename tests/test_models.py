@@ -9,11 +9,12 @@ from rfc_sim import models
 from rfc_sim.data import Dataset
 from rfc_sim.models import DivergenceError, ModelSpec, OptimizerConfig
 from rfc_sim.seeds import Sm64Stream, mix64
+from test_seeds import gauss, uniform
 
 
 def make_batch(spec, n, seed=0):
     stream = Sm64Stream(seed)
-    x = np.array([[stream.uniform() for _ in range(spec.input_dim)] for _ in range(n)])
+    x = np.array([[uniform(stream) for _ in range(spec.input_dim)] for _ in range(n)])
     return Dataset(x.reshape(n, spec.input_dim), np.arange(n) % spec.num_classes)
 
 
@@ -184,7 +185,7 @@ def test_adam_separates_two_blobs():
     rows = []
     for i in range(100):
         center = (0.1, 0.9) if i % 2 == 0 else (0.9, 0.1)
-        rows.append([center[0] + 0.05 * stream.gauss(), center[1] + 0.05 * stream.gauss()])
+        rows.append([center[0] + 0.05 * gauss(stream), center[1] + 0.05 * gauss(stream)])
     data = Dataset(np.clip(np.array(rows), 0, 1), np.arange(100) % 2)
     spec = ModelSpec("linear", 2, 2)
     opt = OptimizerConfig(kind="adam", local_epochs=50, batch_size=4)
@@ -316,7 +317,7 @@ def assert_same_outcome(got, want):
 
 
 def client_data(stream, spec, n, scale=1.0):
-    x = np.array([[stream.uniform() for _ in range(spec.input_dim)] for _ in range(n)])
+    x = np.array([[uniform(stream) for _ in range(spec.input_dim)] for _ in range(n)])
     x = x.reshape(n, spec.input_dim) * scale
     return Dataset(x, np.array([stream.rand_below(spec.num_classes) for _ in range(n)]))
 

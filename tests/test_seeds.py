@@ -1,3 +1,4 @@
+import math
 import random
 
 import numpy as np
@@ -10,6 +11,20 @@ from rfc_sim.seeds import (NORMALS_CHUNK, Sm64Stream, derive_seed, mix64, normal
 
 MASK64 = (1 << 64) - 1
 GOLDEN = 0x9E3779B97F4A7C15
+
+
+# Scalar references, one draw at a time; other test modules import them.
+
+def uniform(stream):
+    """Uniform double in [0, 1), 53 significant bits, from one word."""
+    return (stream.next_u64() >> 11) * 2.0**-53
+
+
+def gauss(stream):
+    """Standard normal via Box-Muller on two words: the reference for seeds.normals."""
+    u1 = ((stream.next_u64() >> 11) + 1) * 2.0**-53  # (0, 1]
+    u2 = (stream.next_u64() >> 11) * 2.0**-53
+    return math.sqrt(-2.0 * math.log(u1)) * math.cos(2.0 * math.pi * u2)
 
 
 def test_derive_seed_deterministic():
@@ -58,14 +73,14 @@ def test_tag64_distinct_for_distinct_tags():
 
 def test_stream_uniform_range():
     stream = Sm64Stream(7)
-    values = [stream.uniform() for _ in range(1000)]
+    values = [uniform(stream) for _ in range(1000)]
     assert all(0.0 <= v < 1.0 for v in values)
     assert len(set(values)) > 990
 
 
 def test_stream_gauss_mean_and_spread():
     stream = Sm64Stream(11)
-    values = [stream.gauss() for _ in range(4000)]
+    values = [gauss(stream) for _ in range(4000)]
     mean = sum(values) / len(values)
     var = sum((v - mean) ** 2 for v in values) / len(values)
     assert abs(mean) < 0.1
@@ -105,7 +120,7 @@ def test_sample_distinct_and_errors():
 
 def scalar_normals(seed, n):
     stream = Sm64Stream(seed)
-    return np.array([stream.gauss() for _ in range(n)], dtype=np.float64)
+    return np.array([gauss(stream) for _ in range(n)], dtype=np.float64)
 
 
 @pytest.mark.parametrize("seed", [0, MASK64, -1])

@@ -67,8 +67,10 @@ def _result_series(result: FederationResult) -> Dict[str, List[float]]:
 
 
 def write_outputs(result: FederationResult, rc: config_mod.RunConfig, out_dir: str) -> None:
-    """Write each enabled file as <name>.tmp, then rename all into place, config.txt last, so a
-    failed run leaves no config.txt; an OSError names the file and leaves no temporary."""
+    """Write each enabled file as <name>.tmp, then rename all into place, config.txt last.
+
+    An OSError names the file and removes the temporaries and the files this call already
+    renamed into place, so a failed call leaves none of its files in ``out_dir``."""
     os.makedirs(out_dir, exist_ok=True)
     outputs = (("records.csv", rc.export_records, lambda: records_csv_text(result)),
                ("chain.jsonl", rc.export_chain, lambda: chain_mod.export_lines(result.chain)),
@@ -76,16 +78,18 @@ def write_outputs(result: FederationResult, rc: config_mod.RunConfig, out_dir: s
                    _result_series(result), rc.federation.metric.direction)),
                ("config.txt", True, lambda: config_mod.render_config(rc)))
     enabled = [(os.path.join(out_dir, name), text) for name, on, text in outputs if on]
+    placed: List[str] = []
     try:
         for path, text in enabled:
             with open(path + ".tmp", "w", newline="\n") as fh:
                 fh.write(text())
         for path, _ in enabled:
             os.replace(path + ".tmp", path)
+            placed.append(path)
     except OSError as exc:
-        for target, _ in enabled:
+        for target in [target + ".tmp" for target, _ in enabled] + placed:
             with contextlib.suppress(OSError):
-                os.remove(target + ".tmp")
+                os.remove(target)
         raise OSError(f"{path}: {exc.strerror or exc}") from exc
 
 

@@ -65,15 +65,22 @@ class FederatedPartition:
     num_classes: int
 
 
+def check_synthetic(num_classes: int, height: int, width: int, per_class: int, noise_sigma: float,
+                    key: str = "") -> None:
+    """Raise ValueError unless ``gen_synthetic`` takes these arguments; messages name each as key + name."""
+    if height * width < num_classes:
+        raise ValueError(f"{key}height x {key}width grid {height}x{width} has fewer cells than "
+                         f"{key}num_classes = {num_classes}")
+    if per_class < 1:
+        raise ValueError(f"{key}per_class must be >= 1, got {per_class}")
+    if not 0 <= noise_sigma < float("inf"):
+        raise ValueError(f"{key}noise_sigma must be finite and >= 0, got {noise_sigma!r}")
+
+
 def gen_synthetic(num_classes: int, height: int, width: int, per_class: int,
                   noise_sigma: float, seed: int) -> Dataset:
     """per_class examples of each class in class order, deterministic in seed."""
-    if height * width < num_classes:
-        raise ValueError(f"grid {height}x{width} too small for {num_classes} class templates")
-    if per_class < 1:
-        raise ValueError(f"per_class must be >= 1, got {per_class}")
-    if not 0 <= noise_sigma < float("inf"):
-        raise ValueError(f"noise_sigma must be finite and >= 0, got {noise_sigma}")
+    check_synthetic(num_classes, height, width, per_class, noise_sigma)
     y = np.repeat(np.arange(num_classes, dtype=np.int64), per_class)
     x = np.zeros((y.shape[0], height * width), dtype=np.float64)
     x[np.arange(y.shape[0]), y] = TEMPLATE_BRIGHT

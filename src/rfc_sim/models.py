@@ -15,13 +15,18 @@ axis: parameters ``[C, P]``, batches ``[C, b, input_dim]``. Clients with equal
 row counts share a stack, split so that a stack's ``[C, P]`` block stays within
 ``STACK_BYTES``. Every client row gets exactly the bits it would get trained
 alone, and ``train_local`` is the one-client call.
+
+A stack allocates its arrays once and a step allocates nothing of parameter
+size: six ``[C, P]`` arrays (``p``, Adam's ``m`` and ``v``, the gradient and
+two scratch arrays) sit beside the clients' stacked rows and one epoch's
+gather of them, of which each batch is a slice.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -30,9 +35,10 @@ from .seeds import mix64, shuffle_orders, stream_words
 
 MODEL_KINDS = ("linear", "mlp")
 OPTIMIZER_KINDS = ("sgd", "adam")
-# Byte budget of one training stack's parameters (each Adam moment takes as
-# much again): 168 clients of the 195-parameter desk linear model, or one
-# client of a 17,411-parameter MLP, for which wider stacks only raise peak RSS.
+# Byte budget of one training stack's parameters. p, m, v, the gradient and the
+# two scratch arrays take as much each, beside the stacked rows and one epoch's
+# gather: 168 clients of the 195-parameter desk linear model, or one client of
+# a 17,411-parameter MLP, for which wider stacks only raise peak RSS.
 STACK_BYTES = 256 * 1024
 
 
@@ -124,67 +130,76 @@ def _log_softmax(logits: np.ndarray) -> np.ndarray:
     return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
 
 
-def _forward(spec: ModelSpec, p: np.ndarray, x: np.ndarray):
-    """Logits of the rows ``x``, plus the MLP activations the backward pass reuses.
-
-    ``p`` is ``[..., P]`` and ``x`` is ``[..., n, input_dim]`` with the same
-    leading (client) axes; each client's slice is computed as it would be alone.
-    """
-    if not np.all(np.isfinite(p)):
+def _check(spec: ModelSpec, p: np.ndarray, x: np.ndarray) -> None:
+    """The ValueErrors of a forward pass of the rows ``x`` under ``p``."""
+    if not np.isfinite(p).all():
         raise ValueError("non-finite model parameters")
     if x.shape[-2] == 0:
         raise ValueError("empty batch")
     if x.shape[-1] != spec.input_dim:
         raise ValueError(f"feature dim {x.shape[-1]} does not match spec input_dim {spec.input_dim}")
+
+
+def _forward(spec: ModelSpec, w: list, x: np.ndarray):
+    """Logits of the rows ``x`` under the ``_unpack`` views ``w``, plus the MLP activations.
+
+    ``w``'s blocks and ``x`` (``[..., n, input_dim]``) share leading (client)
+    axes; each client's slice is computed as it would be alone.
+    """
     if spec.kind == "linear":
-        w, b = _unpack(spec, p)
-        return x @ w + b, None
-    w1, b1, w2, b2 = _unpack(spec, p)
+        weight, bias = w
+        return x @ weight + bias, None
+    w1, b1, w2, b2 = w
     pre = x @ w1 + b1
     hidden = np.maximum(pre, 0.0)
-    return hidden @ w2 + b2, (w2, pre, hidden)
+    return hidden @ w2 + b2, (pre, hidden)
 
 
-def _loss_grad(spec: ModelSpec, p: np.ndarray, x: np.ndarray, y: np.ndarray, need_grad: bool):
-    """Per-client mean cross-entropy, its gradient and argmax hits, over ``p``'s leading axes."""
-    n = x.shape[-2]
-    # overflow surfaces as a non-finite loss, which callers treat as divergence
-    with np.errstate(over="ignore", invalid="ignore"):
-        logits, acts = _forward(spec, p, x)
-        logp = _log_softmax(logits)
-        # (example, label) pairs of the flattened leading axes
-        at = np.arange(y.size), y.reshape(-1)
-        loss = -logp.reshape(-1, spec.num_classes)[at].reshape(y.shape).mean(axis=-1)
-    correct = (logits.argmax(axis=-1) == y).sum(axis=-1)
-    if not need_grad:
-        return loss, None, correct
+def _loss_grad(spec: ModelSpec, w: list, x: np.ndarray, y: np.ndarray, g: Optional[list] = None):
+    """Per-client mean cross-entropy and logits; with ``g``, the gradient, written into those views.
+
+    The forward and backward pass of training, ``evaluate`` and ``forward_loss_grad``. Callers hold
+    ``np.errstate(over="ignore", invalid="ignore")``: overflow surfaces as a non-finite loss.
+    """
+    logits, acts = _forward(spec, w, x)
+    logp = _log_softmax(logits)
+    # (example, label) pairs of the flattened leading axes
+    at = np.arange(y.size), y.reshape(-1)
+    # -mean, computed as ndarray.mean does but without its Python-level overhead
+    loss = -(np.add.reduce(logp.reshape(-1, spec.num_classes)[at].reshape(y.shape), axis=-1) / y.shape[-1])
+    if g is None:
+        return loss, logits
     dlogits = np.exp(logp)
     dlogits.reshape(-1, spec.num_classes)[at] -= 1.0
-    dlogits /= n
-    grad = np.empty_like(p)
+    dlogits /= x.shape[-2]
     if spec.kind == "linear":
-        grad_w, grad_b = _unpack(spec, grad)
-        grad_w[...] = np.swapaxes(x, -1, -2) @ dlogits
+        grad_w, grad_b = g
+        np.matmul(np.swapaxes(x, -1, -2), dlogits, out=grad_w)
     else:
-        w2, pre, hidden = acts
-        dpre = (dlogits @ np.swapaxes(w2, -1, -2)) * (pre > 0.0)
-        grad_w1, grad_b1, grad_w, grad_b = _unpack(spec, grad)
-        grad_w1[...] = np.swapaxes(x, -1, -2) @ dpre
-        grad_b1[...] = dpre.sum(axis=-2, keepdims=True)
-        grad_w[...] = np.swapaxes(hidden, -1, -2) @ dlogits
-    grad_b[...] = dlogits.sum(axis=-2, keepdims=True)
-    return loss, grad, correct
+        pre, hidden = acts
+        grad_w1, grad_b1, grad_w, grad_b = g
+        dpre = dlogits @ np.swapaxes(w[2], -1, -2)
+        dpre *= pre > 0.0
+        np.matmul(np.swapaxes(x, -1, -2), dpre, out=grad_w1)
+        np.add.reduce(dpre, axis=-2, keepdims=True, out=grad_b1)
+        np.matmul(np.swapaxes(hidden, -1, -2), dlogits, out=grad_w)
+    np.add.reduce(dlogits, axis=-2, keepdims=True, out=grad_b)
+    return loss, logits
 
 
 def forward_loss_grad(spec: ModelSpec, p: np.ndarray, batch: Dataset) -> Tuple[float, np.ndarray, int]:
     """Mean cross-entropy, its gradient, and the argmax hit count on one batch."""
-    loss, grad, correct = _loss_grad(spec, p, batch.x, batch.y, need_grad=True)
-    return float(loss), grad, int(correct)
+    _check(spec, p, batch.x)
+    grad = np.empty_like(p)
+    with np.errstate(over="ignore", invalid="ignore"):
+        loss, logits = _loss_grad(spec, _unpack(spec, p), batch.x, batch.y, _unpack(spec, grad))
+    return float(loss), grad, int((logits.argmax(axis=-1) == batch.y).sum())
 
 
 def log_probs(spec: ModelSpec, p: np.ndarray, data: Dataset) -> np.ndarray:
     """Per-example log class probabilities, shape (len(data), num_classes)."""
-    return _log_softmax(_forward(spec, p, data.x)[0])
+    _check(spec, p, data.x)
+    return _log_softmax(_forward(spec, _unpack(spec, p), data.x)[0])
 
 
 def predict_labels(spec: ModelSpec, p: np.ndarray, data: Dataset) -> np.ndarray:
@@ -193,8 +208,10 @@ def predict_labels(spec: ModelSpec, p: np.ndarray, data: Dataset) -> np.ndarray:
 
 def evaluate(spec: ModelSpec, p: np.ndarray, data: Dataset) -> Tuple[float, float]:
     """(mean cross-entropy, accuracy) over a nonempty dataset."""
-    loss, _, correct = _loss_grad(spec, p, data.x, data.y, need_grad=False)
-    return float(loss), int(correct) / len(data)
+    _check(spec, p, data.x)
+    with np.errstate(over="ignore", invalid="ignore"):
+        loss, logits = _loss_grad(spec, _unpack(spec, p), data.x, data.y)
+    return float(loss), int((logits.argmax(axis=-1) == data.y).sum()) / len(data)
 
 
 def train_local(spec: ModelSpec, start: np.ndarray, data: Dataset, opt: OptimizerConfig, seed: int) -> np.ndarray:
@@ -236,41 +253,65 @@ def _train_stack(spec: ModelSpec, start: np.ndarray, datasets: Sequence[Dataset]
     """Train equal-length clients with per-epoch ``orders`` ``[C, E, n]`` as one stack.
 
     Each row takes every step as the one-client loop would, with the same
-    operations in the same order; Adam's moments are updated in place. A row
+    operations in the same order, in buffers allocated once per stack. A row
     whose loss or parameters turn non-finite leaves with its DivergenceError.
     """
     x = np.stack([data.x for data in datasets])
     y = np.stack([data.y for data in datasets])
-    out: list = [None] * x.shape[0]
-    live = np.arange(x.shape[0])
-    p = np.tile(np.asarray(start, dtype=np.float64), (x.shape[0], 1))
-    m, v = np.zeros_like(p), np.zeros_like(p)
-    b1, b2 = opt.adam_beta1, opt.adam_beta2
+    width, n = y.shape
+    out: list = [None] * width
+    if n:  # the first step's forward checks; every later step keeps its rows finite
+        _check(spec, start, x)
+    live = np.arange(width)
+    # orders as rows of x and y flattened over clients; each epoch's rows are gathered into xe, ye
+    orders = orders + n * live[:, None, None]
+    x, y = x.reshape(-1, x.shape[2]), y.reshape(-1)
+    xe, ye = np.empty((width, n, x.shape[1])), np.empty((width, n), dtype=y.dtype)
+    # every [C, P] array a step uses; p comes last, above them on the heap, so that freeing
+    # them does not hand back pages that the next stack would fault in again
+    m, v = np.zeros((2, width, param_count(spec)))
+    grad, s1, s2 = np.empty((3, width, param_count(spec)))
+    p = np.tile(np.asarray(start, dtype=np.float64), (width, 1))
+    w, g = _unpack(spec, p), _unpack(spec, grad)
+    lr, b1, b2 = opt.learning_rate, opt.adam_beta1, opt.adam_beta2
     t = 0
-    for epoch in range(opt.local_epochs):
-        for lo in range(0, x.shape[1], opt.batch_size):
-            rows = orders[live, epoch, lo : lo + opt.batch_size]
-            loss, grad, _ = _loss_grad(spec, p, x[live[:, None], rows], y[live[:, None], rows], need_grad=True)
-            t += 1
-            # a row with a non-finite loss steps too, but is dropped below before it is read
-            with np.errstate(over="ignore", invalid="ignore"):
+    # a row with a non-finite loss or overflowing step steps too, but is dropped before it is read
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(opt.local_epochs):
+            rows = orders[live, epoch]
+            np.take(x, rows, axis=0, out=xe, mode="clip")
+            np.take(y, rows, out=ye, mode="clip")
+            for lo in range(0, n, opt.batch_size):
+                hi = lo + opt.batch_size
+                loss, _ = _loss_grad(spec, w, xe[:, lo:hi], ye[:, lo:hi], g)
+                t += 1
                 if opt.kind == "sgd":
-                    p -= opt.learning_rate * grad
-                else:
+                    np.multiply(grad, lr, out=s1)
+                else:  # lr (m / c1) / (sqrt(v / c2) + eps), rounded op by op as the one-client update
                     m *= b1
-                    m += (1.0 - b1) * grad
+                    m += np.multiply(grad, 1.0 - b1, out=s1)
                     v *= b2
-                    v += (1.0 - b2) * grad * grad
-                    p -= opt.learning_rate * (m / (1.0 - b1**t)) / (np.sqrt(v / (1.0 - b2**t)) + opt.adam_epsilon)
-            bad_loss = ~np.isfinite(loss)
-            bad = bad_loss | ~np.isfinite(p).all(axis=1)
-            if bad.any():
+                    np.multiply(grad, 1.0 - b2, out=s2)
+                    s2 *= grad
+                    v += s2
+                    np.divide(m, 1.0 - b1**t, out=s1)
+                    s1 *= lr
+                    np.divide(v, 1.0 - b2**t, out=s2)
+                    np.sqrt(s2, out=s2)
+                    s2 += opt.adam_epsilon
+                    s1 /= s2
+                p -= s1
+                if np.isfinite(loss).all() and np.isfinite(p).all():
+                    continue
+                bad_loss = ~np.isfinite(loss)
+                bad = bad_loss | ~np.isfinite(p).all(axis=1)
                 for r, lossy in zip(live[bad].tolist(), bad_loss[bad].tolist()):
                     what = "non-finite loss" if lossy else "parameters overflowed"
                     out[r] = DivergenceError(f"{what} at epoch {epoch}, batch offset {lo}")
-                live, p, m, v = (a[~bad] for a in (live, p, m, v))
+                live, p, m, v, grad, s1, s2, xe, ye = (a[~bad] for a in (live, p, m, v, grad, s1, s2, xe, ye))
                 if live.size == 0:
                     return out
+                w, g = _unpack(spec, p), _unpack(spec, grad)
     for r, row in zip(live.tolist(), p):
         out[r] = row
     return out

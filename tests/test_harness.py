@@ -428,9 +428,8 @@ def test_cli_run_unwritable_output_exits_1(tmp_path, capsys, name):
     err = captured.err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("output error: ") and str(out / name) in err[0]
     assert "completed" not in captured.out
-    # config.txt is renamed into place last, and the temporaries are removed
-    assert not (out / "config.txt").is_file()
-    assert {p.name for p in out.iterdir()} <= {"config.txt", "records.csv", "chain.jsonl", "summary.csv"}
+    # the temporaries and the exports already renamed into place are removed
+    assert [p.name for p in out.iterdir()] == [name]
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs a /dev/full device")

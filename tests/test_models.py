@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -348,17 +349,53 @@ def test_train_clients_equals_per_client_reference(kind, dims, opt_kind, lr, epo
         assert_same_outcome(outcome(models.train_local, spec, start, data, opt, s), g)
 
 
-def test_diverged_client_leaves_stack_and_others_step():
+def with_infinite_row(data, row):
+    x = data.x.copy()
+    x[row] = np.inf
+    return Dataset(x, data.y)
+
+
+# (diverging client, its infinite row or None for all rows, its DivergenceError)
+@pytest.mark.parametrize("bad,row,message", [
+    (1, None, "non-finite loss at epoch 0, batch offset 0"),
+    # epoch 0 visits client 1's rows (seed 6) as 1 4 2 | 6 5 3 | 0: it leaves mid-epoch
+    (1, 6, "non-finite loss at epoch 0, batch offset 3"),
+    # and client 0's (seed 5) as 6 0 5 | 3 1 4 | 2: it leaves at the last batch, before epoch 1
+    (0, 2, "non-finite loss at epoch 0, batch offset 6"),
+], ids=["whole_client", "middle_row_mid_epoch", "first_row_last_batch"])
+def test_diverged_client_leaves_stack_and_others_step(bad, row, message):
     spec = ModelSpec("mlp", 3, 2, hidden_dim=4)
     opt = OptimizerConfig(kind="adam", learning_rate=0.05, local_epochs=2, batch_size=3)
     stream = Sm64Stream(11)
-    # infinite features make the middle client's first loss NaN
-    datasets = [client_data(stream, spec, 7, scale) for scale in (1.0, np.inf, 1.0)]
+    # infinite features make the client's loss NaN at the first batch that holds them
+    datasets = [client_data(stream, spec, 7, np.inf if k == bad and row is None else 1.0) for k in range(3)]
+    if row is not None:
+        datasets[bad] = with_infinite_row(datasets[bad], row)
     start = models.init_params(spec, 2)
     got = models.train_clients(spec, start, datasets, opt, [5, 6, 7])
-    assert str(got[1]) == "non-finite loss at epoch 0, batch offset 0"
-    for k in (0, 2):
+    assert str(got[bad]) == message
+    assert_same_outcome(got[bad], outcome(reference_train_local, spec, start, datasets[bad], opt, 5 + bad))
+    # the rows that stay take every later step in the stack's re-sliced buffers
+    for k in {0, 1, 2} - {bad}:
         assert_same_outcome(got[k], reference_train_local(spec, start, datasets[k], opt, 5 + k))
+
+
+@pytest.mark.parametrize("scales,opt", [
+    ((1.0, np.inf, 1.0), OptimizerConfig(kind="adam", learning_rate=0.05, local_epochs=2, batch_size=3)),
+    # every row leaves, so the stack returns from inside its loop
+    ((np.inf, np.inf, np.inf), OptimizerConfig(kind="adam", learning_rate=0.05, local_epochs=2, batch_size=3)),
+    ((1e200, 1e200), OptimizerConfig(kind="sgd", learning_rate=1e300, local_epochs=2, batch_size=3)),
+], ids=["one_leaves", "all_leave_non_finite_loss", "all_leave_overflow"])
+def test_divergence_is_silent_and_restores_error_state(scales, opt):
+    spec = ModelSpec("linear", 3, 2)
+    stream = Sm64Stream(12)
+    datasets = [client_data(stream, spec, 7, scale) for scale in scales]
+    before = np.geterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = models.train_clients(spec, models.init_params(spec, 2), datasets, opt, list(range(len(scales))))
+    assert np.geterr() == before
+    assert [isinstance(g, DivergenceError) for g in got] == [scale != 1.0 for scale in scales]
 
 
 def test_big_start_diverges_at_first_batch():

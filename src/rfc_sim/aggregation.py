@@ -1,5 +1,6 @@
 """The four aggregation rules: FedAvg, Krum, Multi-Krum (configured as bulyan)
-and a squared-distance medoid (geomed); see bulyan() and geomed().
+and a squared-distance medoid (geomed), each a selection of rows of a pool's
+``[n, P]`` update matrix that ``aggregate`` averages; see select().
 
 All selection rules break ties by lowest input index, and Krum scores sum
 squared distances over the n - f - 2 nearest other updates, selected from a
@@ -9,7 +10,7 @@ Gram matrix when certified exact, else per pair; see _certified_order().
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import List, Optional
 
 import numpy as np
 
@@ -42,12 +43,12 @@ def min_updates(cfg: AggregatorConfig) -> int:
     return 1
 
 
-def _sq_dist_matrix(updates: Sequence[np.ndarray]) -> np.ndarray:
-    n = len(updates)
+def _sq_dist_matrix(X: np.ndarray) -> np.ndarray:
+    n = len(X)
     d = np.zeros((n, n), dtype=np.float64)
     for i in range(n):
         for j in range(i + 1, n):
-            d[i, j] = d[j, i] = params.l2_dist_sq(updates[i], updates[j])
+            d[i, j] = d[j, i] = params.l2_dist_sq(X[i], X[j])
     return d
 
 
@@ -55,12 +56,12 @@ def _gamma(k: int) -> float:
     return k * 2.0**-53 / (1.0 - k * 2.0**-53)  # 2^-53: the unit roundoff of float64
 
 
-def _certified_order(updates: Sequence[np.ndarray], k: int, m: int) -> Optional[List[int]]:
+def _certified_order(X: np.ndarray, k: int, m: int) -> Optional[List[int]]:
     """Indices of the m lowest scores in stable score order, or None unless certified.
 
     Score i sums the k smallest squared distances from update i to the others
     (Krum: k = n - f - 2; medoid: k = n - 1), here from the Gram matrix
-    G = D D^T of d_i = u_i - u_0, built over GRAM_BLOCK-column blocks, as
+    G = D D^T of d_i = u_i - u_0 (rows of X), built over GRAM_BLOCK-column blocks, as
     g_ij = (G_ii + G_jj) - 2 G_ij. With r_i = sqrt(G_ii) and the gamma_k of
     Higham (2002, ch. 3), |g_ij - params.l2_dist_sq(u_i, u_j)| is at most
     E_ij = 3 gamma_{P+4} (r_i + r_j)^2 + 16 P 2^-1074: gamma_P for the Gram sums
@@ -72,15 +73,14 @@ def _certified_order(updates: Sequence[np.ndarray], k: int, m: int) -> Optional[
     strictly below the next chosen one and every unchosen one, so ties,
     near-ties and non-finite input (NaN bounds compare False) return None.
     """
-    n, c, p = len(updates), updates[0], updates[0].shape[0]
-    if k < 1 or any(u.shape != c.shape for u in updates):
-        return None  # the exact path raises for too few updates or mismatched dimensions
+    n, p = X.shape
+    if k < 1:
+        return None  # the exact path raises for too few updates
     gram, buf = np.zeros((n, n)), np.empty((n, min(p, GRAM_BLOCK)))
     with np.errstate(over="ignore", invalid="ignore"):
         for lo in range(0, p, GRAM_BLOCK):
             block = buf[:, : min(GRAM_BLOCK, p - lo)]
-            for row, u in zip(block, updates):
-                np.subtract(u[lo : lo + GRAM_BLOCK], c[lo : lo + GRAM_BLOCK], out=row)
+            np.subtract(X[:, lo : lo + GRAM_BLOCK], X[0, lo : lo + GRAM_BLOCK], out=block)
             gram += block @ block.T
         sq = np.diag(gram)
         dist = (sq[:, None] + sq[None, :]) - 2.0 * gram
@@ -96,62 +96,47 @@ def _certified_order(updates: Sequence[np.ndarray], k: int, m: int) -> Optional[
     return order[:m].tolist() if certified else None
 
 
-def fedavg(updates: Sequence[np.ndarray]) -> np.ndarray:
-    return params.mean(updates)
-
-
-def krum_scores(updates: Sequence[np.ndarray], f: int) -> List[float]:
-    """Score s(i) = sum of squared distances to the n - f - 2 nearest others; the exact path."""
-    n = len(updates)
+def krum_scores(X: np.ndarray, f: int) -> List[float]:
+    """Score s(i) = sum of squared distances from row i to the n - f - 2 nearest others; the exact path."""
+    n = len(X)
     if n < f + 3:
         raise ValueError(f"krum needs at least f + 3 = {f + 3} updates, got {n}")
-    dist = _sq_dist_matrix(updates)
-    n_neighbors = n - f - 2
-    scores = []
-    for i in range(n):
-        others = np.delete(dist[i], i)
-        others.sort()
-        scores.append(float(others[:n_neighbors].sum()))
-    return scores
+    dist = _sq_dist_matrix(X)
+    return [float(np.sort(np.delete(dist[i], i))[: n - f - 2].sum()) for i in range(n)]
 
 
-def krum(updates: Sequence[np.ndarray], f: int) -> np.ndarray:
-    best = _certified_order(updates, len(updates) - f - 2, 1)
-    return updates[best[0] if best is not None else int(np.argmin(krum_scores(updates, f)))]
+def select(cfg: AggregatorConfig, X: np.ndarray) -> List[int]:
+    """The rows of the ``[n, P]`` update matrix ``X`` that ``cfg.rule`` keeps, in averaging order.
 
-
-def bulyan(updates: Sequence[np.ndarray], f: int, m: int) -> np.ndarray:
-    """Multi-Krum (Blanchard et al., NeurIPS 2017): mean of the m lowest-Krum-score updates.
-
-    Not the Bulyan of El Mhamdi et al. (ICML 2018), which follows Krum
-    selection with a coordinate-wise trimmed mean.
+    * fedavg keeps every row.
+    * bulyan keeps the ``bulyan_m`` rows of lowest Krum score in stable score
+      order: Multi-Krum (Blanchard et al., NeurIPS 2017), not the Bulyan of El
+      Mhamdi et al. (ICML 2018), which trims coordinate-wise after Krum. A NaN
+      score ranks last. krum is Multi-Krum with m = 1.
+    * geomed keeps the row minimizing the summed *squared* distance to all
+      others, not RFA's geometric median (Pillutla et al.; Weiszfeld
+      iterations), which minimizes the summed distance and need not be a row.
     """
-    n = len(updates)
+    n = len(X)
+    if n == 0:
+        raise ValueError(f"{cfg.rule}: empty update matrix")
+    if cfg.rule == "fedavg":
+        return list(range(n))
+    if cfg.rule == "geomed":
+        return _certified_order(X, n - 1, 1) or [int(np.argmin(_sq_dist_matrix(X).sum(axis=1)))]
+    m = cfg.bulyan_m if cfg.rule == "bulyan" else 1
     if m > n:
         raise ValueError(f"bulyan: m={m} exceeds n={n}")
-    chosen = _certified_order(updates, n - f - 2, m)
-    if chosen is None:
-        chosen = np.argsort(krum_scores(updates, f), kind="stable")[:m].tolist()
-    return params.mean([updates[i] for i in chosen])
+    chosen = _certified_order(X, n - cfg.krum_f - 2, m)
+    return chosen or np.argsort(krum_scores(X, cfg.krum_f), kind="stable")[:m].tolist()
 
 
-def geomed(updates: Sequence[np.ndarray]) -> np.ndarray:
-    """The input update minimizing the summed *squared* distance to all others.
+def aggregate(cfg: AggregatorConfig, X: np.ndarray) -> np.ndarray:
+    """Mean of the rows of ``X`` that ``select`` keeps, summed as a left fold in their order.
 
-    Not RFA's geometric median (Pillutla et al.; Weiszfeld iterations), which
-    minimizes the summed distance and need not be one of the inputs.
+    ``np.add.reduce`` along axis 0 of a C-contiguous ``[k, P]`` array adds
+    row after row, a left fold, when P >= 2 (every ModelSpec has P >= 4); for
+    P = 1 it sums pairwise. One kept row comes back bit for bit.
     """
-    if len(updates) == 0:
-        raise ValueError("geomed: empty update list")
-    best = _certified_order(updates, len(updates) - 1, 1)
-    return updates[best[0] if best is not None else int(np.argmin(_sq_dist_matrix(updates).sum(axis=1)))]
-
-
-def aggregate(cfg: AggregatorConfig, updates: Sequence[np.ndarray]) -> np.ndarray:
-    if cfg.rule == "fedavg":
-        return fedavg(updates)
-    if cfg.rule == "krum":
-        return krum(updates, cfg.krum_f)
-    if cfg.rule == "bulyan":
-        return bulyan(updates, cfg.krum_f, cfg.bulyan_m)
-    return geomed(updates)
+    kept = select(cfg, X)
+    return np.add.reduce(X if cfg.rule == "fedavg" else X[kept], axis=0) / len(kept)

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import re
 import struct
 from dataclasses import dataclass, fields, replace
 from typing import Optional, Tuple
@@ -157,13 +158,13 @@ def export_lines(chain: Chain) -> str:
 
 
 # Export field -> the JSON type export_lines writes for it and, for an integer,
-# the range of its packed field. Nothing else loads, so no edited value can be
-# coerced back to the one that was hashed.
+# the range of its packed field; a digest is 64 lowercase hex digits. Nothing
+# else loads, so no edited value can be coerced back to the one that was hashed.
 _FIELDS = {**dict.fromkeys(("index", "timestamp", "round", "nonce"), (int, 0, (1 << 64) - 1)),
            "winning_pool_id": (int, -(1 << 63), (1 << 63) - 1),
            "difficulty": (int, 0, MAX_DIFFICULTY), "metric_value": (float,),
-           **dict.fromkeys(("metric_name", "aggregator_rule", "payload_digest", "prev_hash", "hash"),
-                           (str,))}
+           **dict.fromkeys(("metric_name", "aggregator_rule"), (str,)),
+           **dict.fromkeys(("payload_digest", "prev_hash", "hash"), (str, re.compile("[0-9a-f]{64}")))}
 
 
 def load_lines(text: str) -> Chain:
@@ -178,10 +179,12 @@ def load_lines(text: str) -> Chain:
                 value = rec[key]
                 if type(value) is not kind:  # exact, so a bool is no int
                     raise ValueError(f"{key} must be a JSON {kind.__name__}, got {value!r}")
-                if bounds and not bounds[0] <= value <= bounds[1]:
-                    raise ValueError(f"{key} {value} outside [{bounds[0]}, {bounds[1]}]")
                 if kind is str:
                     value.encode("utf-8")  # a lone surrogate would fail when hashed
+                    if bounds and not bounds[0].fullmatch(value):
+                        raise ValueError(f"{key} must be 64 lowercase hex digits, got {value[:80]!r}")
+                elif bounds and not bounds[0] <= value <= bounds[1]:
+                    raise ValueError(f"{key} {value} outside [{bounds[0]}, {bounds[1]}]")
             meta = RoundMeta(**{f.name: rec[f.name] for f in fields(RoundMeta)})
             block = Block(index=rec["index"], timestamp=rec["timestamp"],
                           payload_digest=bytes.fromhex(rec["payload_digest"]), meta=meta,

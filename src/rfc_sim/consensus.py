@@ -181,24 +181,25 @@ def _play_round(cfg: FederationConfig, partition: FederatedPartition,
         for cid in sampled:
             datasets.append(_client_data(cfg, partition, cid, cid in adversarial, round_idx, pool_id))
             seeds.append(derive_seed(cfg.master_seed, round_idx, pool_id, cid, "shuffle"))
-    trained = models.train_clients(cfg.model, global_model, datasets, cfg.optimizer, seeds)
-    candidates = []
+    trained, diverged = models.train_clients(cfg.model, global_model, datasets, cfg.optimizer, seeds)
+    candidates, lo = [], 0
     for pool_id, sampled in samples:
-        # slice each pool's share off, so no list keeps a boosted update's original alive
-        updates, trained = trained[: len(sampled)], trained[len(sampled) :]
-        candidates.append(_pool_candidate(cfg, partition, pool_id, sampled, updates, adversarial,
-                                          global_model, round_idx))
+        errors = [(cid, diverged[i]) for i, cid in enumerate(sampled, lo) if i in diverged]
+        candidates.append(_pool_candidate(cfg, partition, pool_id, sampled, trained[lo : lo + len(sampled)],
+                                          errors, adversarial, global_model, round_idx))
+        lo += len(sampled)
     return tuple(candidates)
 
 
 def _pool_candidate(cfg: FederationConfig, partition: FederatedPartition, pool_id: int,
-                    sampled: Sequence[int], updates: list, adversarial: frozenset,
+                    sampled: Sequence[int], updates: np.ndarray,
+                    errors: List[Tuple[int, models.DivergenceError]], adversarial: frozenset,
                     global_model: np.ndarray, round_idx: int) -> PoolCandidate:
-    """Boost (in place), aggregate and score one pool's trained updates, in sample order."""
-    for cid, update in zip(sampled, updates):
-        if isinstance(update, models.DivergenceError):
-            return PoolCandidate(pool_id, None, float("nan"), tuple(sampled), True,
-                                 f"client {cid} diverged in round {round_idx}: {update}")
+    """Boost (rows in place), aggregate and score one pool's ``[n, P]`` updates, or name a diverged client."""
+    if errors:
+        cid, exc = errors[0]
+        return PoolCandidate(pool_id, None, float("nan"), tuple(sampled), True,
+                             f"client {cid} diverged in round {round_idx}: {exc}")
     adv_positions = [pos for pos, cid in enumerate(sampled) if cid in adversarial]
 
     adv = cfg.adversary

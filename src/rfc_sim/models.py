@@ -13,8 +13,8 @@ at zero. Local training shuffles with Fisher-Yates, reseeded per epoch as
 ``train_clients`` trains many clients from one start as stacks on a client
 axis: parameters ``[C, P]``, batches ``[C, b, input_dim]``. Clients with equal
 row counts share a stack, split so that a stack's ``[C, P]`` block stays within
-``STACK_BYTES``. Every client row gets exactly the bits it would get trained
-alone, and ``train_local`` is the one-client call.
+``STACK_BYTES``, and write their rows into one ``[N, P]`` matrix. Every row gets
+exactly the bits it would get trained alone; ``train_local`` trains one client.
 
 A stack allocates its arrays once and a step allocates nothing of parameter
 size: six ``[C, P]`` arrays (``p``, Adam's ``m`` and ``v``, the gradient and
@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -219,47 +219,47 @@ def train_local(spec: ModelSpec, start: np.ndarray, data: Dataset, opt: Optimize
 
     The one-client call of ``train_clients``; raises the client's DivergenceError.
     """
-    (out,) = train_clients(spec, start, [data], opt, [seed])
-    if isinstance(out, DivergenceError):
-        raise out
-    return out
+    trained, diverged = train_clients(spec, start, [data], opt, [seed])
+    if diverged:
+        raise diverged[0]
+    return trained[0]
 
 
-def train_clients(spec: ModelSpec, start: np.ndarray, datasets: Sequence[Dataset],
-                  opt: OptimizerConfig, seeds: Sequence[int]) -> List[Union[np.ndarray, DivergenceError]]:
+def train_clients(spec: ModelSpec, start: np.ndarray, datasets: Sequence[Dataset], opt: OptimizerConfig,
+                  seeds: Sequence[int]) -> Tuple[np.ndarray, Dict[int, DivergenceError]]:
     """Train one client per (dataset, seed) from the shared ``start``.
 
-    Returns, in input order, each client's parameters or the DivergenceError
-    that stopped it. Clients with equal row counts train as one stack.
+    Returns the C-contiguous ``[N, P]`` matrix of the clients' parameters in
+    input order, and each diverged client's DivergenceError by row index (its
+    row is NaN). Clients with equal row counts train as one stack.
     """
     width = max(1, STACK_BYTES // (8 * param_count(spec)))
     by_length: Dict[int, List[int]] = {}
     for i, data in enumerate(datasets):
         by_length.setdefault(len(data), []).append(i)
-    out: list = [None] * len(datasets)
+    trained, diverged = np.empty((len(datasets), param_count(spec))), {}
     for n, members in by_length.items():
         orders = shuffle_orders([mix64(seeds[i], e) for i in members for e in range(opt.local_epochs)], n)
         orders = orders.reshape(len(members), opt.local_epochs, n)
         for lo in range(0, len(members), width):
             stack = members[lo : lo + width]
-            trained = _train_stack(spec, start, [datasets[i] for i in stack], orders[lo : lo + width], opt)
-            for i, result in zip(stack, trained):
-                out[i] = result
-    return out
+            diverged.update(_train_stack(spec, start, [datasets[i] for i in stack], orders[lo : lo + width],
+                                         opt, trained, stack))
+    return trained, diverged
 
 
 def _train_stack(spec: ModelSpec, start: np.ndarray, datasets: Sequence[Dataset], orders: np.ndarray,
-                 opt: OptimizerConfig) -> list:
-    """Train equal-length clients with per-epoch ``orders`` ``[C, E, n]`` as one stack.
+                 opt: OptimizerConfig, trained: np.ndarray, dest: List[int]) -> Dict[int, DivergenceError]:
+    """Train equal-length clients with per-epoch ``orders`` ``[C, E, n]`` as one stack into ``trained[dest]``.
 
     Each row takes every step as the one-client loop would, with the same
-    operations in the same order, in buffers allocated once per stack. A row
-    whose loss or parameters turn non-finite leaves with its DivergenceError.
+    operations in the same order, in buffers allocated once per stack. A row whose
+    loss or parameters turn non-finite leaves as NaN; returns its DivergenceError by row of ``trained``.
     """
     x = np.stack([data.x for data in datasets])
     y = np.stack([data.y for data in datasets])
     width, n = y.shape
-    out: list = [None] * width
+    diverged = {}
     if n:  # the first step's forward checks; every later step keeps its rows finite
         _check(spec, start, x)
     live = np.arange(width)
@@ -267,8 +267,7 @@ def _train_stack(spec: ModelSpec, start: np.ndarray, datasets: Sequence[Dataset]
     orders = orders + n * live[:, None, None]
     x, y = x.reshape(-1, x.shape[2]), y.reshape(-1)
     xe, ye = np.empty((width, n, x.shape[1])), np.empty((width, n), dtype=y.dtype)
-    # every [C, P] array a step uses; p comes last, above them on the heap, so that freeing
-    # them does not hand back pages that the next stack would fault in again
+    # every [C, P] array a step uses, allocated once; the stack ends by copying p's live rows into trained
     m, v = np.zeros((2, width, param_count(spec)))
     grad, s1, s2 = np.empty((3, width, param_count(spec)))
     p = np.tile(np.asarray(start, dtype=np.float64), (width, 1))
@@ -307,11 +306,11 @@ def _train_stack(spec: ModelSpec, start: np.ndarray, datasets: Sequence[Dataset]
                 bad = bad_loss | ~np.isfinite(p).all(axis=1)
                 for r, lossy in zip(live[bad].tolist(), bad_loss[bad].tolist()):
                     what = "non-finite loss" if lossy else "parameters overflowed"
-                    out[r] = DivergenceError(f"{what} at epoch {epoch}, batch offset {lo}")
+                    diverged[dest[r]] = DivergenceError(f"{what} at epoch {epoch}, batch offset {lo}")
+                    trained[dest[r]] = np.nan
                 live, p, m, v, grad, s1, s2, xe, ye = (a[~bad] for a in (live, p, m, v, grad, s1, s2, xe, ye))
                 if live.size == 0:
-                    return out
+                    return diverged
                 w, g = _unpack(spec, p), _unpack(spec, grad)
-    for r, row in zip(live.tolist(), p):
-        out[r] = row
-    return out
+    trained[np.take(dest, live)] = p
+    return diverged

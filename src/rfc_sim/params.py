@@ -1,8 +1,7 @@
-"""Flat parameter-vector arithmetic shared by models, attacks and aggregators.
+"""Flat parameter vectors: their squared distance, wire format and digest.
 
 A parameter vector is a 1-D float64 numpy array; its length is fixed for the
-lifetime of a federation run. Summations are sequential left folds in input
-order so results are bit-identical across runs.
+lifetime of a federation run.
 
 Wire format (used for hashing and chain export): a little-endian uint64
 element count followed by the elements as little-endian IEEE-754 doubles.
@@ -12,32 +11,15 @@ from __future__ import annotations
 
 import hashlib
 import struct
-from typing import Sequence
 
 import numpy as np
 
 
-def _check_dims(a: np.ndarray, b: np.ndarray, op: str) -> None:
-    if a.shape[0] != b.shape[0]:
-        raise ValueError(f"{op}: dimension mismatch ({a.shape[0]} vs {b.shape[0]})")
-
-
 def l2_dist_sq(a: np.ndarray, b: np.ndarray) -> float:
-    _check_dims(a, b, "l2_dist_sq")
+    if a.shape[0] != b.shape[0]:
+        raise ValueError(f"l2_dist_sq: dimension mismatch ({a.shape[0]} vs {b.shape[0]})")
     d = a - b
     return float(np.dot(d, d))
-
-
-def mean(vs: Sequence[np.ndarray]) -> np.ndarray:
-    """Elementwise mean, accumulated as a left fold in input order."""
-    if len(vs) == 0:
-        raise ValueError("mean of empty update list")
-    acc = np.array(vs[0], dtype=np.float64, copy=True)
-    for v in vs[1:]:
-        _check_dims(acc, v, "mean")
-        np.add(acc, v, out=acc)
-    acc /= len(vs)
-    return acc
 
 
 def to_bytes(v: np.ndarray) -> bytes:

@@ -18,6 +18,7 @@ import numpy as np
 import pytest
 
 from rfc_sim import aggregation, attacks, chain as chain_mod, consensus, metrics, models
+from rfc_sim.aggregation import AggregatorConfig
 from rfc_sim.chain import Block, Chain, RoundMeta
 from rfc_sim.cli import records_csv_text
 from rfc_sim.config import desk_default, execute_run, preset, with_master_seed
@@ -101,14 +102,14 @@ def test_criterion_01_aggregator_oracle_equivalence():
         n = rng.randint(3, 6)
         dim = rng.randint(1, 3)
         rows = [[rng.uniform(-10, 10) for _ in range(dim)] for _ in range(n)]
-        updates = [np.array(r) for r in rows]
-        assert close(aggregation.fedavg(updates), bf_mean(rows))
-        assert close(aggregation.geomed(updates), bf_geomed(rows))
+        updates = np.array(rows)
+        assert close(aggregation.aggregate(AggregatorConfig("fedavg"), updates), bf_mean(rows))
+        assert close(aggregation.aggregate(AggregatorConfig("geomed"), updates), bf_geomed(rows))
         if n >= 3:
             f = rng.randint(0, n - 3)
             m = rng.randint(1, n)
-            assert close(aggregation.krum(updates, f), bf_krum(rows, f))
-            assert close(aggregation.bulyan(updates, f, m), bf_bulyan(rows, f, m))
+            assert close(aggregation.aggregate(AggregatorConfig("krum", f), updates), bf_krum(rows, f))
+            assert close(aggregation.aggregate(AggregatorConfig("bulyan", f, m), updates), bf_bulyan(rows, f, m))
         checked += 1
     elapsed = time.monotonic() - start
     report(1, checked == 200 and elapsed < 5.0,
@@ -117,14 +118,14 @@ def test_criterion_01_aggregator_oracle_equivalence():
 
 
 def test_criterion_02_krum_worked_example():
-    updates = [np.array([0.0]), np.array([0.1]), np.array([0.2]), np.array([10.0])]
+    updates = np.array([[0.0], [0.1], [0.2], [10.0]])
     scores = aggregation.krum_scores(updates, f=1)
     expected = [0.01, 0.01, 0.01, 96.04]
     scores_ok = all(math.isclose(s, e, rel_tol=1e-9) for s, e in zip(scores, expected))
     bf = bf_krum_scores([[0.0], [0.1], [0.2], [10.0]], 1)
     oracle_ok = all(math.isclose(s, e, rel_tol=1e-12) for s, e in zip(scores, bf))
-    chosen = aggregation.krum(updates, f=1)
-    select_ok = chosen is updates[0] and chosen[0] == 0.0
+    krum = AggregatorConfig("krum", krum_f=1)
+    select_ok = aggregation.select(krum, updates) == [0] and aggregation.aggregate(krum, updates)[0] == 0.0
     report(2, scores_ok and oracle_ok and select_ok,
            f"krum scores {[round(s, 6) for s in scores]} with tie-break to index 0")
 
@@ -139,7 +140,8 @@ def test_criterion_03_model_replacement_identity():
         v_adv = np.array([rng.uniform(-5, 5) for _ in range(dim)])
         v_g = np.array([rng.uniform(-5, 5) for _ in range(dim)])
         boosted = attacks.boost_update(v_adv, v_g, n, eta)
-        landed = consensus.server_update(v_g, aggregation.fedavg([boosted] + [v_g] * (n - 1)), eta)
+        mean = aggregation.aggregate(AggregatorConfig(), np.array([boosted] + [v_g] * (n - 1)))
+        landed = consensus.server_update(v_g, mean, eta)
         rel = float(np.max(np.abs(landed - v_adv) / (1.0 + np.abs(v_adv))))
         worst = max(worst, rel)
     report(3, worst < 1e-9, f"boosted update overrides the server average "

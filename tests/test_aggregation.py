@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rfc_sim import aggregation, config, consensus, params
-from rfc_sim.aggregation import AggregatorConfig, bulyan, fedavg, geomed, krum, krum_scores
+from rfc_sim.aggregation import AggregatorConfig, aggregate, krum_scores, select
 from rfc_sim.models import ModelSpec
 
 
@@ -57,15 +57,76 @@ def bf_geomed(updates):
 
 
 def vecs(rows):
-    return [np.array(r, dtype=np.float64) for r in rows]
+    """The [n, P] update matrix of the rows."""
+    return np.array(rows, dtype=np.float64).reshape(len(rows), -1)
+
+
+def fold_mean(rows):
+    """Mean of the rows of a matrix as a Python left fold, one row added at a time."""
+    acc = np.array(rows[0], dtype=np.float64)
+    for row in rows[1:]:
+        acc = acc + row
+    return acc / len(rows)
+
+
+FEDAVG = AggregatorConfig("fedavg")
+GEOMED = AggregatorConfig("geomed")
+
+
+def krum_cfg(f):
+    return AggregatorConfig("krum", krum_f=f)
+
+
+def bulyan_cfg(f, m):
+    return AggregatorConfig("bulyan", krum_f=f, bulyan_m=m)
+
+
+def fedavg(updates):
+    return aggregate(FEDAVG, updates)
+
+
+def krum(updates, f):
+    return aggregate(krum_cfg(f), updates)
+
+
+def bulyan(updates, f, m):
+    return aggregate(bulyan_cfg(f, m), updates)
+
+
+def geomed(updates):
+    return aggregate(GEOMED, updates)
 
 
 def test_fedavg_examples():
     assert np.array_equal(fedavg(vecs([[1, 3], [3, 5]])), np.array([2.0, 4.0]))
+    assert select(FEDAVG, vecs([[1, 3], [3, 5]])) == [0, 1]
     v = np.array([0.25, -1.5])
-    assert np.array_equal(fedavg([v] * 5), v)
-    with pytest.raises(ValueError):
-        fedavg([])
+    assert np.array_equal(fedavg(vecs([v] * 5)), v)
+
+
+finite_floats = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False)
+
+
+@given(st.lists(st.lists(finite_floats, min_size=3, max_size=3), min_size=1, max_size=8),
+       st.randoms(use_true_random=False))
+def test_fedavg_permutation_within_tolerance(rows, rnd):
+    shuffled = list(rows)
+    rnd.shuffle(shuffled)
+    assert np.allclose(fedavg(vecs(rows)), fedavg(vecs(shuffled)), rtol=1e-12, atol=1e-9)
+
+
+@pytest.mark.parametrize("p", [4, 195, 17411])
+def test_aggregate_is_a_left_fold(p):
+    """The mean equals a Python left fold bit for bit under FedAvg and Multi-Krum, for n = 1..60."""
+    rng = np.random.default_rng(p)
+    # rows over six decades, so that a different summation order would show
+    X = rng.normal(size=(60, p)) * 10.0 ** rng.uniform(-3, 3, size=(60, 1))
+    for n in range(1, 61):
+        assert fedavg(X[:n]).tobytes() == fold_mean(X[:n]).tobytes()
+        if n >= 3:
+            cfg = bulyan_cfg(n % 3, max(1, n // 2))
+            kept = select(cfg, X[:n])
+            assert aggregate(cfg, X[:n]).tobytes() == fold_mean(X[:n][kept]).tobytes()
 
 
 def test_fedavg_matches_bruteforce_random():
@@ -84,18 +145,19 @@ def test_krum_scores_worked_example():
 
 def test_krum_selects_lowest_index_on_tie():
     updates = vecs([[0.0], [0.1], [0.2], [10.0]])
-    assert krum(updates, f=1) is updates[0]
+    assert select(krum_cfg(1), updates) == [0]
+    assert krum(updates, f=1).tobytes() == updates[0].tobytes()
 
 
 def test_krum_scores_identical_updates():
-    updates = [np.array([1.0, 2.0])] * 5
+    updates = vecs([[1.0, 2.0]] * 5)
     assert krum_scores(updates, f=1) == [0.0] * 5
 
 
 def test_krum_scores_translation_invariant():
     rng = random.Random(3)
     updates = vecs([[rng.uniform(-2, 2) for _ in range(3)] for _ in range(6)])
-    shifted = [u + 7.5 for u in updates]
+    shifted = updates + 7.5
     assert krum_scores(updates, 2) == pytest.approx(krum_scores(shifted, 2), rel=1e-9, abs=1e-9)
 
 
@@ -123,10 +185,12 @@ def test_bulyan_collapses_to_fedavg_and_krum():
     updates = vecs([[rng.uniform(-1, 1) for _ in range(2)] for _ in range(6)])
     assert np.allclose(bulyan(updates, 1, m=6), fedavg(updates), rtol=1e-12)
     assert np.array_equal(bulyan(updates, 1, m=1), krum(updates, 1))
+    assert select(bulyan_cfg(1, 1), updates) == select(krum_cfg(1), updates)
 
 
 def test_bulyan_worked_example():
     updates = vecs([[0.0], [0.1], [10.0], [10.1], [0.2]])
+    assert select(bulyan_cfg(1, 3), updates) == [1, 0, 4]
     out = bulyan(updates, f=1, m=3)
     assert out == pytest.approx([0.1], rel=1e-12)
     assert out == pytest.approx(bf_bulyan([list(u) for u in updates], 1, 3), rel=1e-12)
@@ -140,10 +204,9 @@ def test_bulyan_m_exceeds_n():
 def test_geomed_examples():
     updates = vecs([[0.0], [0.0], [10.0]])
     assert np.array_equal(geomed(updates), np.array([0.0]))
-    single = np.array([3.0, 4.0])
-    assert geomed([single]) is single
-    with pytest.raises(ValueError):
-        geomed([])
+    assert select(GEOMED, updates) == [0]
+    single = vecs([[3.0, 4.0]])
+    assert select(GEOMED, single) == [0] and geomed(single).tobytes() == single[0].tobytes()
 
 
 def test_geomed_permutation_invariant_value():
@@ -198,7 +261,7 @@ def test_translation_equivariance(n, rnd):
     f = rnd.randint(0, n - 3)
     shift = np.array([rnd.uniform(-20, 20) for _ in range(dim)])
     updates = vecs(rows)
-    shifted = [u + shift for u in updates]
+    shifted = updates + shift
     for rule in (lambda us: fedavg(us), lambda us: krum(us, f),
                  lambda us: bulyan(us, f, max(1, n - f)), lambda us: geomed(us)):
         assert np.allclose(rule(shifted), rule(updates) + shift, rtol=1e-9, atol=1e-9)
@@ -231,13 +294,17 @@ def test_outlier_rejection_bounding_box(f, rnd):
 def test_aggregate_dispatch_and_min_updates():
     updates = vecs([[0.0], [0.1], [0.2], [5.0], [0.3]])
     cfg_avg = AggregatorConfig(rule="fedavg")
-    assert np.allclose(aggregation.aggregate(cfg_avg, updates), fedavg(updates))
     cfg_krum = AggregatorConfig(rule="krum", krum_f=1)
-    assert np.array_equal(aggregation.aggregate(cfg_krum, updates), krum(updates, 1))
     cfg_bul = AggregatorConfig(rule="bulyan", krum_f=1, bulyan_m=3)
-    assert np.allclose(aggregation.aggregate(cfg_bul, updates), bulyan(updates, 1, 3))
     cfg_geo = AggregatorConfig(rule="geomed")
-    assert np.array_equal(aggregation.aggregate(cfg_geo, updates), geomed(updates))
+    kept = {cfg.rule: select(cfg, updates) for cfg in (cfg_avg, cfg_krum, cfg_bul, cfg_geo)}
+    rows = updates.tolist()
+    scores = bf_krum_scores(rows, 1)
+    by_score = sorted(range(5), key=lambda i: (scores[i], i))
+    assert kept == {"fedavg": [0, 1, 2, 3, 4], "krum": by_score[:1], "bulyan": by_score[:3],
+                    "geomed": [rows.index(bf_geomed(rows))]}
+    for cfg in (cfg_avg, cfg_krum, cfg_bul, cfg_geo):
+        assert aggregate(cfg, updates).tobytes() == fold_mean(updates[kept[cfg.rule]]).tobytes()
     assert aggregation.min_updates(cfg_avg) == 1
     assert aggregation.min_updates(cfg_krum) == 4
     assert aggregation.min_updates(cfg_bul) == 4
@@ -256,17 +323,17 @@ def test_aggregator_config_validation():
 
 # The certified Gram path against the exact per-pair path it must reproduce bit for bit.
 
-def ref_krum(updates, f):
-    return updates[int(np.argmin(krum_scores(updates, f)))]
-
-
 def ref_bulyan(updates, f, m):
-    chosen = np.argsort(krum_scores(updates, f), kind="stable")[:m]
-    return params.mean([updates[int(i)] for i in chosen])
+    """The kept rows: the m lowest exact Krum scores, NaN last, ties to the lowest index."""
+    return np.argsort(krum_scores(updates, f), kind="stable")[:m].tolist()
+
+
+def ref_krum(updates, f):
+    return ref_bulyan(updates, f, 1)
 
 
 def ref_geomed(updates):
-    return updates[int(np.argmin(aggregation._sq_dist_matrix(updates).sum(axis=1)))]
+    return [int(np.argmin(aggregation._sq_dist_matrix(updates).sum(axis=1)))]
 
 
 @pytest.fixture
@@ -295,22 +362,23 @@ def test_gram_selection_bit_identical_to_per_pair(n, dim, offset_exp, decades, n
         src = rng.integers(n)
         for i in rng.choice(n, size=n // 2, replace=False):
             rows[i] = rows[src] + rng.integers(-4, 5, size=dim) * np.spacing(rows[src])
-    updates = [r.copy() for r in rows]
+    updates = rows
     f = int(rng.integers(0, n - 2))
     m = int(rng.integers(1, n + 1))
-    assert krum(updates, f) is ref_krum(updates, f)
-    assert bulyan(updates, f, m).tobytes() == ref_bulyan(updates, f, m).tobytes()
-    assert geomed(updates) is ref_geomed(updates)
+    assert select(krum_cfg(f), updates) == ref_krum(updates, f)
+    assert select(bulyan_cfg(f, m), updates) == ref_bulyan(updates, f, m)
+    assert bulyan(updates, f, m).tobytes() == fold_mean(updates[ref_bulyan(updates, f, m)]).tobytes()
+    assert select(GEOMED, updates) == ref_geomed(updates)
 
 
 def test_gram_selection_falls_back_on_exact_tie(exact_calls):
     rng = np.random.default_rng(0)
     v = rng.normal(size=50)
     # two copies of v at the centre of four far, mutually distant points: every rule ties them
-    updates = [v, v.copy()] + [v + rng.normal(size=50) for _ in range(4)]
-    assert krum(updates, f=1) is updates[0]
+    updates = vecs([v, v] + [v + rng.normal(size=50) for _ in range(4)])
+    assert select(krum_cfg(1), updates) == [0]
     assert bulyan(updates, f=1, m=2).tobytes() == v.tobytes()
-    assert geomed(updates) is updates[0]
+    assert select(GEOMED, updates) == [0]
     assert exact_calls == [6, 6, 6]
 
 
@@ -319,27 +387,28 @@ def test_gram_selection_falls_back_on_near_tie(exact_calls):
     v = rng.normal(size=2000)
     near = v.copy()
     near[0] += 1e-10  # moves the exact score by ~1e-9 of ~4e3: distinct, but inside the bound
-    updates = [v, near] + [v + rng.normal(size=2000) for _ in range(4)]
+    updates = vecs([v, near] + [v + rng.normal(size=2000) for _ in range(4)])
     scores = krum_scores(updates, f=1)
     assert scores[1] != scores[0] and min(scores[2:]) > max(scores[:2])
     exact_calls.clear()
-    assert krum(updates, f=1) is ref_krum(updates, 1)
-    assert geomed(updates) is ref_geomed(updates)
+    assert select(krum_cfg(1), updates) == ref_krum(updates, 1)
+    assert select(GEOMED, updates) == ref_geomed(updates)
     assert len(exact_calls) == 4  # each call fell back: one matrix for it, one for its reference
     far = v.copy()
     far[0] += 1e-5  # the same layout with a gap the bound clears
     exact_calls.clear()
-    assert krum([v, far] + updates[2:], f=1) is far
+    assert select(krum_cfg(1), vecs([v, far, *updates[2:]])) == [1]
     assert exact_calls == []
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_gram_selection_falls_back_on_non_finite(exact_calls, bad):
     rng = np.random.default_rng(1)
-    updates = [rng.normal(size=30) for _ in range(6)]
-    updates[4][7] = bad
-    assert krum(updates, f=1) is ref_krum(updates, 1)
-    assert geomed(updates) is ref_geomed(updates)
+    updates = rng.normal(size=(6, 30))
+    updates[4, 7] = bad
+    # the stable argsort ranks a NaN score last, where np.argmin would pick it
+    assert select(krum_cfg(1), updates) == ref_krum(updates, 1)
+    assert select(GEOMED, updates) == ref_geomed(updates)
     assert len(exact_calls) == 4
 
 
@@ -355,11 +424,11 @@ def test_gram_selection_certifies_a_wide_krum_round(monkeypatch):
     rc = config.with_master_seed(replace(rc, federation=fed), 42)
     partition = config.build_partition(rc)
     shapes = []
-    aggregate = aggregation.aggregate
+    real_aggregate = aggregation.aggregate
 
     def recorded(cfg, updates):
-        shapes.append((len(updates), updates[0].shape[0]))
-        return aggregate(cfg, updates)
+        shapes.append(updates.shape)
+        return real_aggregate(cfg, updates)
 
     def forbidden(a, b):
         raise AssertionError("per-pair distance on the certified path")
@@ -373,7 +442,7 @@ def test_gram_selection_certifies_a_wide_krum_round(monkeypatch):
 def test_gram_selection_raises_no_warning(exact_calls):
     rng = np.random.default_rng(2)
     for scale in (1e-6, 1.0, 1e6):
-        updates = [scale * rng.normal(size=700) for _ in range(12)]
+        updates = scale * rng.normal(size=(12, 700))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             krum(updates, f=3)

@@ -123,8 +123,8 @@ def test_boost_overrides_server_average(n, eta, seed):
     v_adv = np.array([-3 + 6 * uniform(stream) for _ in range(dim)])
     v_g = np.array([-3 + 6 * uniform(stream) for _ in range(dim)])
     boosted = boost_update(v_adv, v_g, n, eta)
-    updates = [boosted] + [v_g] * (n - 1)
-    landed = consensus.server_update(v_g, aggregation.fedavg(updates), eta)
+    updates = np.array([boosted] + [v_g] * (n - 1))
+    landed = consensus.server_update(v_g, aggregation.aggregate(aggregation.AggregatorConfig(), updates), eta)
     assert np.allclose(landed, v_adv, rtol=1e-9, atol=1e-9)
 
 

@@ -268,7 +268,8 @@ def test_round_abort_when_every_candidate_bad(monkeypatch):
 
 def test_divergent_clients_disqualify_pool_and_abort_round(monkeypatch):
     def blow_up(spec, start, datasets, opt, seeds):
-        return [models_mod.DivergenceError("synthetic blow-up") for _ in seeds]
+        return (np.full((len(seeds), models_mod.param_count(spec)), np.nan),
+                {i: models_mod.DivergenceError("synthetic blow-up") for i in range(len(seeds))})
 
     monkeypatch.setattr(models_mod, "train_clients", blow_up)
     with pytest.raises(RoundAbortError) as err:
@@ -283,16 +284,20 @@ def test_divergent_pool_disqualified_while_others_proceed(monkeypatch):
     pool0_seeds = {derive_seed(7, r, 0, cid, "shuffle") for r in (1, 2) for cid in range(4)}
 
     def pool0_blows_up(spec, start, datasets, opt, seeds):
-        trained = real_train(spec, start, datasets, opt, seeds)
-        return [models_mod.DivergenceError("synthetic blow-up") if seed in pool0_seeds else out
-                for seed, out in zip(seeds, trained)]
+        trained, diverged = real_train(spec, start, datasets, opt, seeds)
+        for i, seed in enumerate(seeds):
+            if seed in pool0_seeds:
+                trained[i] = np.nan
+                diverged[i] = models_mod.DivergenceError("synthetic blow-up")
+        return trained, diverged
 
     monkeypatch.setattr(models_mod, "train_clients", pool0_blows_up)
     result = run_tiny(rounds=2)
     assert len(result.records) == 2
-    for round_cands in result.candidates:
+    for r, round_cands in enumerate(result.candidates, 1):
         assert round_cands[0].disqualified
-        assert "diverged" in round_cands[0].note
+        # the first diverged client in sample order names the note
+        assert round_cands[0].note == f"client {round_cands[0].clients[0]} diverged in round {r}: synthetic blow-up"
         assert not round_cands[1].disqualified
     assert all(rec.winning_pool_id == 1 for rec in result.records)
 

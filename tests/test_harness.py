@@ -251,7 +251,8 @@ def test_cli_run_runtime_abort_exits_2(tmp_path, capsys, monkeypatch):
     from rfc_sim import models as models_mod
 
     def blow_up(spec, start, datasets, opt, seeds):
-        return [models_mod.DivergenceError("synthetic blow-up") for _ in seeds]
+        return (np.full((len(seeds), models_mod.param_count(spec)), np.nan),
+                {i: models_mod.DivergenceError("synthetic blow-up") for i in range(len(seeds))})
 
     monkeypatch.setattr(models_mod, "train_clients", blow_up)
     cfg = write_config(tmp_path)
@@ -580,6 +581,49 @@ def test_cli_validate_chain_wrong_field_type_or_range_exits_3(tmp_path, capsys, 
     err = capsys.readouterr().err
     assert err.startswith("chain validation failed: chain export line 2: ")
     assert len(err.strip().splitlines()) == 1
+
+
+def _resealed_export(payload_digest: bytes) -> str:
+    """A two-round export whose round-1 block holds ``payload_digest``, resealed so every hash links."""
+    blocks = list(chain_mod.genesis(np.array([1.0, 2.0]), 0).blocks)
+    for r, digest in ((1, payload_digest), (2, bytes(32))):
+        draft = chain_mod.Block(index=r, timestamp=r, payload_digest=digest, prev_hash=blocks[-1].hash,
+                                meta=chain_mod.RoundMeta(r, 0, "accuracy", 0.5, "fedavg"))
+        blocks.append(chain_mod.seal_block(draft, 0))
+    return chain_mod.export_lines(chain_mod.Chain(tuple(blocks), 0))
+
+
+def _spaced_digest_export() -> str:
+    """A valid two-round export with line 2's payload_digest written as space-separated hex pairs."""
+    lines = _two_round_export().splitlines()
+    digest = re.search(r'"payload_digest":"([0-9a-f]{64})"', lines[1]).group(1)
+    spaced = " ".join(digest[i : i + 2] for i in range(0, 64, 2))
+    lines[1] = lines[1].replace(digest, spaced)
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("export", [lambda: _resealed_export(bytes(5)), _spaced_digest_export],
+                         ids=["resealed_5_byte_digest", "space_separated_hex_pairs"])
+def test_cli_validate_chain_malformed_digest_exits_3(tmp_path, capsys, export):
+    # either decodes with bytes.fromhex and hashes consistently; only the digest's form is wrong
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text(export())
+    assert cli.main(["validate-chain", str(bad)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("chain validation failed: chain export line 2: payload_digest must be 64 "
+                          "lowercase hex digits")
+    assert len(err.strip().splitlines()) == 1
+
+
+def test_cli_run_krum_skips_nan_scored_update(tmp_path, capsys):
+    # n/eta overflows, and inf * 0 puts NaN on the boosted update's untouched weights; Krum's
+    # fallback must rank that NaN score last, as Multi-Krum with bulyan_m = 1 does
+    cfg = write_config(tmp_path, "rounds = 3\ndata.noise_sigma = 0\nadversary.boost_eta = 1e-320\n"
+                                 "aggregator.rule = krum\n")
+    out = tmp_path / "o"
+    assert cli.main(["run", "--config", cfg, "--preset", "all_pools_backdoor", "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    assert len((out / "records.csv").read_text().splitlines()) == 4
 
 
 # config key -> raw values, valid and invalid, that the exit-code property draws

@@ -317,6 +317,17 @@ def assert_same_outcome(got, want):
         assert np.array_equal(got, want) and got.tobytes() == want.tobytes()
 
 
+def per_client(trained, diverged):
+    """train_clients' (update matrix, {row: DivergenceError}) as one outcome per client.
+
+    Also checks the matrix's layout and that a diverged client's row is NaN.
+    """
+    assert trained.dtype == np.float64 and trained.ndim == 2 and trained.flags.c_contiguous
+    assert set(diverged) <= set(range(len(trained)))
+    assert all(np.isnan(trained[i]).all() for i in diverged)
+    return [diverged.get(i, row) for i, row in enumerate(trained)]
+
+
 def client_data(stream, spec, n, scale=1.0):
     x = np.array([[uniform(stream) for _ in range(spec.input_dim)] for _ in range(n)])
     x = x.reshape(n, spec.input_dim) * scale
@@ -342,7 +353,7 @@ def test_train_clients_equals_per_client_reference(kind, dims, opt_kind, lr, epo
     # features scaled by 1e200 make a client's logits or steps overflow sooner or later
     datasets = [client_data(stream, spec, n, 1e200 if large else 1.0) for n, large in clients]
     seeds = [stream.next_u64() for _ in clients]
-    got = models.train_clients(spec, start, datasets, opt, seeds)
+    got = per_client(*models.train_clients(spec, start, datasets, opt, seeds))
     assert len(got) == len(datasets)
     for g, data, s in zip(got, datasets, seeds):
         assert_same_outcome(g, outcome(reference_train_local, spec, start, data, opt, s))
@@ -372,7 +383,7 @@ def test_diverged_client_leaves_stack_and_others_step(bad, row, message):
     if row is not None:
         datasets[bad] = with_infinite_row(datasets[bad], row)
     start = models.init_params(spec, 2)
-    got = models.train_clients(spec, start, datasets, opt, [5, 6, 7])
+    got = per_client(*models.train_clients(spec, start, datasets, opt, [5, 6, 7]))
     assert str(got[bad]) == message
     assert_same_outcome(got[bad], outcome(reference_train_local, spec, start, datasets[bad], opt, 5 + bad))
     # the rows that stay take every later step in the stack's re-sliced buffers
@@ -393,7 +404,8 @@ def test_divergence_is_silent_and_restores_error_state(scales, opt):
     before = np.geterr()
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        got = models.train_clients(spec, models.init_params(spec, 2), datasets, opt, list(range(len(scales))))
+        got = per_client(*models.train_clients(spec, models.init_params(spec, 2), datasets, opt,
+                                               list(range(len(scales)))))
     assert np.geterr() == before
     assert [isinstance(g, DivergenceError) for g in got] == [scale != 1.0 for scale in scales]
 
@@ -401,7 +413,7 @@ def test_divergence_is_silent_and_restores_error_state(scales, opt):
 def test_big_start_diverges_at_first_batch():
     spec = ModelSpec("linear", 3, 2)
     start = np.full(models.param_count(spec), 1e308)
-    (got,) = models.train_clients(spec, start, [make_batch(spec, 5)], OptimizerConfig(), [3])
+    (got,) = per_client(*models.train_clients(spec, start, [make_batch(spec, 5)], OptimizerConfig(), [3]))
     assert str(got) == "non-finite loss at epoch 0, batch offset 0"
 
 
@@ -409,9 +421,9 @@ def test_stack_width_follows_param_count(monkeypatch):
     widths = []
     real = models._train_stack
 
-    def spy(spec, start, datasets, orders, opt):
+    def spy(spec, start, datasets, orders, opt, *into):
         widths.append(len(datasets))
-        return real(spec, start, datasets, orders, opt)
+        return real(spec, start, datasets, orders, opt, *into)
 
     monkeypatch.setattr(models, "_train_stack", spy)
     opt = OptimizerConfig(local_epochs=1)

@@ -6,6 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from rfc_sim import params
+from rfc_sim.aggregation import AggregatorConfig, aggregate, select
 
 finite_floats = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False)
 
@@ -26,30 +27,30 @@ def test_l2_dist_sq_examples():
     assert params.l2_dist_sq(vec(1), vec(-1)) == 4.0
 
 
+def mean(rows):
+    """The elementwise mean of parameter vectors: FedAvg over their [n, P] matrix."""
+    return aggregate(AggregatorConfig("fedavg"), np.array(rows, dtype=np.float64).reshape(len(rows), -1))
+
+
 def test_mean_examples():
-    assert np.array_equal(params.mean([vec(1, 3), vec(3, 5)]), vec(2, 4))
+    assert np.array_equal(mean([vec(1, 3), vec(3, 5)]), vec(2, 4))
     v = vec(0.7, -0.1)
-    assert np.array_equal(params.mean([v]), v)
-    assert np.array_equal(params.mean([v, -v]), np.zeros(2))
+    assert np.array_equal(mean([v]), v)
+    assert mean([v]).tobytes() == v.tobytes()
+    assert np.array_equal(mean([v, -v]), np.zeros(2))
+
+
+def test_mean_empty_rejected():
+    cfgs = [AggregatorConfig("fedavg"), AggregatorConfig("krum", krum_f=1),
+            AggregatorConfig("bulyan", krum_f=1, bulyan_m=2), AggregatorConfig("geomed")]
+    for cfg in cfgs:
+        with pytest.raises(ValueError, match="empty update matrix"):
+            select(cfg, np.empty((0, 2)))
 
 
 def test_dimension_mismatch_messages_name_both_dims():
     with pytest.raises(ValueError, match="2 vs 3"):
         params.l2_dist_sq(vec(1, 2), vec(1, 2, 3))
-    with pytest.raises(ValueError, match="2 vs 3"):
-        params.mean([vec(1, 2), vec(1, 2, 3)])
-
-
-def test_mean_empty_rejected():
-    with pytest.raises(ValueError):
-        params.mean([])
-
-
-@given(st.lists(vectors(3), min_size=1, max_size=8), st.randoms(use_true_random=False))
-def test_mean_permutation_within_tolerance(vs, rnd):
-    shuffled = list(vs)
-    rnd.shuffle(shuffled)
-    assert np.allclose(params.mean(vs), params.mean(shuffled), rtol=1e-12, atol=1e-9)
 
 
 @given(vectors(5), vectors(5))

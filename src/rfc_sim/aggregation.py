@@ -116,6 +116,7 @@ def select(cfg: AggregatorConfig, X: np.ndarray) -> List[int]:
     * geomed keeps the row minimizing the summed *squared* distance to all
       others, not RFA's geometric median (Pillutla et al.; Weiszfeld
       iterations), which minimizes the summed distance and need not be a row.
+      A NaN sum ranks last.
     """
     n = len(X)
     if n == 0:
@@ -123,7 +124,7 @@ def select(cfg: AggregatorConfig, X: np.ndarray) -> List[int]:
     if cfg.rule == "fedavg":
         return list(range(n))
     if cfg.rule == "geomed":
-        return _certified_order(X, n - 1, 1) or [int(np.argmin(_sq_dist_matrix(X).sum(axis=1)))]
+        return _certified_order(X, n - 1, 1) or np.argsort(_sq_dist_matrix(X).sum(axis=1), kind="stable")[:1].tolist()
     m = cfg.bulyan_m if cfg.rule == "bulyan" else 1
     if m > n:
         raise ValueError(f"bulyan: m={m} exceeds n={n}")

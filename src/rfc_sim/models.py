@@ -16,10 +16,10 @@ row counts share a stack, split so that a stack's ``[C, P]`` block stays within
 ``STACK_BYTES``, and write their rows into one ``[N, P]`` matrix. Every row gets
 exactly the bits it would get trained alone; ``train_local`` trains one client.
 
-A stack allocates its arrays once and a step allocates nothing of parameter
-size: six ``[C, P]`` arrays (``p``, Adam's ``m`` and ``v``, the gradient and
-two scratch arrays) sit beside the clients' stacked rows and one epoch's
-gather of them, of which each batch is a slice.
+One workspace per call holds the six ``[C, P]`` arrays of every stack (``p``,
+Adam's ``m`` and ``v``, which its first step writes directly, the gradient and
+two scratch arrays); a step allocates nothing of parameter size. Each batch is
+a slice of one epoch's gather of the stack's rows.
 """
 
 from __future__ import annotations
@@ -35,10 +35,10 @@ from .seeds import mix64, shuffle_orders, stream_words
 
 MODEL_KINDS = ("linear", "mlp")
 OPTIMIZER_KINDS = ("sgd", "adam")
-# Byte budget of one training stack's parameters. p, m, v, the gradient and the
-# two scratch arrays take as much each, beside the stacked rows and one epoch's
+# Byte budget of one training stack's parameters. The call's workspace holds p,
+# m, v, the gradient and two scratch arrays of that size, beside one epoch's
 # gather: 168 clients of the 195-parameter desk linear model, or one client of
-# a 17,411-parameter MLP, for which wider stacks only raise peak RSS.
+# a 17,411-parameter MLP, for which wider stacks were slower and raise peak RSS.
 STACK_BYTES = 256 * 1024
 
 
@@ -130,10 +130,12 @@ def _log_softmax(logits: np.ndarray) -> np.ndarray:
     return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
 
 
-def _check(spec: ModelSpec, p: np.ndarray, x: np.ndarray) -> None:
-    """The ValueErrors of a forward pass of the rows ``x`` under ``p``."""
-    if not np.isfinite(p).all():
+def _check(spec: ModelSpec, p: Optional[np.ndarray], x: Optional[np.ndarray]) -> None:
+    """The ValueErrors of a forward pass of the rows ``x`` under ``p``; a None is not checked."""
+    if p is not None and not np.isfinite(p).all():
         raise ValueError("non-finite model parameters")
+    if x is None:
+        return
     if x.shape[-2] == 0:
         raise ValueError("empty batch")
     if x.shape[-1] != spec.input_dim:
@@ -237,41 +239,48 @@ def train_clients(spec: ModelSpec, start: np.ndarray, datasets: Sequence[Dataset
     by_length: Dict[int, List[int]] = {}
     for i, data in enumerate(datasets):
         by_length.setdefault(len(data), []).append(i)
+    if any(by_length):  # a client has rows: the first step's check of start, once for every stack
+        _check(spec, start, None)
     trained, diverged = np.empty((len(datasets), param_count(spec))), {}
+    # every stack's p, m, v, gradient and two scratch arrays, with the views of full-width p and gradient
+    ws = np.empty((6, min(width, len(datasets)), param_count(spec)))
+    workspace = ws, _unpack(spec, ws[0]), _unpack(spec, ws[3])
     for n, members in by_length.items():
         orders = shuffle_orders([mix64(seeds[i], e) for i in members for e in range(opt.local_epochs)], n)
         orders = orders.reshape(len(members), opt.local_epochs, n)
         for lo in range(0, len(members), width):
             stack = members[lo : lo + width]
             diverged.update(_train_stack(spec, start, [datasets[i] for i in stack], orders[lo : lo + width],
-                                         opt, trained, stack))
+                                         opt, trained, stack, workspace))
     return trained, diverged
 
 
 def _train_stack(spec: ModelSpec, start: np.ndarray, datasets: Sequence[Dataset], orders: np.ndarray,
-                 opt: OptimizerConfig, trained: np.ndarray, dest: List[int]) -> Dict[int, DivergenceError]:
+                 opt: OptimizerConfig, trained: np.ndarray, dest: List[int],
+                 workspace: tuple) -> Dict[int, DivergenceError]:
     """Train equal-length clients with per-epoch ``orders`` ``[C, E, n]`` as one stack into ``trained[dest]``.
 
     Each row takes every step as the one-client loop would, with the same
-    operations in the same order, in buffers allocated once per stack. A row whose
-    loss or parameters turn non-finite leaves as NaN; returns its DivergenceError by row of ``trained``.
+    operations in the same order, in the first C rows of ``train_clients``'
+    workspace; Adam's first step writes ``m`` and ``v`` directly, as the loop's
+    update of zero moments rounds. A row whose loss or parameters turn
+    non-finite leaves as NaN; returns its DivergenceError by row of ``trained``.
     """
-    x = np.stack([data.x for data in datasets])
-    y = np.stack([data.y for data in datasets])
-    width, n = y.shape
+    width, n = len(datasets), len(datasets[0])
+    for data in datasets if n else ():  # the first step's forward checks; later steps keep their rows finite
+        _check(spec, None, data.x)
     diverged = {}
-    if n:  # the first step's forward checks; every later step keeps its rows finite
-        _check(spec, start, x)
     live = np.arange(width)
-    # orders as rows of x and y flattened over clients; each epoch's rows are gathered into xe, ye
+    # orders as rows of x and y, clients end to end (one read in place); each epoch's are gathered into xe, ye
     orders = orders + n * live[:, None, None]
-    x, y = x.reshape(-1, x.shape[2]), y.reshape(-1)
+    x, y = ((datasets[0].x, datasets[0].y) if width == 1 else
+            (np.concatenate([data.x for data in datasets]), np.concatenate([data.y for data in datasets])))
     xe, ye = np.empty((width, n, x.shape[1])), np.empty((width, n), dtype=y.dtype)
-    # every [C, P] array a step uses, allocated once; the stack ends by copying p's live rows into trained
-    m, v = np.zeros((2, width, param_count(spec)))
-    grad, s1, s2 = np.empty((3, width, param_count(spec)))
-    p = np.tile(np.asarray(start, dtype=np.float64), (width, 1))
-    w, g = _unpack(spec, p), _unpack(spec, grad)
+    ws, w, g = workspace
+    p, m, v, grad, s1, s2 = ws[:, :width]
+    p[...] = start
+    if width < ws.shape[1]:
+        w, g = _unpack(spec, p), _unpack(spec, grad)
     lr, b1, b2 = opt.learning_rate, opt.adam_beta1, opt.adam_beta2
     t = 0
     # a row with a non-finite loss or overflowing step steps too, but is dropped before it is read
@@ -287,12 +296,16 @@ def _train_stack(spec: ModelSpec, start: np.ndarray, datasets: Sequence[Dataset]
                 if opt.kind == "sgd":
                     np.multiply(grad, lr, out=s1)
                 else:  # lr (m / c1) / (sqrt(v / c2) + eps), rounded op by op as the one-client update
-                    m *= b1
-                    m += np.multiply(grad, 1.0 - b1, out=s1)
-                    v *= b2
-                    np.multiply(grad, 1.0 - b2, out=s2)
-                    s2 *= grad
-                    v += s2
+                    if t == 1:  # b1 0 + a is a, with -0 made +0; (1 - b2) g g is never -0
+                        np.add(np.multiply(grad, 1.0 - b1, out=m), 0.0, out=m)
+                        np.multiply(np.multiply(grad, 1.0 - b2, out=v), grad, out=v)
+                    else:
+                        m *= b1
+                        m += np.multiply(grad, 1.0 - b1, out=s1)
+                        v *= b2
+                        np.multiply(grad, 1.0 - b2, out=s2)
+                        s2 *= grad
+                        v += s2
                     np.divide(m, 1.0 - b1**t, out=s1)
                     s1 *= lr
                     np.divide(v, 1.0 - b2**t, out=s2)

@@ -209,6 +209,17 @@ def test_geomed_examples():
     assert select(GEOMED, single) == [0] and geomed(single).tobytes() == single[0].tobytes()
 
 
+def test_geomed_fallback_ranks_nan_sum_last():
+    # rows 0 and 1 are +inf in the same coordinate: their distance, and so their sums, are NaN
+    updates = np.arange(20.0).reshape(5, 4)
+    updates[:2, 1] = np.inf
+    with np.errstate(invalid="ignore"):
+        kept = select(GEOMED, updates)
+        model = geomed(updates)
+        assert np.isfinite(updates[select(krum_cfg(1), updates)]).all()
+    assert kept == [2] and np.isfinite(model).all()
+
+
 def test_geomed_permutation_invariant_value():
     import itertools
     rng = random.Random(9)
@@ -333,7 +344,7 @@ def ref_krum(updates, f):
 
 
 def ref_geomed(updates):
-    return [int(np.argmin(aggregation._sq_dist_matrix(updates).sum(axis=1)))]
+    return np.argsort(aggregation._sq_dist_matrix(updates).sum(axis=1), kind="stable")[:1].tolist()
 
 
 @pytest.fixture

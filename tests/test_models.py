@@ -1,3 +1,4 @@
+import contextlib
 import math
 import warnings
 
@@ -334,15 +335,20 @@ def client_data(stream, spec, n, scale=1.0):
     return Dataset(x, np.array([stream.rand_below(spec.num_classes) for _ in range(n)]))
 
 
-@settings(max_examples=80)
-@given(kind=st.sampled_from(["linear", "mlp"]), dims=st.tuples(st.integers(1, 6), st.integers(2, 4),
-                                                                 st.integers(1, 5)),
-       opt_kind=st.sampled_from(["sgd", "adam"]), lr=st.sampled_from([0.0, 0.05, 1.5, 1e300]),
-       epochs=st.integers(1, 3), batch=st.integers(1, 7),
-       clients=st.lists(st.tuples(st.integers(0, 9), st.booleans()), min_size=1, max_size=8),
-       big_start=st.booleans(), seed=st.integers(0, 2**64 - 1))
-def test_train_clients_equals_per_client_reference(kind, dims, opt_kind, lr, epochs, batch, clients,
-                                                   big_start, seed):
+@contextlib.contextmanager
+def stack_width(spec, width):
+    """Sets models.STACK_BYTES so that stacks of ``spec`` are ``width`` clients wide, inside the block."""
+    saved = models.STACK_BYTES
+    models.STACK_BYTES = width * 8 * models.param_count(spec)
+    try:
+        yield
+    finally:
+        models.STACK_BYTES = saved
+
+
+def check_train_clients(kind, dims, opt_kind, lr, epochs, batch, clients, big_start, seed, width=None):
+    """Every row of one train_clients call, with stacks ``width`` clients wide (None: STACK_BYTES'
+    width), matches reference_train_local byte for byte."""
     d, c, h = dims
     spec = ModelSpec(kind, d, c, hidden_dim=h if kind == "mlp" else 0)
     opt = OptimizerConfig(kind=opt_kind, learning_rate=lr, local_epochs=epochs, batch_size=batch)
@@ -353,11 +359,72 @@ def test_train_clients_equals_per_client_reference(kind, dims, opt_kind, lr, epo
     # features scaled by 1e200 make a client's logits or steps overflow sooner or later
     datasets = [client_data(stream, spec, n, 1e200 if large else 1.0) for n, large in clients]
     seeds = [stream.next_u64() for _ in clients]
-    got = per_client(*models.train_clients(spec, start, datasets, opt, seeds))
+    with stack_width(spec, width) if width else contextlib.nullcontext():
+        got = per_client(*models.train_clients(spec, start, datasets, opt, seeds))
     assert len(got) == len(datasets)
     for g, data, s in zip(got, datasets, seeds):
         assert_same_outcome(g, outcome(reference_train_local, spec, start, data, opt, s))
         assert_same_outcome(outcome(models.train_local, spec, start, data, opt, s), g)
+
+
+@settings(max_examples=80)
+@given(kind=st.sampled_from(["linear", "mlp"]), dims=st.tuples(st.integers(1, 6), st.integers(2, 4),
+                                                                 st.integers(1, 5)),
+       opt_kind=st.sampled_from(["sgd", "adam"]), lr=st.sampled_from([0.0, 0.05, 1.5, 1e300]),
+       epochs=st.integers(1, 3), batch=st.integers(1, 7),
+       clients=st.lists(st.tuples(st.integers(0, 9), st.booleans()), min_size=1, max_size=8),
+       big_start=st.booleans(), seed=st.integers(0, 2**64 - 1))
+def test_train_clients_equals_per_client_reference(kind, dims, opt_kind, lr, epochs, batch, clients,
+                                                   big_start, seed):
+    check_train_clients(kind, dims, opt_kind, lr, epochs, batch, clients, big_start, seed)
+
+
+def record_stack_widths(monkeypatch):
+    """The list to which each later stack of train_clients appends its client count."""
+    widths, real = [], models._train_stack
+
+    def spy(spec, start, datasets, orders, opt, *into):
+        widths.append(len(datasets))
+        return real(spec, start, datasets, orders, opt, *into)
+
+    monkeypatch.setattr(models, "_train_stack", spy)
+    return widths
+
+
+# few row counts, so that clients share a length and a call trains several stacks through one workspace
+@settings(max_examples=80)
+@given(kind=st.sampled_from(["linear", "mlp"]), dims=st.tuples(st.integers(1, 6), st.integers(2, 4),
+                                                                 st.integers(1, 5)),
+       opt_kind=st.sampled_from(["sgd", "adam"]), lr=st.sampled_from([0.0, 0.05, 1.5, 1e300]),
+       epochs=st.integers(1, 3), batch=st.integers(1, 7),
+       clients=st.lists(st.tuples(st.integers(0, 3), st.booleans()), min_size=2, max_size=10),
+       seed=st.integers(0, 2**64 - 1), width=st.integers(1, 3))
+def test_narrow_stacks_equal_per_client_reference(kind, dims, opt_kind, lr, epochs, batch, clients, seed,
+                                                  width):
+    check_train_clients(kind, dims, opt_kind, lr, epochs, batch, clients, False, seed, width)
+
+
+# scales of five 7-row clients trained as stacks of two: [0, 1], [2, 3], then the narrower [4]
+@pytest.mark.parametrize("scales", [
+    (np.inf, np.inf, 1.0, 1.0, 1.0),  # the first stack's rows all leave; the next reuses its workspace
+    (1.0, np.inf, 1.0, np.inf, 1.0),  # each stack after a row drop starts on the workspace again
+    (1.0, 1.0, np.inf, np.inf, 1.0),  # a full stack leaves before the narrower last one
+], ids=["first_all_diverged", "one_per_stack_diverged", "middle_all_diverged"])
+@pytest.mark.parametrize("kind", ["linear", "mlp"])
+@pytest.mark.parametrize("opt_kind", ["sgd", "adam"])
+def test_stacks_share_one_workspace(monkeypatch, scales, kind, opt_kind):
+    spec = ModelSpec(kind, 3, 2, hidden_dim=4 if kind == "mlp" else 0)
+    opt = OptimizerConfig(kind=opt_kind, learning_rate=0.05, local_epochs=2, batch_size=3)
+    stream = Sm64Stream(13)
+    datasets = [client_data(stream, spec, 7, scale) for scale in scales]
+    start = models.init_params(spec, 4)
+    widths = record_stack_widths(monkeypatch)
+    with stack_width(spec, 2):
+        got = per_client(*models.train_clients(spec, start, datasets, opt, [20, 21, 22, 23, 24]))
+    assert widths == [2, 2, 1]
+    assert [isinstance(g, DivergenceError) for g in got] == [scale != 1.0 for scale in scales]
+    for k, data in enumerate(datasets):
+        assert_same_outcome(got[k], outcome(reference_train_local, spec, start, data, opt, 20 + k))
 
 
 def with_infinite_row(data, row):
@@ -418,14 +485,7 @@ def test_big_start_diverges_at_first_batch():
 
 
 def test_stack_width_follows_param_count(monkeypatch):
-    widths = []
-    real = models._train_stack
-
-    def spy(spec, start, datasets, orders, opt, *into):
-        widths.append(len(datasets))
-        return real(spec, start, datasets, orders, opt, *into)
-
-    monkeypatch.setattr(models, "_train_stack", spy)
+    widths = record_stack_widths(monkeypatch)
     opt = OptimizerConfig(local_epochs=1)
     for spec, count, want in [(ModelSpec("linear", 64, 3), 18, [18]),
                               (ModelSpec("linear", 64, 3), 170, [168, 2]),
@@ -434,3 +494,20 @@ def test_stack_width_follows_param_count(monkeypatch):
         data = [make_batch(spec, 4, seed=k) for k in range(count)]
         models.train_clients(spec, models.init_params(spec, 0), data, opt, list(range(count)))
         assert widths == want
+
+
+def test_train_clients_checks_each_dataset_and_start_once():
+    spec = ModelSpec("mlp", 64, 3, hidden_dim=256)  # one client per stack
+    start = models.init_params(spec, 0)
+    narrow = Dataset(make_batch(spec, 4, seed=1).x[:, :63], np.zeros(4, dtype=np.int64))
+    with pytest.raises(ValueError, match="^feature dim 63 does not match spec input_dim 64$"):
+        models.train_clients(spec, start, [make_batch(spec, 4), narrow], OptimizerConfig(local_epochs=1), [0, 1])
+    nan_start = start.copy()
+    nan_start[5] = np.nan
+    data = [make_batch(spec, 4, seed=k) for k in range(3)]
+    with pytest.raises(ValueError, match="^non-finite model parameters$"):
+        models.train_clients(spec, nan_start, data, OptimizerConfig(local_epochs=1), [0, 1, 2])
+    # a call without rows takes no step, so it checks nothing and returns start for every client
+    inf_start = np.full(models.param_count(spec), np.inf)
+    trained, diverged = models.train_clients(spec, inf_start, [empty(64), empty(64)], OptimizerConfig(), [0, 1])
+    assert trained.shape == (2, models.param_count(spec)) and np.isinf(trained).all() and diverged == {}

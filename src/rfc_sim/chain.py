@@ -1,12 +1,15 @@
 """Hash-linked ledger of winning round models, with nonce search and tampering checks.
 
-Block hashes are SHA-256 over a canonical little-endian field serialization::
+Block hashes are SHA-256 over every Block field but ``hash``, in order, little-endian::
 
     u64 index | u64 timestamp | 32 raw payload_digest bytes
     | u64 round | i64 winning_pool_id
     | u64 len(metric_name) + UTF-8 bytes | f64 metric_value bits
     | u64 len(aggregator_rule) + UTF-8 bytes
     | u64 nonce | 32 raw prev_hash bytes
+
+Genesis holds round 0, winning_pool_id -1 and empty strings. An export line is
+one JSON object of a block's fields, digests as hex, plus the chain's difficulty.
 
 A block meets difficulty d when its hash starts with d zero bits. Timestamps
 are logical round counters, never wall clock, so sealed chains are
@@ -36,22 +39,17 @@ _U64 = struct.Struct("<Q")
 
 
 @dataclass(frozen=True)
-class RoundMeta:
+class Block:
+    index: int
+    timestamp: int
+    payload_digest: bytes
     round: int
     winning_pool_id: int
     metric_name: str
     metric_value: float
     aggregator_rule: str
-
-
-@dataclass(frozen=True)
-class Block:
-    index: int
-    timestamp: int
-    payload_digest: bytes
-    meta: RoundMeta
-    prev_hash: bytes
     nonce: int = 0
+    prev_hash: bytes = ZERO32
     hash: bytes = b""
 
 
@@ -68,15 +66,9 @@ def _pack_str(s: str) -> bytes:
 
 def _preimage_parts(block: Block) -> Tuple[bytes, bytes]:
     """The preimage bytes before the nonce field, and the prev_hash after it."""
-    m = block.meta
-    head = (
-        struct.pack("<QQ", block.index, block.timestamp)
-        + block.payload_digest
-        + struct.pack("<Qq", m.round, m.winning_pool_id)
-        + _pack_str(m.metric_name)
-        + struct.pack("<d", m.metric_value)
-        + _pack_str(m.aggregator_rule)
-    )
+    head = (struct.pack("<QQ", block.index, block.timestamp) + block.payload_digest
+            + struct.pack("<Qq", block.round, block.winning_pool_id) + _pack_str(block.metric_name)
+            + struct.pack("<d", block.metric_value) + _pack_str(block.aggregator_rule))
     return head, block.prev_hash
 
 
@@ -106,21 +98,19 @@ def seal_block(draft: Block, difficulty: int) -> Block:
 
 
 def genesis(initial_params: np.ndarray, difficulty: int = 0) -> Chain:
-    meta = RoundMeta(round=0, winning_pool_id=-1, metric_name="", metric_value=0.0, aggregator_rule="")
-    draft = Block(index=0, timestamp=0, payload_digest=params.digest(initial_params),
-                  meta=meta, prev_hash=ZERO32)
+    draft = Block(0, 0, params.digest(initial_params), 0, -1, "", 0.0, "")
     return Chain(blocks=(seal_block(draft, difficulty),), difficulty=difficulty)
 
 
-def append(chain: Chain, model: np.ndarray, meta: RoundMeta) -> Chain:
-    """Seal a block for model onto the tip; only the tip is checked, not the whole chain."""
+def append(chain: Chain, model: np.ndarray, round: int, winning_pool_id: int, metric_name: str,
+           metric_value: float, aggregator_rule: str) -> Chain:
+    """Seal a block for model and round onto the tip; only the tip is checked, not the whole chain."""
     tip = len(chain.blocks) - 1
     if _invalid(chain, tip):
         raise ValueError(f"refusing to append to invalid chain (invalid tip block {tip})")
-    draft = Block(index=tip + 1, timestamp=meta.round, payload_digest=params.digest(model),
-                  meta=meta, prev_hash=chain.blocks[tip].hash)
-    return Chain(blocks=chain.blocks + (seal_block(draft, chain.difficulty),),
-                 difficulty=chain.difficulty)
+    draft = Block(tip + 1, round, params.digest(model), round, winning_pool_id, metric_name,
+                  metric_value, aggregator_rule, prev_hash=chain.blocks[tip].hash)
+    return Chain(chain.blocks + (seal_block(draft, chain.difficulty),), chain.difficulty)
 
 
 def _invalid(chain: Chain, i: int) -> bool:
@@ -136,24 +126,19 @@ def validate(chain: Chain) -> Optional[int]:
     return next((i for i in range(len(chain.blocks)) if _invalid(chain, i)), None)
 
 
+_BLOCK_FIELDS = tuple(f.name for f in fields(Block))
+_DIGESTS = ("payload_digest", "prev_hash", "hash")
+
+
 def export_lines(chain: Chain) -> str:
-    """One self-describing JSON record per block, hashes hex-encoded."""
+    """One self-describing JSON record per block: every Block field, digests as hex, and difficulty."""
     lines = []
     for b in chain.blocks:
-        lines.append(json.dumps({
-            "index": b.index,
-            "timestamp": b.timestamp,
-            "payload_digest": b.payload_digest.hex(),
-            "round": b.meta.round,
-            "winning_pool_id": b.meta.winning_pool_id,
-            "metric_name": b.meta.metric_name,
-            "metric_value": b.meta.metric_value,
-            "aggregator_rule": b.meta.aggregator_rule,
-            "nonce": b.nonce,
-            "prev_hash": b.prev_hash.hex(),
-            "hash": b.hash.hex(),
-            "difficulty": chain.difficulty,
-        }, sort_keys=True, separators=(",", ":")))
+        rec = {k: getattr(b, k) for k in _BLOCK_FIELDS}
+        for k in _DIGESTS:
+            rec[k] = rec[k].hex()
+        rec["difficulty"] = chain.difficulty
+        lines.append(json.dumps(rec, sort_keys=True, separators=(",", ":")))
     return "\n".join(lines) + "\n"
 
 
@@ -164,7 +149,7 @@ _FIELDS = {**dict.fromkeys(("index", "timestamp", "round", "nonce"), (int, 0, (1
            "winning_pool_id": (int, -(1 << 63), (1 << 63) - 1),
            "difficulty": (int, 0, MAX_DIFFICULTY), "metric_value": (float,),
            **dict.fromkeys(("metric_name", "aggregator_rule"), (str,)),
-           **dict.fromkeys(("payload_digest", "prev_hash", "hash"), (str, re.compile("[0-9a-f]{64}")))}
+           **dict.fromkeys(_DIGESTS, (str, re.compile("[0-9a-f]{64}")))}
 
 
 def load_lines(text: str) -> Chain:
@@ -185,11 +170,7 @@ def load_lines(text: str) -> Chain:
                         raise ValueError(f"{key} must be 64 lowercase hex digits, got {value[:80]!r}")
                 elif bounds and not bounds[0] <= value <= bounds[1]:
                     raise ValueError(f"{key} {value} outside [{bounds[0]}, {bounds[1]}]")
-            meta = RoundMeta(**{f.name: rec[f.name] for f in fields(RoundMeta)})
-            block = Block(index=rec["index"], timestamp=rec["timestamp"],
-                          payload_digest=bytes.fromhex(rec["payload_digest"]), meta=meta,
-                          prev_hash=bytes.fromhex(rec["prev_hash"]), nonce=rec["nonce"],
-                          hash=bytes.fromhex(rec["hash"]))
+            block = Block(**{k: bytes.fromhex(rec[k]) if k in _DIGESTS else rec[k] for k in _BLOCK_FIELDS})
             if blocks and rec["difficulty"] != difficulty:
                 raise ValueError(f"difficulty {rec['difficulty']} disagrees with {difficulty} "
                                  f"on the lines before")

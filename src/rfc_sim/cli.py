@@ -11,6 +11,7 @@ import contextlib
 import csv
 import os
 import sys
+from dataclasses import fields
 from typing import Dict, List, Optional, Sequence
 
 from . import chain as chain_mod
@@ -20,12 +21,8 @@ from . import data as data_mod
 from . import metrics
 from .consensus import FederationResult, ProvenanceError, RoundAbortError
 
-# records.csv column -> RoundRecord field; one pool<p>_metric column per pool follows
-RECORD_COLUMNS = (("round", "round"), ("winning_pool", "winning_pool_id"),
-                  ("val_metric", "val_metric"), ("test_accuracy", "test_accuracy"),
-                  ("test_loss", "test_loss"), ("backdoor_accuracy_target", "backdoor_accuracy_target"),
-                  ("backdoor_accuracy_clean", "backdoor_accuracy_clean"),
-                  ("backdoor_loss", "backdoor_loss"))
+# records.csv columns: RoundRecord's fields, then one pool<p>_metric column per pool
+RECORD_COLUMNS = tuple(f.name for f in fields(metrics.RoundRecord) if f.name != "pool_metrics")
 
 SUMMARY_DIRECTIONS = {
     "test_accuracy": "maximize",
@@ -42,10 +39,10 @@ def _fmt(value) -> str:
 
 def records_csv_text(result: FederationResult) -> str:
     n_pools = len(result.records[0].pool_metrics) if result.records else 0
-    header = [column for column, _ in RECORD_COLUMNS] + [f"pool{p}_metric" for p in range(n_pools)]
+    header = list(RECORD_COLUMNS) + [f"pool{p}_metric" for p in range(n_pools)]
     lines = [",".join(header)]
     for rec in result.records:
-        row = [getattr(rec, attr) for _, attr in RECORD_COLUMNS] + list(rec.pool_metrics)
+        row = [getattr(rec, column) for column in RECORD_COLUMNS] + list(rec.pool_metrics)
         lines.append(",".join(_fmt(v) for v in row))
     return "\n".join(lines) + "\n"
 
@@ -63,7 +60,7 @@ def summary_csv_text(series_by_name: Dict[str, List[float]], val_direction: str)
 
 
 def _result_series(result: FederationResult) -> Dict[str, List[float]]:
-    return {column: [getattr(rec, attr) for rec in result.records] for column, attr in RECORD_COLUMNS}
+    return {column: [getattr(rec, column) for rec in result.records] for column in RECORD_COLUMNS}
 
 
 def write_outputs(result: FederationResult, rc: config_mod.RunConfig, out_dir: str) -> None:
@@ -110,6 +107,9 @@ def _cmd_run(args) -> int:
     except (RoundAbortError, ProvenanceError) as exc:
         print(f"run aborted: {exc}", file=sys.stderr)
         return 2
+    except MemoryError as exc:  # a model too large to allocate
+        print(f"config error: {exc}", file=sys.stderr)
+        return 1
     try:
         write_outputs(result, rc, args.out)
     except OSError as exc:
@@ -143,7 +143,13 @@ def _cmd_gen_data(args) -> int:
                                          args.per_class, args.noise_sigma, args.seed)
         data_mod.save_csv(dataset, args.out)
     except (ValueError, OSError, MemoryError) as exc:
-        hint = f"--per-class {args.per_class} is too large: " if isinstance(exc, MemoryError) else ""
+        hint = ""
+        if isinstance(exc, MemoryError):  # lead with the larger factor, as build_partition does
+            grid = f"--height x --width = {args.height}x{args.width} grid"
+            examples = f"--per-class x --classes = {args.per_class} x {args.classes} examples"
+            more_examples = args.per_class * args.classes >= args.height * args.width
+            hint = (f"--per-class {args.per_class} is too large: {examples} of a {grid}: " if more_examples
+                    else f"{grid} is too large for {examples}: ")
         print(f"gen-data failed: {hint}{exc}", file=sys.stderr)
         return 1
     print(f"wrote {len(dataset)} examples to {args.out}")

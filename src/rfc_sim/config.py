@@ -304,8 +304,13 @@ def build_partition(rc: RunConfig) -> data_mod.FederatedPartition:
         try:
             dataset = data_mod.gen_synthetic(d.num_classes, d.height, d.width, d.per_class,
                                              d.noise_sigma, derive_seed(fed.master_seed, 0, 0, 0, "dataset"))
-        except MemoryError as exc:
-            raise ConfigError(f"data.per_class = {d.per_class} is too large: {exc}") from exc
+        except MemoryError as exc:  # lead with the larger factor: the example count or one example's grid
+            grid = f"data.height x data.width = {d.height}x{d.width} grid"
+            examples = f"data.per_class x data.num_classes = {d.per_class} x {d.num_classes} examples"
+            more_examples = d.per_class * d.num_classes >= d.height * d.width
+            blame = (f"data.per_class = {d.per_class} is too large: {examples} of a {grid}" if more_examples
+                     else f"{grid} is too large for {examples}")
+            raise ConfigError(f"{blame}: {exc}") from exc
     else:
         dataset = data_mod.load_csv(d.csv_path, num_classes=d.num_classes)
     for key, fraction in (("data.val_fraction", d.val_fraction), ("data.test_fraction", d.test_fraction)):

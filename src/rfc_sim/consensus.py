@@ -253,7 +253,11 @@ def run_federation(cfg: FederationConfig, partition: FederatedPartition) -> Fede
         backdoor_test = attacks.build_backdoor_test(partition.test, partition.height,
                                                     partition.width, adv.trigger_size)
 
-    global_model = models.init_params(cfg.model, derive_seed(cfg.master_seed, 0, 0, 0, "init"))
+    try:
+        global_model = models.init_params(cfg.model, derive_seed(cfg.master_seed, 0, 0, 0, "init"))
+    except (MemoryError, ValueError) as exc:  # numpy's refusals: past memory, or past any array's size
+        raise MemoryError(f"model.hidden_dim = {cfg.model.hidden_dim} is too large: "
+                          f"{models.param_count(cfg.model)} parameters: {exc}") from exc
     ledger = chain_mod.genesis(global_model, cfg.chain_difficulty)
 
     records: List[metrics.RoundRecord] = []
@@ -265,12 +269,9 @@ def run_federation(cfg: FederationConfig, partition: FederatedPartition) -> Fede
         if winner is None:
             raise RoundAbortError(round_idx, [c.note or f"pool {c.pool_id} disqualified"
                                               for c in candidates])
-        meta = chain_mod.RoundMeta(round=round_idx, winning_pool_id=winner.pool_id,
-                                   metric_name=cfg.metric.name,
-                                   metric_value=winner.metric_value,
-                                   aggregator_rule=cfg.aggregator.rule)
         global_model = winner.model
-        ledger = chain_mod.append(ledger, global_model, meta)
+        ledger = chain_mod.append(ledger, global_model, round_idx, winner.pool_id, cfg.metric.name,
+                                  winner.metric_value, cfg.aggregator.rule)
 
         test_loss, test_acc = models.evaluate(cfg.model, global_model, partition.test)
         if backdoor_test is not None:
@@ -279,7 +280,7 @@ def run_federation(cfg: FederationConfig, partition: FederatedPartition) -> Fede
         else:
             bd_target = bd_clean = bd_loss = float("nan")
         records.append(metrics.RoundRecord(
-            round=round_idx, winning_pool_id=winner.pool_id,
+            round=round_idx, winning_pool=winner.pool_id,
             val_metric=winner.metric_value, test_accuracy=test_acc, test_loss=test_loss,
             backdoor_accuracy_target=bd_target, backdoor_accuracy_clean=bd_clean,
             backdoor_loss=bd_loss,

@@ -37,7 +37,7 @@ class MetricSpec:
 @dataclass(frozen=True)
 class RoundRecord:
     round: int
-    winning_pool_id: int
+    winning_pool: int
     val_metric: float
     test_accuracy: float
     test_loss: float

@@ -199,9 +199,10 @@ def forward_loss_grad(spec: ModelSpec, p: np.ndarray, batch: Dataset) -> Tuple[f
 
 
 def log_probs(spec: ModelSpec, p: np.ndarray, data: Dataset) -> np.ndarray:
-    """Per-example log class probabilities, shape (len(data), num_classes)."""
+    """Per-example log class probabilities, shape (len(data), num_classes); overflow is silently non-finite."""
     _check(spec, p, data.x)
-    return _log_softmax(_forward(spec, _unpack(spec, p), data.x)[0])
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _log_softmax(_forward(spec, _unpack(spec, p), data.x)[0])
 
 
 def predict_labels(spec: ModelSpec, p: np.ndarray, data: Dataset) -> np.ndarray:

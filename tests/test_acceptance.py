@@ -19,7 +19,7 @@ import pytest
 
 from rfc_sim import aggregation, attacks, chain as chain_mod, consensus, metrics, models
 from rfc_sim.aggregation import AggregatorConfig
-from rfc_sim.chain import Block, Chain, RoundMeta
+from rfc_sim.chain import Block, Chain
 from rfc_sim.cli import records_csv_text
 from rfc_sim.config import desk_default, execute_run, preset, with_master_seed
 
@@ -172,12 +172,11 @@ def _flip_bit_str(value, rng):
 def _tamper(block, rng):
     fields = ["index", "timestamp", "payload_digest", "round", "winning_pool_id",
               "metric_value", "nonce", "prev_hash", "hash"]
-    if block.meta.metric_name:
+    if block.metric_name:
         fields.append("metric_name")
-    if block.meta.aggregator_rule:
+    if block.aggregator_rule:
         fields.append("aggregator_rule")
     field = rng.choice(fields)
-    meta = block.meta
     if field == "index":
         return dataclasses.replace(block, index=_flip_bit_int(block.index, "<Q", rng))
     if field == "timestamp":
@@ -191,21 +190,21 @@ def _tamper(block, rng):
     if field == "hash":
         return dataclasses.replace(block, hash=_flip_bit_bytes(block.hash, rng))
     if field == "round":
-        return dataclasses.replace(block, meta=dataclasses.replace(meta, round=_flip_bit_int(meta.round, "<Q", rng)))
+        return dataclasses.replace(block, round=_flip_bit_int(block.round, "<Q", rng))
     if field == "winning_pool_id":
-        return dataclasses.replace(block, meta=dataclasses.replace(meta, winning_pool_id=_flip_bit_int(meta.winning_pool_id, "<q", rng)))
+        return dataclasses.replace(block, winning_pool_id=_flip_bit_int(block.winning_pool_id, "<q", rng))
     if field == "metric_value":
-        return dataclasses.replace(block, meta=dataclasses.replace(meta, metric_value=_flip_bit_int(meta.metric_value, "<d", rng)))
+        return dataclasses.replace(block, metric_value=_flip_bit_int(block.metric_value, "<d", rng))
     if field == "metric_name":
-        return dataclasses.replace(block, meta=dataclasses.replace(meta, metric_name=_flip_bit_str(meta.metric_name, rng)))
-    return dataclasses.replace(block, meta=dataclasses.replace(meta, aggregator_rule=_flip_bit_str(meta.aggregator_rule, rng)))
+        return dataclasses.replace(block, metric_name=_flip_bit_str(block.metric_name, rng))
+    return dataclasses.replace(block, aggregator_rule=_flip_bit_str(block.aggregator_rule, rng))
 
 
 def test_criterion_04_chain_tamper_suite():
     ledger = chain_mod.genesis(np.array([1.0, -2.0, 3.0]), 0)
     for t in range(1, 10):
         ledger = chain_mod.append(ledger, np.array([float(t), 0.5, -1.0]),
-                                  RoundMeta(t, t % 3, "accuracy", 0.9 - 0.01 * t, "fedavg"))
+                                  t, t % 3, "accuracy", 0.9 - 0.01 * t, "fedavg")
     assert len(ledger.blocks) == 10
     rng = random.Random(4242)
     start = time.monotonic()

@@ -6,7 +6,7 @@ import pytest
 
 from rfc_sim import chain as chain_mod
 from rfc_sim import params
-from rfc_sim.chain import (Block, Chain, RoundMeta, append, block_hash, export_lines,
+from rfc_sim.chain import (Block, Chain, append, block_hash, export_lines,
                            genesis, load_lines, meets_difficulty, seal_block, validate)
 
 
@@ -14,15 +14,15 @@ def vec(*values):
     return np.array(values, dtype=np.float64)
 
 
-def meta(round_idx, pool=0, value=0.5):
-    return RoundMeta(round=round_idx, winning_pool_id=pool, metric_name="accuracy",
-                     metric_value=value, aggregator_rule="fedavg")
+def round_fields(round_idx, pool=0, value=0.5):
+    return dict(round=round_idx, winning_pool_id=pool, metric_name="accuracy",
+                metric_value=value, aggregator_rule="fedavg")
 
 
 def build_chain(n_rounds, difficulty=0):
     ledger = genesis(vec(1.0, 2.0, 3.0), difficulty)
     for t in range(1, n_rounds + 1):
-        ledger = append(ledger, vec(float(t), 0.0, -float(t)), meta(t, pool=t % 3, value=0.9 - 0.01 * t))
+        ledger = append(ledger, vec(float(t), 0.0, -float(t)), **round_fields(t, pool=t % 3, value=0.9 - 0.01 * t))
     return ledger
 
 
@@ -32,23 +32,23 @@ def test_genesis_validates_and_is_deterministic():
     assert validate(a) is None
     assert a.blocks[0].hash == b.blocks[0].hash
     assert a.blocks[0].prev_hash == bytes(32)
-    assert a.blocks[0].meta.round == 0
+    assert a.blocks[0].round == 0
     assert a.blocks[0].index == 0
 
 
 def test_append_links_blocks():
     ledger = genesis(vec(0.5), 0)
-    longer = append(ledger, vec(1.5), meta(1))
+    longer = append(ledger, vec(1.5), **round_fields(1))
     assert len(longer.blocks) == 2
     assert longer.blocks[1].prev_hash == longer.blocks[0].hash
     assert validate(longer) is None
-    assert longer.blocks[1].meta.round == 1
+    assert longer.blocks[1].round == 1
 
 
 def test_same_payload_different_index_different_hash():
     ledger = genesis(vec(0.5), 0)
-    ledger = append(ledger, vec(7.0), meta(1))
-    ledger = append(ledger, vec(7.0), meta(2))
+    ledger = append(ledger, vec(7.0), **round_fields(1))
+    ledger = append(ledger, vec(7.0), **round_fields(2))
     assert ledger.blocks[1].payload_digest == ledger.blocks[2].payload_digest
     assert ledger.blocks[1].hash != ledger.blocks[2].hash
 
@@ -59,19 +59,19 @@ def test_chain_length_is_rounds_plus_one():
 
 def test_round_numbers_monotone():
     ledger = build_chain(5)
-    rounds = [b.meta.round for b in ledger.blocks]
+    rounds = [b.round for b in ledger.blocks]
     assert rounds == sorted(rounds) == list(range(6))
 
 
 def test_seal_difficulty_zero_takes_first_nonce():
-    draft = Block(index=0, timestamp=0, payload_digest=bytes(32), meta=meta(0), prev_hash=bytes(32))
+    draft = Block(index=0, timestamp=0, payload_digest=bytes(32), **round_fields(0), prev_hash=bytes(32))
     sealed = seal_block(draft, 0)
     assert sealed.nonce == 0
     assert sealed.hash == block_hash(sealed)
 
 
 def test_seal_difficulty_eight_leading_zero_byte():
-    draft = Block(index=0, timestamp=0, payload_digest=bytes(32), meta=meta(0), prev_hash=bytes(32))
+    draft = Block(index=0, timestamp=0, payload_digest=bytes(32), **round_fields(0), prev_hash=bytes(32))
     sealed = seal_block(draft, 8)
     assert sealed.hash[0] == 0
     resealed = seal_block(draft, 8)
@@ -126,14 +126,14 @@ def test_append_rejects_invalid_chain(pos, change):
     blocks = list(build_chain(2).blocks)
     blocks[pos] = dataclasses.replace(blocks[pos], **change)
     with pytest.raises(ValueError, match="invalid chain"):
-        append(Chain(tuple(blocks), 0), vec(1.0), meta(3))
+        append(Chain(tuple(blocks), 0), vec(1.0), **round_fields(3))
 
 
 def test_append_checks_only_the_tip():
     # append trusts the blocks behind the tip; validate still finds the tampered one
     blocks = list(build_chain(4).blocks)
     blocks[2] = dataclasses.replace(blocks[2], payload_digest=bytes(32))
-    longer = append(Chain(tuple(blocks), 0), vec(1.0), meta(5))
+    longer = append(Chain(tuple(blocks), 0), vec(1.0), **round_fields(5))
     assert len(longer.blocks) == 6
     assert validate(longer) == 2
 
@@ -151,7 +151,7 @@ def test_append_hash_count_independent_of_length(monkeypatch):
     counts = []
     for ledger in (short, long_):
         calls.clear()
-        append(ledger, vec(1.0), meta(len(ledger.blocks)))
+        append(ledger, vec(1.0), **round_fields(len(ledger.blocks)))
         counts.append(len(calls))
     assert counts[0] == counts[1]
 
@@ -163,6 +163,7 @@ def test_export_import_roundtrip():
     loaded = load_lines(text)
     assert loaded == ledger
     assert validate(loaded) is None
+    assert export_lines(loaded) == text
 
 
 def test_export_deterministic():
@@ -184,7 +185,7 @@ def test_meets_difficulty_boundaries():
 
 
 def test_seal_rejects_difficulty_above_hash_width():
-    draft = Block(index=0, timestamp=0, payload_digest=bytes(32), meta=meta(0), prev_hash=bytes(32))
+    draft = Block(index=0, timestamp=0, payload_digest=bytes(32), **round_fields(0), prev_hash=bytes(32))
     for difficulty in (257, 300, -1):
         with pytest.raises(ValueError, match="difficulty"):
             seal_block(draft, difficulty)

@@ -153,11 +153,11 @@ def test_run_federation_deterministic():
 def test_chain_and_records_agree():
     result = run_tiny()
     for rec, block in zip(result.records, result.chain.blocks[1:]):
-        assert block.meta.round == rec.round
-        assert block.meta.winning_pool_id == rec.winning_pool_id
-        assert block.meta.metric_value == rec.val_metric
-        assert block.meta.metric_name == "accuracy"
-        assert block.meta.aggregator_rule == "fedavg"
+        assert block.round == rec.round
+        assert block.winning_pool_id == rec.winning_pool
+        assert block.metric_value == rec.val_metric
+        assert block.metric_name == "accuracy"
+        assert block.aggregator_rule == "fedavg"
 
 
 def test_genesis_and_tip_payload_digests_certify_init_and_final_model():
@@ -189,7 +189,7 @@ def test_macro_f1_consensus_metric_runs():
         assert 0.0 <= rec.val_metric <= 1.0
         finite = [v for v in rec.pool_metrics if math.isfinite(v)]
         assert rec.val_metric == max(finite)
-    assert result.chain.blocks[-1].meta.metric_name == "macro_f1"
+    assert result.chain.blocks[-1].metric_name == "macro_f1"
 
 
 def test_label_shard_partition_runs_end_to_end():
@@ -227,7 +227,7 @@ def test_client_server_single_candidate_per_round():
     result = run_tiny(topology="client_server", clients_sampled_per_round=5)
     for rec in result.records:
         assert len(rec.pool_metrics) == 1
-        assert rec.winning_pool_id == 0
+        assert rec.winning_pool == 0
 
 
 def test_pool_isolation_adversarial_run():
@@ -299,7 +299,7 @@ def test_divergent_pool_disqualified_while_others_proceed(monkeypatch):
         # the first diverged client in sample order names the note
         assert round_cands[0].note == f"client {round_cands[0].clients[0]} diverged in round {r}: synthetic blow-up"
         assert not round_cands[1].disqualified
-    assert all(rec.winning_pool_id == 1 for rec in result.records)
+    assert all(rec.winning_pool == 1 for rec in result.records)
 
 
 def test_partition_mismatch_rejected():

@@ -95,6 +95,10 @@ DESK_BACKDOOR_42 = (
     "936cc7cd7588b0a5b8989204e4cae54e149e1d03771f6ed50b6ddcf832cc5331",
     "fc0f2b6785962bf53db7c96dab8b42570a4728d4420046b18af7d82194ea8efe")
 
+# the same run's chain.jsonl and summary.csv, as cli.write_outputs writes them
+DESK_BACKDOOR_42_CHAIN_JSONL = "e56e924717a59d61fce38bb1c0b53735468231787b36aa992e536cc26b0d2b7a"
+DESK_BACKDOOR_42_SUMMARY_CSV = "4a905810b93753168305af78445ec3e5f1fd9d9e8be3adc8f04c2c6122217cfa"
+
 # run config -> sha256 of its config.txt snapshot (render_config)
 CONFIG_TXT_PINS = {
     "desk_default": "c3298d8a88a93d82f194db5780f139bb6298a174fbf192deefe969629af6e198",
@@ -157,3 +161,5 @@ def test_full_desk_backdoor_seed_42(tmp_path):
     cli.write_outputs(result, rc, str(tmp_path))
     records = hashlib.sha256((tmp_path / "records.csv").read_bytes()).hexdigest()
     assert (records, result.chain.blocks[-1].hash.hex()) == DESK_BACKDOOR_42
+    assert hashlib.sha256((tmp_path / "chain.jsonl").read_bytes()).hexdigest() == DESK_BACKDOOR_42_CHAIN_JSONL
+    assert hashlib.sha256((tmp_path / "summary.csv").read_bytes()).hexdigest() == DESK_BACKDOOR_42_SUMMARY_CSV

@@ -456,6 +456,42 @@ def test_cli_run_dataset_too_large_exits_1(tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
+# 495 TiB of parameters, and more parameters than any array can index: both are
+# refused at allocation, at once
+@pytest.mark.parametrize("hidden_dim", ["1000000000000", "100000000000000000000"])
+def test_cli_run_model_too_large_exits_1(tmp_path, capsys, hidden_dim):
+    cfg = write_config(tmp_path, f"rounds = 1\nmodel.kind = mlp\nmodel.hidden_dim = {hidden_dim}\n")
+    assert cli.main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: model.hidden_dim = {hidden_dim} is too large: ")
+    assert len(err.strip().splitlines()) == 1
+
+
+# each too large to allocate (PiB); the message names every size that sets the
+# dataset's shape, leading with the larger factor
+@pytest.mark.parametrize("sizes,config_blame,flag_blame", [
+    ({"per_class": 100000000000000},
+     "data.per_class = 100000000000000 is too large: data.per_class x data.num_classes = "
+     "100000000000000 x 3 examples of a data.height x data.width = 8x8 grid: ",
+     "--per-class 100000000000000 is too large: --per-class x --classes = 100000000000000 x 3 "
+     "examples of a --height x --width = 8x8 grid: "),
+    ({"height": 1000000, "width": 1000000},
+     "data.height x data.width = 1000000x1000000 grid is too large for data.per_class x "
+     "data.num_classes = 400 x 3 examples: ",
+     "--height x --width = 1000000x1000000 grid is too large for --per-class x --classes = "
+     "400 x 3 examples: "),
+], ids=["per_class", "grid"])
+def test_cli_dataset_too_large_names_every_size(tmp_path, capsys, sizes, config_blame, flag_blame):
+    cfg = write_config(tmp_path, "rounds = 1\n" + "".join(f"data.{k} = {v}\n" for k, v in sizes.items()))
+    assert cli.main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: " + config_blame) and len(err.strip().splitlines()) == 1
+    flags = [arg for k, v in sizes.items() for arg in (f"--{k.replace('_', '-')}", str(v))]
+    assert cli.main(["gen-data", "--out", str(tmp_path / "d.csv"), "--per-class", "400"] + flags) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("gen-data failed: " + flag_blame) and len(err.strip().splitlines()) == 1
+
+
 def test_cli_run_nan_boost_eta_exits_1(tmp_path, capsys):
     cfg = write_config(tmp_path, TINY_CONFIG + "adversary.attack = backdoor\n"
                        "adversary.placement = all_pools\nadversary.boost = replacement\n"
@@ -536,8 +572,7 @@ def test_cli_validate_chain_difficulty_mismatch_exits_3(tmp_path, capsys):
 def test_cli_validate_chain_out_of_range_difficulty_exits_3(tmp_path, capsys, difficulty):
     import json
     ledger = chain_mod.genesis(np.array([1.0, 2.0]), 0)
-    meta = chain_mod.RoundMeta(1, 0, "accuracy", 0.5, "fedavg")
-    ledger = chain_mod.append(ledger, np.array([3.0, 4.0]), meta)
+    ledger = chain_mod.append(ledger, np.array([3.0, 4.0]), 1, 0, "accuracy", 0.5, "fedavg")
     records = [json.loads(line) for line in chain_mod.export_lines(ledger).splitlines()]
     bad_file = tmp_path / "range.jsonl"
     bad_file.write_text("".join(json.dumps({**rec, "difficulty": difficulty}) + "\n"
@@ -549,8 +584,7 @@ def test_cli_validate_chain_out_of_range_difficulty_exits_3(tmp_path, capsys, di
 def _two_round_export() -> str:
     ledger = chain_mod.genesis(np.array([1.0, 2.0]), 0)
     for r in (1, 2):
-        ledger = chain_mod.append(ledger, np.array([3.0, float(r)]),
-                                  chain_mod.RoundMeta(r, 0, "accuracy", 0.5 + r / 8, "fedavg"))
+        ledger = chain_mod.append(ledger, np.array([3.0, float(r)]), r, 0, "accuracy", 0.5 + r / 8, "fedavg")
     return chain_mod.export_lines(ledger)
 
 
@@ -587,8 +621,7 @@ def _resealed_export(payload_digest: bytes) -> str:
     """A two-round export whose round-1 block holds ``payload_digest``, resealed so every hash links."""
     blocks = list(chain_mod.genesis(np.array([1.0, 2.0]), 0).blocks)
     for r, digest in ((1, payload_digest), (2, bytes(32))):
-        draft = chain_mod.Block(index=r, timestamp=r, payload_digest=digest, prev_hash=blocks[-1].hash,
-                                meta=chain_mod.RoundMeta(r, 0, "accuracy", 0.5, "fedavg"))
+        draft = chain_mod.Block(r, r, digest, r, 0, "accuracy", 0.5, "fedavg", prev_hash=blocks[-1].hash)
         blocks.append(chain_mod.seal_block(draft, 0))
     return chain_mod.export_lines(chain_mod.Chain(tuple(blocks), 0))
 

@@ -1,5 +1,6 @@
 import math
 import random
+import warnings
 
 import numpy as np
 import pytest
@@ -168,6 +169,24 @@ def test_evaluate_backdoor_clean_model_near_target_prior():
     assert abs(acc - 1 / 3) < 0.15
     # the clean-label reading is the plain accuracy of the same forward pass
     assert clean == models.evaluate(spec, trained, triggered)[1]
+
+
+def test_overflowing_model_scores_silently_like_evaluate():
+    # finite parameters whose logits overflow: every scoring path gives non-finite
+    # values, as evaluate does, and none of them warns
+    spec = models.ModelSpec("linear", 4, 2)
+    p = np.full(models.param_count(spec), 1e308)
+    data = Dataset(np.ones((4, 4)), np.array([0, 1, 0, 1]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        loss, acc = models.evaluate(spec, p, data)
+        logp = models.log_probs(spec, p, data)
+        f1 = score_model(MetricSpec("macro_f1"), spec, p, data)
+        bd_acc, bd_clean, bd_loss = evaluate_backdoor(spec, p, data, target_label=0)
+    assert math.isnan(loss) and acc == 0.5
+    assert np.isnan(logp).all()
+    assert (f1, bd_acc, bd_clean) == (macro_f1([0] * 4, data.y, 2), 1.0, 0.5)
+    assert math.isnan(bd_loss)
 
 
 def test_evaluate_backdoor_empty():

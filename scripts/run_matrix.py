@@ -16,10 +16,10 @@ from dataclasses import replace
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from rfc_sim import metrics
+from rfc_sim.aggregation import AGGREGATION_RULES
 from rfc_sim.config import PRESET_NAMES, desk_default, execute_run, preset, with_master_seed
+from rfc_sim.consensus import TOPOLOGIES
 
-RULES = ("fedavg", "krum", "bulyan", "geomed")
-TOPOLOGIES = ("rfc", "client_server")
 CONSENSUS_METRICS = ("accuracy", "loss")
 
 CSV_HEADER = ("scenario,rule,topology,metric,seed,final_accuracy,best_accuracy,avg10_accuracy,"
@@ -44,7 +44,7 @@ def main():
     parser.add_argument("--out", default="matrix_out", help="output directory")
     parser.add_argument("--seeds", default="1,2,3", help="comma-separated master seeds")
     parser.add_argument("--scenarios", default=",".join(PRESET_NAMES))
-    parser.add_argument("--rules", default=",".join(RULES))
+    parser.add_argument("--rules", default=",".join(AGGREGATION_RULES))
     parser.add_argument("--topologies", default=",".join(TOPOLOGIES))
     parser.add_argument("--metrics", default=",".join(CONSENSUS_METRICS))
     args = parser.parse_args()

@@ -81,8 +81,11 @@ def gen_synthetic(num_classes: int, height: int, width: int, per_class: int,
                   noise_sigma: float, seed: int) -> Dataset:
     """per_class examples of each class in class order, deterministic in seed."""
     check_synthetic(num_classes, height, width, per_class, noise_sigma)
-    y = np.repeat(np.arange(num_classes, dtype=np.int64), per_class)
-    x = np.zeros((y.shape[0], height * width), dtype=np.float64)
+    try:  # numpy refuses a size past its index range with ValueError or OverflowError
+        y = np.repeat(np.arange(num_classes, dtype=np.int64), per_class)
+        x = np.zeros((y.shape[0], height * width), dtype=np.float64)
+    except (ValueError, OverflowError) as exc:
+        raise MemoryError(str(exc)) from exc
     x[np.arange(y.shape[0]), y] = TEMPLATE_BRIGHT
     if noise_sigma != 0.0:
         # template + sigma * noise, clipped; in place, so only one extra array lives

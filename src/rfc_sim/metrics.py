@@ -127,8 +127,7 @@ def score_model(metric: MetricSpec, spec: models.ModelSpec, p: np.ndarray,
         return models.evaluate(spec, p, data)[1]
     if metric.name == "loss":
         return models.evaluate(spec, p, data)[0]
-    preds = models.predict_labels(spec, p, data)
-    return macro_f1(preds, data.y, spec.num_classes)
+    return macro_f1(models.log_probs(spec, p, data).argmax(axis=1), data.y, spec.num_classes)
 
 
 def better(a: float, b: float, direction: str) -> bool:

@@ -10,11 +10,12 @@ drawn in packing order from the words of ``Sm64Stream(seed)``; biases start
 at zero. Local training shuffles with Fisher-Yates, reseeded per epoch as
 ``mix64(train_seed, epoch)``.
 
-``train_clients`` trains many clients from one start as stacks on a client
-axis: parameters ``[C, P]``, batches ``[C, b, input_dim]``. Clients with equal
-row counts share a stack, split so that a stack's ``[C, P]`` block stays within
-``STACK_BYTES``, and write their rows into one ``[N, P]`` matrix. Every row gets
-exactly the bits it would get trained alone; ``train_local`` trains one client.
+``train_clients`` checks its inputs, trains clients from one start as stacks on
+a client axis (parameters ``[C, P]``, batches ``[C, b, input_dim]``) and writes
+their rows into one ``[N, P]`` matrix. Clients with equal row counts share a
+stack, split to stay within ``STACK_BYTES``. A stack keeps its shape to its last
+step: a diverged row stays in it, masked. Every row gets exactly the bits it
+would get trained alone; ``train_local`` trains one client.
 
 One workspace per call holds the six ``[C, P]`` arrays of every stack (``p``,
 Adam's ``m`` and ``v``, which its first step writes directly, the gradient and
@@ -160,7 +161,7 @@ def _forward(spec: ModelSpec, w: list, x: np.ndarray):
 def _loss_grad(spec: ModelSpec, w: list, x: np.ndarray, y: np.ndarray, g: Optional[list] = None):
     """Per-client mean cross-entropy and logits; with ``g``, the gradient, written into those views.
 
-    The forward and backward pass of training, ``evaluate`` and ``forward_loss_grad``. Callers hold
+    The forward and backward pass of training and ``evaluate``. Callers hold
     ``np.errstate(over="ignore", invalid="ignore")``: overflow surfaces as a non-finite loss.
     """
     logits, acts = _forward(spec, w, x)
@@ -189,24 +190,11 @@ def _loss_grad(spec: ModelSpec, w: list, x: np.ndarray, y: np.ndarray, g: Option
     return loss, logits
 
 
-def forward_loss_grad(spec: ModelSpec, p: np.ndarray, batch: Dataset) -> Tuple[float, np.ndarray, int]:
-    """Mean cross-entropy, its gradient, and the argmax hit count on one batch."""
-    _check(spec, p, batch.x)
-    grad = np.empty_like(p)
-    with np.errstate(over="ignore", invalid="ignore"):
-        loss, logits = _loss_grad(spec, _unpack(spec, p), batch.x, batch.y, _unpack(spec, grad))
-    return float(loss), grad, int((logits.argmax(axis=-1) == batch.y).sum())
-
-
 def log_probs(spec: ModelSpec, p: np.ndarray, data: Dataset) -> np.ndarray:
     """Per-example log class probabilities, shape (len(data), num_classes); overflow is silently non-finite."""
     _check(spec, p, data.x)
     with np.errstate(over="ignore", invalid="ignore"):
         return _log_softmax(_forward(spec, _unpack(spec, p), data.x)[0])
-
-
-def predict_labels(spec: ModelSpec, p: np.ndarray, data: Dataset) -> np.ndarray:
-    return log_probs(spec, p, data).argmax(axis=1)
 
 
 def evaluate(spec: ModelSpec, p: np.ndarray, data: Dataset) -> Tuple[float, float]:
@@ -240,8 +228,9 @@ def train_clients(spec: ModelSpec, start: np.ndarray, datasets: Sequence[Dataset
     by_length: Dict[int, List[int]] = {}
     for i, data in enumerate(datasets):
         by_length.setdefault(len(data), []).append(i)
-    if any(by_length):  # a client has rows: the first step's check of start, once for every stack
-        _check(spec, start, None)
+    # the first step's forward checks, once before any stack trains: start, then each client with rows
+    for k, data in enumerate(filter(len, datasets)):
+        _check(spec, None if k else start, data.x)
     trained, diverged = np.empty((len(datasets), param_count(spec))), {}
     # every stack's p, m, v, gradient and two scratch arrays, with the views of full-width p and gradient
     ws = np.empty((6, min(width, len(datasets)), param_count(spec)))
@@ -251,31 +240,29 @@ def train_clients(spec: ModelSpec, start: np.ndarray, datasets: Sequence[Dataset
         orders = orders.reshape(len(members), opt.local_epochs, n)
         for lo in range(0, len(members), width):
             stack = members[lo : lo + width]
-            diverged.update(_train_stack(spec, start, [datasets[i] for i in stack], orders[lo : lo + width],
-                                         opt, trained, stack, workspace))
+            trained[stack], errors = _train_stack(spec, start, [datasets[i] for i in stack],
+                                                  orders[lo : lo + width], opt, workspace)
+            diverged.update((stack[r], error) for r, error in errors.items())
+    trained[list(diverged)] = np.nan
     return trained, diverged
 
 
 def _train_stack(spec: ModelSpec, start: np.ndarray, datasets: Sequence[Dataset], orders: np.ndarray,
-                 opt: OptimizerConfig, trained: np.ndarray, dest: List[int],
-                 workspace: tuple) -> Dict[int, DivergenceError]:
-    """Train equal-length clients with per-epoch ``orders`` ``[C, E, n]`` as one stack into ``trained[dest]``.
+                 opt: OptimizerConfig, workspace: tuple) -> Tuple[np.ndarray, Dict[int, DivergenceError]]:
+    """Train equal-length clients with per-epoch ``orders`` ``[C, E, n]`` as one stack.
 
-    Each row takes every step as the one-client loop would, with the same
-    operations in the same order, in the first C rows of ``train_clients``'
-    workspace; Adam's first step writes ``m`` and ``v`` directly, as the loop's
-    update of zero moments rounds. A row whose loss or parameters turn
-    non-finite leaves as NaN; returns its DivergenceError by row of ``trained``.
+    The stack is the first C rows of ``train_clients``' workspace, one per
+    client, to its last step. Each row takes every step as the one-client loop
+    would, with the same operations in the same order; Adam's first step writes
+    ``m`` and ``v`` directly, as the loop's update of zero moments rounds. A row
+    whose loss or parameters turn non-finite gets its DivergenceError at that
+    step and stays, stepping on values that nothing reads. Returns the ``[C, P]``
+    parameters and the errors by stack row, at once when every row has diverged.
     """
     width, n = len(datasets), len(datasets[0])
-    for data in datasets if n else ():  # the first step's forward checks; later steps keep their rows finite
-        _check(spec, None, data.x)
-    diverged = {}
-    live = np.arange(width)
-    # orders as rows of x and y, clients end to end (one read in place); each epoch's are gathered into xe, ye
-    orders = orders + n * live[:, None, None]
-    x, y = ((datasets[0].x, datasets[0].y) if width == 1 else
-            (np.concatenate([data.x for data in datasets]), np.concatenate([data.y for data in datasets])))
+    # orders as rows of x and y, clients end to end; each epoch's are gathered into xe, ye
+    orders = orders + n * np.arange(width)[:, None, None]
+    x, y = np.concatenate([data.x for data in datasets]), np.concatenate([data.y for data in datasets])
     xe, ye = np.empty((width, n, x.shape[1])), np.empty((width, n), dtype=y.dtype)
     ws, w, g = workspace
     p, m, v, grad, s1, s2 = ws[:, :width]
@@ -283,13 +270,12 @@ def _train_stack(spec: ModelSpec, start: np.ndarray, datasets: Sequence[Dataset]
     if width < ws.shape[1]:
         w, g = _unpack(spec, p), _unpack(spec, grad)
     lr, b1, b2 = opt.learning_rate, opt.adam_beta1, opt.adam_beta2
-    t = 0
-    # a row with a non-finite loss or overflowing step steps too, but is dropped before it is read
+    t, alive, diverged = 0, np.ones(width, dtype=bool), {}
+    # a diverged row keeps stepping, silently; train_clients sets its row to NaN
     with np.errstate(over="ignore", invalid="ignore"):
         for epoch in range(opt.local_epochs):
-            rows = orders[live, epoch]
-            np.take(x, rows, axis=0, out=xe, mode="clip")
-            np.take(y, rows, out=ye, mode="clip")
+            np.take(x, orders[:, epoch], axis=0, out=xe, mode="clip")
+            np.take(y, orders[:, epoch], out=ye, mode="clip")
             for lo in range(0, n, opt.batch_size):
                 hi = lo + opt.batch_size
                 loss, _ = _loss_grad(spec, w, xe[:, lo:hi], ye[:, lo:hi], g)
@@ -317,14 +303,11 @@ def _train_stack(spec: ModelSpec, start: np.ndarray, datasets: Sequence[Dataset]
                 if np.isfinite(loss).all() and np.isfinite(p).all():
                     continue
                 bad_loss = ~np.isfinite(loss)
-                bad = bad_loss | ~np.isfinite(p).all(axis=1)
-                for r, lossy in zip(live[bad].tolist(), bad_loss[bad].tolist()):
-                    what = "non-finite loss" if lossy else "parameters overflowed"
-                    diverged[dest[r]] = DivergenceError(f"{what} at epoch {epoch}, batch offset {lo}")
-                    trained[dest[r]] = np.nan
-                live, p, m, v, grad, s1, s2, xe, ye = (a[~bad] for a in (live, p, m, v, grad, s1, s2, xe, ye))
-                if live.size == 0:
-                    return diverged
-                w, g = _unpack(spec, p), _unpack(spec, grad)
-    trained[np.take(dest, live)] = p
-    return diverged
+                bad = alive & (bad_loss | ~np.isfinite(p).all(axis=1))
+                for r in np.flatnonzero(bad).tolist():
+                    what = "non-finite loss" if bad_loss[r] else "parameters overflowed"
+                    diverged[r] = DivergenceError(f"{what} at epoch {epoch}, batch offset {lo}")
+                alive &= ~bad
+                if not alive.any():
+                    return p, diverged
+    return p, diverged

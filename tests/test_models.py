@@ -24,13 +24,23 @@ def empty(dim):
     return Dataset(np.zeros((0, dim)), np.zeros(0, dtype=np.int64))
 
 
+def forward_loss_grad(spec, p, batch):
+    """Mean cross-entropy, its gradient, and the argmax hit count on one batch, as training computes them."""
+    models._check(spec, p, batch.x)
+    grad = np.empty_like(p)
+    with np.errstate(over="ignore", invalid="ignore"):
+        loss, logits = models._loss_grad(spec, models._unpack(spec, p), batch.x, batch.y,
+                                         models._unpack(spec, grad))
+    return float(loss), grad, int((logits.argmax(axis=-1) == batch.y).sum())
+
+
 def central_diff_grad(spec, p, batch, eps=1e-5):
     grad = np.zeros_like(p)
     for k in range(p.shape[0]):
         hi = p.copy(); hi[k] += eps
         lo = p.copy(); lo[k] -= eps
-        loss_hi, _, _ = models.forward_loss_grad(spec, hi, batch)
-        loss_lo, _, _ = models.forward_loss_grad(spec, lo, batch)
+        loss_hi, _, _ = forward_loss_grad(spec, hi, batch)
+        loss_lo, _, _ = forward_loss_grad(spec, lo, batch)
         grad[k] = (loss_hi - loss_lo) / (2 * eps)
     return grad
 
@@ -88,7 +98,7 @@ def test_zero_params_gives_uniform_softmax_loss():
     for c in (2, 3, 5):
         spec = ModelSpec("linear", 4, c)
         batch = make_batch(spec, 6)
-        loss, _, _ = models.forward_loss_grad(spec, np.zeros(models.param_count(spec)), batch)
+        loss, _, _ = forward_loss_grad(spec, np.zeros(models.param_count(spec)), batch)
         assert loss == pytest.approx(math.log(c), abs=1e-12)
 
 
@@ -96,9 +106,9 @@ def test_duplicated_batch_same_loss_and_grad():
     spec = ModelSpec("linear", 3, 2)
     p = models.init_params(spec, 3)
     batch = make_batch(spec, 4, seed=5)
-    loss1, grad1, correct1 = models.forward_loss_grad(spec, p, batch)
+    loss1, grad1, correct1 = forward_loss_grad(spec, p, batch)
     doubled = Dataset(np.concatenate([batch.x, batch.x]), np.concatenate([batch.y, batch.y]))
-    loss2, grad2, correct2 = models.forward_loss_grad(spec, p, doubled)
+    loss2, grad2, correct2 = forward_loss_grad(spec, p, doubled)
     assert loss1 == pytest.approx(loss2, rel=1e-12)
     assert np.allclose(grad1, grad2, rtol=1e-12, atol=1e-15)
     assert correct2 == 2 * correct1
@@ -121,7 +131,7 @@ def test_softmax_rows_sum_to_one():
 def test_gradient_matches_central_differences(spec, seed):
     p = models.init_params(spec, seed)
     batch = make_batch(spec, 5, seed=seed)
-    _, grad, _ = models.forward_loss_grad(spec, p, batch)
+    _, grad, _ = forward_loss_grad(spec, p, batch)
     numeric = central_diff_grad(spec, p, batch)
     assert np.max(np.abs(grad - numeric)) < 1e-6
 
@@ -130,13 +140,14 @@ def test_forward_rejects_nonfinite_params_and_bad_batch():
     spec = ModelSpec("linear", 3, 2)
     batch = make_batch(spec, 2)
     bad = np.full(models.param_count(spec), np.nan)
-    with pytest.raises(ValueError, match="non-finite"):
-        models.forward_loss_grad(spec, bad, batch)
-    with pytest.raises(ValueError):
-        models.forward_loss_grad(spec, models.init_params(spec, 0), empty(3))
-    wrong_dim = Dataset(np.zeros((1, 5)), np.array([0]))
-    with pytest.raises(ValueError):
-        models.forward_loss_grad(spec, models.init_params(spec, 0), wrong_dim)
+    for forward in (forward_loss_grad, models.log_probs, models.evaluate):
+        with pytest.raises(ValueError, match="non-finite"):
+            forward(spec, bad, batch)
+        with pytest.raises(ValueError):
+            forward(spec, models.init_params(spec, 0), empty(3))
+        wrong_dim = Dataset(np.zeros((1, 5)), np.array([0]))
+        with pytest.raises(ValueError):
+            forward(spec, models.init_params(spec, 0), wrong_dim)
 
 
 def test_train_local_zero_learning_rate_is_identity():
@@ -156,7 +167,7 @@ def test_single_full_batch_sgd_step_matches_oracle():
     lr = 0.05
     opt = OptimizerConfig(kind="sgd", learning_rate=lr, local_epochs=1, batch_size=8)
     out = models.train_local(spec, start, data, opt, seed=17)
-    _, grad, _ = models.forward_loss_grad(spec, start, data)
+    _, grad, _ = forward_loss_grad(spec, start, data)
     assert np.array_equal(out, start - lr * grad)
 
 
@@ -206,7 +217,7 @@ def test_evaluate_matches_batchwise_aggregation():
     total_correct = 0
     for lo in range(0, len(data), 5):
         batch = data[lo : lo + 5]
-        loss, _, correct = models.forward_loss_grad(spec, p, batch)
+        loss, _, correct = forward_loss_grad(spec, p, batch)
         total_loss += loss * len(batch)
         total_correct += correct
     assert loss_all == pytest.approx(total_loss / len(data), abs=1e-12)
@@ -406,9 +417,9 @@ def test_narrow_stacks_equal_per_client_reference(kind, dims, opt_kind, lr, epoc
 
 # scales of five 7-row clients trained as stacks of two: [0, 1], [2, 3], then the narrower [4]
 @pytest.mark.parametrize("scales", [
-    (np.inf, np.inf, 1.0, 1.0, 1.0),  # the first stack's rows all leave; the next reuses its workspace
-    (1.0, np.inf, 1.0, np.inf, 1.0),  # each stack after a row drop starts on the workspace again
-    (1.0, 1.0, np.inf, np.inf, 1.0),  # a full stack leaves before the narrower last one
+    (np.inf, np.inf, 1.0, 1.0, 1.0),  # the first stack's rows all diverge; the next reuses its workspace
+    (1.0, np.inf, 1.0, np.inf, 1.0),  # each stack after a diverged row starts on the workspace again
+    (1.0, 1.0, np.inf, np.inf, 1.0),  # a full stack diverges before the narrower last one
 ], ids=["first_all_diverged", "one_per_stack_diverged", "middle_all_diverged"])
 @pytest.mark.parametrize("kind", ["linear", "mlp"])
 @pytest.mark.parametrize("opt_kind", ["sgd", "adam"])
@@ -433,34 +444,39 @@ def with_infinite_row(data, row):
     return Dataset(x, data.y)
 
 
-# (diverging client, its infinite row or None for all rows, its DivergenceError)
-@pytest.mark.parametrize("bad,row,message", [
-    (1, None, "non-finite loss at epoch 0, batch offset 0"),
-    # epoch 0 visits client 1's rows (seed 6) as 1 4 2 | 6 5 3 | 0: it leaves mid-epoch
-    (1, 6, "non-finite loss at epoch 0, batch offset 3"),
-    # and client 0's (seed 5) as 6 0 5 | 3 1 4 | 2: it leaves at the last batch, before epoch 1
-    (0, 2, "non-finite loss at epoch 0, batch offset 6"),
-], ids=["whole_client", "middle_row_mid_epoch", "first_row_last_batch"])
-def test_diverged_client_leaves_stack_and_others_step(bad, row, message):
+# per diverging client: its infinite row or None for all rows, and its DivergenceError
+@pytest.mark.parametrize("faults", [
+    {1: (None, "non-finite loss at epoch 0, batch offset 0")},
+    # epoch 0 visits client 1's rows (seed 6) as 1 4 2 | 6 5 3 | 0: it diverges mid-epoch
+    {1: (6, "non-finite loss at epoch 0, batch offset 3")},
+    # and client 0's (seed 5) as 6 0 5 | 3 1 4 | 2: it diverges at the last batch, before epoch 1
+    {0: (2, "non-finite loss at epoch 0, batch offset 6")},
+    # both: client 1's row stays NaN in the stack at client 0's step and keeps its own message
+    {0: (2, "non-finite loss at epoch 0, batch offset 6"), 1: (6, "non-finite loss at epoch 0, batch offset 3")},
+], ids=["whole_client", "middle_row_mid_epoch", "first_row_last_batch", "two_rows_at_different_steps"])
+def test_diverged_client_stays_in_stack_and_others_step(faults):
     spec = ModelSpec("mlp", 3, 2, hidden_dim=4)
     opt = OptimizerConfig(kind="adam", learning_rate=0.05, local_epochs=2, batch_size=3)
     stream = Sm64Stream(11)
     # infinite features make the client's loss NaN at the first batch that holds them
-    datasets = [client_data(stream, spec, 7, np.inf if k == bad and row is None else 1.0) for k in range(3)]
-    if row is not None:
-        datasets[bad] = with_infinite_row(datasets[bad], row)
+    whole = {k for k, (row, _) in faults.items() if row is None}
+    datasets = [client_data(stream, spec, 7, np.inf if k in whole else 1.0) for k in range(3)]
+    for bad, (row, _) in faults.items():
+        if row is not None:
+            datasets[bad] = with_infinite_row(datasets[bad], row)
     start = models.init_params(spec, 2)
     got = per_client(*models.train_clients(spec, start, datasets, opt, [5, 6, 7]))
-    assert str(got[bad]) == message
-    assert_same_outcome(got[bad], outcome(reference_train_local, spec, start, datasets[bad], opt, 5 + bad))
-    # the rows that stay take every later step in the stack's re-sliced buffers
-    for k in {0, 1, 2} - {bad}:
+    for bad, (_, message) in faults.items():
+        assert str(got[bad]) == message
+        assert_same_outcome(got[bad], outcome(reference_train_local, spec, start, datasets[bad], opt, 5 + bad))
+    # the other rows take every later step beside the diverged ones, in the same stack
+    for k in {0, 1, 2} - set(faults):
         assert_same_outcome(got[k], reference_train_local(spec, start, datasets[k], opt, 5 + k))
 
 
 @pytest.mark.parametrize("scales,opt", [
     ((1.0, np.inf, 1.0), OptimizerConfig(kind="adam", learning_rate=0.05, local_epochs=2, batch_size=3)),
-    # every row leaves, so the stack returns from inside its loop
+    # every row diverges, so the stack returns from inside its loop
     ((np.inf, np.inf, np.inf), OptimizerConfig(kind="adam", learning_rate=0.05, local_epochs=2, batch_size=3)),
     ((1e200, 1e200), OptimizerConfig(kind="sgd", learning_rate=1e300, local_epochs=2, batch_size=3)),
 ], ids=["one_leaves", "all_leave_non_finite_loss", "all_leave_overflow"])

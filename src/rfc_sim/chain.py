@@ -143,8 +143,8 @@ def export_lines(chain: Chain) -> str:
 
 
 # Export field -> the JSON type export_lines writes for it and, for an integer,
-# the range of its packed field; a digest is 64 lowercase hex digits. Nothing
-# else loads, so no edited value can be coerced back to the one that was hashed.
+# the range of its packed field; a digest is 64 lowercase hex digits. No other key
+# loads, and no edited value can be coerced back to the one that was hashed.
 _FIELDS = {**dict.fromkeys(("index", "timestamp", "round", "nonce"), (int, 0, (1 << 64) - 1)),
            "winning_pool_id": (int, -(1 << 63), (1 << 63) - 1),
            "difficulty": (int, 0, MAX_DIFFICULTY), "metric_value": (float,),
@@ -170,6 +170,8 @@ def load_lines(text: str) -> Chain:
                         raise ValueError(f"{key} must be 64 lowercase hex digits, got {value[:80]!r}")
                 elif bounds and not bounds[0] <= value <= bounds[1]:
                     raise ValueError(f"{key} {value} outside [{bounds[0]}, {bounds[1]}]")
+            if extra := sorted(rec.keys() - _FIELDS.keys()):  # rec is an object: every _FIELDS key was read
+                raise ValueError(f"unexpected keys {extra}")
             block = Block(**{k: bytes.fromhex(rec[k]) if k in _DIGESTS else rec[k] for k in _BLOCK_FIELDS})
             if blocks and rec["difficulty"] != difficulty:
                 raise ValueError(f"difficulty {rec['difficulty']} disagrees with {difficulty} "

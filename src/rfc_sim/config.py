@@ -51,10 +51,7 @@ class DataConfig:
             raise ValueError(f"unknown data source {self.source!r}")
         if self.source == "csv" and not self.csv_path:
             raise ValueError("data.source = csv requires data.csv_path")
-        if self.num_classes < 2:
-            raise ValueError(f"data.num_classes must be >= 2, got {self.num_classes}")
-        if self.height < 1 or self.width < 1:
-            raise ValueError(f"data.height and data.width must be >= 1, got {self.height}x{self.width}")
+        data_mod.check_grid(self.num_classes, self.height, self.width, key="data.")
         if self.source == "synthetic":
             data_mod.check_synthetic(self.num_classes, self.height, self.width, self.per_class,
                                      self.noise_sigma, key="data.")

@@ -65,9 +65,17 @@ class FederatedPartition:
     num_classes: int
 
 
+def check_grid(num_classes: int, height: int, width: int, key: str = "") -> None:
+    """Raise ValueError unless there are two classes or more and both grid sides are >= 1."""
+    if num_classes < 2:
+        raise ValueError(f"{key}num_classes must be >= 2, got {num_classes}")
+    if height < 1 or width < 1:
+        raise ValueError(f"{key}height and {key}width must be >= 1, got {height}x{width}")
+
+
 def check_synthetic(num_classes: int, height: int, width: int, per_class: int, noise_sigma: float,
                     key: str = "") -> None:
-    """Raise ValueError unless ``gen_synthetic`` takes these arguments; messages name each as key + name."""
+    """Raise ValueError unless ``gen_synthetic`` takes these arguments past ``check_grid``; messages say key + name."""
     if height * width < num_classes:
         raise ValueError(f"{key}height x {key}width grid {height}x{width} has fewer cells than "
                          f"{key}num_classes = {num_classes}")
@@ -80,6 +88,7 @@ def check_synthetic(num_classes: int, height: int, width: int, per_class: int, n
 def gen_synthetic(num_classes: int, height: int, width: int, per_class: int,
                   noise_sigma: float, seed: int) -> Dataset:
     """per_class examples of each class in class order, deterministic in seed."""
+    check_grid(num_classes, height, width)
     check_synthetic(num_classes, height, width, per_class, noise_sigma)
     try:  # numpy refuses a size past its index range with ValueError or OverflowError
         y = np.repeat(np.arange(num_classes, dtype=np.int64), per_class)

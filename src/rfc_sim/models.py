@@ -131,12 +131,10 @@ def _log_softmax(logits: np.ndarray) -> np.ndarray:
     return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
 
 
-def _check(spec: ModelSpec, p: Optional[np.ndarray], x: Optional[np.ndarray]) -> None:
-    """The ValueErrors of a forward pass of the rows ``x`` under ``p``; a None is not checked."""
+def _check(spec: ModelSpec, p: Optional[np.ndarray], x: np.ndarray) -> None:
+    """The ValueErrors of a forward pass of the rows ``x`` under ``p``; a None ``p`` is not checked."""
     if p is not None and not np.isfinite(p).all():
         raise ValueError("non-finite model parameters")
-    if x is None:
-        return
     if x.shape[-2] == 0:
         raise ValueError("empty batch")
     if x.shape[-1] != spec.input_dim:
@@ -144,27 +142,23 @@ def _check(spec: ModelSpec, p: Optional[np.ndarray], x: Optional[np.ndarray]) ->
 
 
 def _forward(spec: ModelSpec, w: list, x: np.ndarray):
-    """Logits of the rows ``x`` under the ``_unpack`` views ``w``, plus the MLP activations.
+    """Logits of the rows ``x`` under the ``_unpack`` views ``w``, and the output layer's input.
 
-    ``w``'s blocks and ``x`` (``[..., n, input_dim]``) share leading (client)
-    axes; each client's slice is computed as it would be alone.
+    The linear model is the output layer alone, on ``x``; the MLP's output layer reads its ReLU layer.
+    ``w`` and ``x`` (``[..., n, input_dim]``) share leading client axes; each client computes as it would alone.
     """
-    if spec.kind == "linear":
-        weight, bias = w
-        return x @ weight + bias, None
-    w1, b1, w2, b2 = w
-    pre = x @ w1 + b1
-    hidden = np.maximum(pre, 0.0)
-    return hidden @ w2 + b2, (pre, hidden)
+    hidden = x if spec.kind == "linear" else np.maximum(x @ w[0] + w[1], 0.0)
+    return hidden @ w[-2] + w[-1], hidden
 
 
 def _loss_grad(spec: ModelSpec, w: list, x: np.ndarray, y: np.ndarray, g: Optional[list] = None):
     """Per-client mean cross-entropy and logits; with ``g``, the gradient, written into those views.
 
-    The forward and backward pass of training and ``evaluate``. Callers hold
-    ``np.errstate(over="ignore", invalid="ignore")``: overflow surfaces as a non-finite loss.
+    The pass of training and ``evaluate``. The MLP's gradient reads its ReLU mask from the layer's
+    output, positive exactly where the input is. Callers hold ``np.errstate(over="ignore",
+    invalid="ignore")``: overflow surfaces as a non-finite loss.
     """
-    logits, acts = _forward(spec, w, x)
+    logits, hidden = _forward(spec, w, x)
     logp = _log_softmax(logits)
     # (example, label) pairs of the flattened leading axes
     at = np.arange(y.size), y.reshape(-1)
@@ -175,18 +169,13 @@ def _loss_grad(spec: ModelSpec, w: list, x: np.ndarray, y: np.ndarray, g: Option
     dlogits = np.exp(logp)
     dlogits.reshape(-1, spec.num_classes)[at] -= 1.0
     dlogits /= x.shape[-2]
-    if spec.kind == "linear":
-        grad_w, grad_b = g
-        np.matmul(np.swapaxes(x, -1, -2), dlogits, out=grad_w)
-    else:
-        pre, hidden = acts
-        grad_w1, grad_b1, grad_w, grad_b = g
-        dpre = dlogits @ np.swapaxes(w[2], -1, -2)
-        dpre *= pre > 0.0
-        np.matmul(np.swapaxes(x, -1, -2), dpre, out=grad_w1)
-        np.add.reduce(dpre, axis=-2, keepdims=True, out=grad_b1)
-        np.matmul(np.swapaxes(hidden, -1, -2), dlogits, out=grad_w)
-    np.add.reduce(dlogits, axis=-2, keepdims=True, out=grad_b)
+    np.matmul(np.swapaxes(hidden, -1, -2), dlogits, out=g[-2])
+    np.add.reduce(dlogits, axis=-2, keepdims=True, out=g[-1])
+    if spec.kind == "mlp":
+        dhidden = dlogits @ np.swapaxes(w[-2], -1, -2)
+        dhidden *= hidden > 0.0
+        np.matmul(np.swapaxes(x, -1, -2), dhidden, out=g[0])
+        np.add.reduce(dhidden, axis=-2, keepdims=True, out=g[1])
     return loss, logits
 
 

@@ -199,3 +199,16 @@ def test_load_rejects_difficulty_mismatch_between_lines():
     lines[1] = json.dumps(rec, sort_keys=True, separators=(",", ":"))
     with pytest.raises(ValueError, match="line 2: difficulty 4 disagrees with 0"):
         load_lines("\n".join(lines) + "\n")
+
+
+def test_load_rejects_keys_no_hash_covers():
+    lines = export_lines(build_chain(2)).splitlines()
+    rec = json.loads(lines[1])
+    rec["model_url"] = "http://evil"
+    lines[1] = json.dumps(rec, sort_keys=True, separators=(",", ":"))
+    with pytest.raises(ValueError, match=r"^chain export line 2: unexpected keys \['model_url'\]$"):
+        load_lines("\n".join(lines) + "\n")
+    # a line that is not a JSON object is refused too, with its line number
+    for line in ('["index"]', '"index"', "7", "null"):
+        with pytest.raises(ValueError, match="^chain export line 1: "):
+            load_lines(line + "\n")

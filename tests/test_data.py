@@ -64,6 +64,17 @@ def test_gen_synthetic_rejects_small_grid():
         gen_synthetic(5, 2, 2, per_class=1, noise_sigma=0.1, seed=0)
 
 
+@pytest.mark.parametrize("classes,height,width,message", [
+    (1, 8, 8, "num_classes must be >= 2, got 1"),
+    # 4 cells hold 3 classes, so only the sides' own check refuses the grid
+    (3, -2, -2, "height and width must be >= 1, got -2x-2"),
+    (3, 0, 8, "height and width must be >= 1, got 0x8"),
+])
+def test_gen_synthetic_rejects_what_a_run_refuses(classes, height, width, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        gen_synthetic(classes, height, width, per_class=2, noise_sigma=0.1, seed=0)
+
+
 def test_synthetic_task_is_separable_by_linear_model():
     train = gen_synthetic(3, 4, 4, per_class=60, noise_sigma=0.1, seed=2)
     spec = models.ModelSpec("linear", 16, 3)

@@ -325,7 +325,9 @@ def test_cli_validate_chain_garbage_exits_3(tmp_path, capsys):
                                            (["--noise-sigma", "nan"], "d.csv"),
                                            ([], "missing/d.csv"),
                                            # 2.13 PiB of labels: no 48-bit address space holds it
-                                           (["--per-class", "100000000000000"], "d.csv")])
+                                           (["--per-class", "100000000000000"], "d.csv"),
+                                           (["--height", "-2", "--width", "-2", "--per-class", "2"], "d.csv"),
+                                           (["--classes", "1"], "d.csv")])
 def test_cli_gen_data_bad_input_exits_1(tmp_path, capsys, args, out_name):
     out = tmp_path / out_name
     assert cli.main(["gen-data", "--out", str(out)] + args) == 1

@@ -279,6 +279,39 @@ def reference_loss_grad(spec, p, x, y):
     return loss, grad
 
 
+SPECIAL = np.array([0.0, -0.0, np.nan, np.inf, -np.inf, 1e308, -1e308, 5e-324])
+
+
+def same_values(got, want):
+    """Equal elementwise, with NaN equal to NaN and the signs of zeros compared."""
+    got, want = np.asarray(got), np.asarray(want)
+    nan = np.isnan(want)
+    return (np.array_equal(np.isnan(got), nan) and np.array_equal(got[~nan], want[~nan])
+            and np.array_equal(np.signbit(got[~nan]), np.signbit(want[~nan])))
+
+
+@pytest.mark.parametrize("clients", [1, 2, 3])
+@pytest.mark.parametrize("spec", [ModelSpec("linear", 3, 3), ModelSpec("mlp", 3, 3, hidden_dim=4)],
+                         ids=["linear", "mlp"])
+def test_stacked_pass_matches_reference_on_special_values(spec, clients):
+    rng = np.random.default_rng(clients)
+    for _ in range(100):
+        # up to a third of the parameters and features are special values, the rest ordinary
+        rate = rng.choice([0.02, 0.1, 0.3])
+        p = rng.normal(size=(clients, models.param_count(spec)))
+        x = rng.normal(size=(clients, 4, spec.input_dim))
+        for a in (p, x):
+            special = rng.random(a.shape) < rate
+            a[special] = rng.choice(SPECIAL, size=special.sum())
+        y = rng.integers(0, spec.num_classes, size=(clients, 4))
+        grad = np.empty_like(p)
+        with np.errstate(over="ignore", invalid="ignore"):
+            loss, _ = models._loss_grad(spec, models._unpack(spec, p), x, y, models._unpack(spec, grad))
+            for c in range(clients):
+                want_loss, want_grad = reference_loss_grad(spec, p[c], x[c], y[c])
+                assert same_values(loss[c], want_loss) and same_values(grad[c], want_grad)
+
+
 def reference_train_local(spec, start, data, opt, seed):
     """The per-client training loop: scalar Fisher-Yates orders, one batch at a time."""
     x, y = data.x, data.y

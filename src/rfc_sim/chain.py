@@ -152,6 +152,16 @@ _FIELDS = {**dict.fromkeys(("index", "timestamp", "round", "nonce"), (int, 0, (1
            **dict.fromkeys(_DIGESTS, (str, re.compile("[0-9a-f]{64}")))}
 
 
+def _unique_keys(pairs: list) -> dict:
+    """``json.loads``' object hook: a repeated key, of which a dict keeps only the last value, is refused."""
+    rec = {}
+    for key, value in pairs:
+        if key in rec:
+            raise ValueError(f"duplicate key {key!r}")
+        rec[key] = value
+    return rec
+
+
 def load_lines(text: str) -> Chain:
     blocks = []
     difficulty = 0
@@ -159,7 +169,7 @@ def load_lines(text: str) -> Chain:
         if not line.strip():
             continue
         try:
-            rec = json.loads(line)
+            rec = json.loads(line, object_pairs_hook=_unique_keys)
             for key, (kind, *bounds) in _FIELDS.items():
                 value = rec[key]
                 if type(value) is not kind:  # exact, so a bool is no int

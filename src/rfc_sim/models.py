@@ -17,10 +17,10 @@ stack, split to stay within ``STACK_BYTES``. A stack keeps its shape to its last
 step: a diverged row stays in it, masked. Every row gets exactly the bits it
 would get trained alone; ``train_local`` trains one client.
 
-One workspace per call holds the six ``[C, P]`` arrays of every stack (``p``,
-Adam's ``m`` and ``v``, which its first step writes directly, the gradient and
-two scratch arrays); a step allocates nothing of parameter size. Each batch is
-a slice of one epoch's gather of the stack's rows.
+One workspace per call holds the five ``[C, P]`` arrays of every stack (``p``,
+Adam's ``m`` and ``v``, which its first step writes directly, the gradient,
+which holds the step once read, and one scratch array); a step allocates nothing
+of parameter size. Each batch is a slice of one epoch's gather of the stack's rows.
 """
 
 from __future__ import annotations
@@ -36,11 +36,10 @@ from .seeds import mix64, shuffle_orders, stream_words
 
 MODEL_KINDS = ("linear", "mlp")
 OPTIMIZER_KINDS = ("sgd", "adam")
-# Byte budget of one training stack's parameters. The call's workspace holds p,
-# m, v, the gradient and two scratch arrays of that size, beside one epoch's
-# gather: 168 clients of the 195-parameter desk linear model, or one client of
-# a 17,411-parameter MLP, for which wider stacks were slower and raise peak RSS.
-STACK_BYTES = 256 * 1024
+# Byte budget of one training stack's parameters; the call's workspace holds five arrays of it (p, m,
+# v, gradient, scratch) beside one epoch's gather: 336 clients of the 195-parameter desk linear model,
+# or 3 of a 17,411-parameter MLP. wide_krum ran in 634 / 543 / 518 / 531 ms at MLP widths 1 / 2 / 3 / 4.
+STACK_BYTES = 512 * 1024
 
 
 class DivergenceError(RuntimeError):
@@ -221,8 +220,8 @@ def train_clients(spec: ModelSpec, start: np.ndarray, datasets: Sequence[Dataset
     for k, data in enumerate(filter(len, datasets)):
         _check(spec, None if k else start, data.x)
     trained, diverged = np.empty((len(datasets), param_count(spec))), {}
-    # every stack's p, m, v, gradient and two scratch arrays, with the views of full-width p and gradient
-    ws = np.empty((6, min(width, len(datasets)), param_count(spec)))
+    # every stack's p, m, v, gradient and scratch array, with the views of full-width p and gradient
+    ws = np.empty((5, min(width, len(datasets)), param_count(spec)))
     workspace = ws, _unpack(spec, ws[0]), _unpack(spec, ws[3])
     for n, members in by_length.items():
         orders = shuffle_orders([mix64(seeds[i], e) for i in members for e in range(opt.local_epochs)], n)
@@ -254,7 +253,7 @@ def _train_stack(spec: ModelSpec, start: np.ndarray, datasets: Sequence[Dataset]
     x, y = np.concatenate([data.x for data in datasets]), np.concatenate([data.y for data in datasets])
     xe, ye = np.empty((width, n, x.shape[1])), np.empty((width, n), dtype=y.dtype)
     ws, w, g = workspace
-    p, m, v, grad, s1, s2 = ws[:, :width]
+    p, m, v, grad, s = ws[:, :width]
     p[...] = start
     if width < ws.shape[1]:
         w, g = _unpack(spec, p), _unpack(spec, grad)
@@ -270,25 +269,25 @@ def _train_stack(spec: ModelSpec, start: np.ndarray, datasets: Sequence[Dataset]
                 loss, _ = _loss_grad(spec, w, xe[:, lo:hi], ye[:, lo:hi], g)
                 t += 1
                 if opt.kind == "sgd":
-                    np.multiply(grad, lr, out=s1)
+                    grad *= lr
                 else:  # lr (m / c1) / (sqrt(v / c2) + eps), rounded op by op as the one-client update
                     if t == 1:  # b1 0 + a is a, with -0 made +0; (1 - b2) g g is never -0
                         np.add(np.multiply(grad, 1.0 - b1, out=m), 0.0, out=m)
                         np.multiply(np.multiply(grad, 1.0 - b2, out=v), grad, out=v)
                     else:
                         m *= b1
-                        m += np.multiply(grad, 1.0 - b1, out=s1)
+                        m += np.multiply(grad, 1.0 - b1, out=s)
                         v *= b2
-                        np.multiply(grad, 1.0 - b2, out=s2)
-                        s2 *= grad
-                        v += s2
-                    np.divide(m, 1.0 - b1**t, out=s1)
-                    s1 *= lr
-                    np.divide(v, 1.0 - b2**t, out=s2)
-                    np.sqrt(s2, out=s2)
-                    s2 += opt.adam_epsilon
-                    s1 /= s2
-                p -= s1
+                        np.multiply(grad, 1.0 - b2, out=s)
+                        s *= grad
+                        v += s
+                    np.divide(m, 1.0 - b1**t, out=grad)
+                    grad *= lr
+                    np.divide(v, 1.0 - b2**t, out=s)
+                    np.sqrt(s, out=s)
+                    s += opt.adam_epsilon
+                    grad /= s
+                p -= grad
                 if np.isfinite(loss).all() and np.isfinite(p).all():
                     continue
                 bad_loss = ~np.isfinite(loss)

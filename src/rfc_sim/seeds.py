@@ -20,6 +20,8 @@ The mixing function is fixed so independent implementations can agree:
   streams as one numpy ``uint64`` array (numpy's ``uint64`` arithmetic wraps
   mod 2**64). ``shuffle_orders`` builds Fisher-Yates orders from those words;
   a stream whose words ``rand_below`` would reject takes the scalar path.
+  Below ``POSITIONWISE_ROWS`` rows it swaps per row in Python; from there up, one numpy
+  step per position swaps it in every row, a fixed cost that pays off over many rows.
 * ``normals(seed, n)`` is Box-Muller (Box & Muller, 1958): words w1, w2 of
   ``Sm64Stream(seed)`` give ``sqrt(-2 * log(u1)) * cos(2 * pi * u2)`` with
   ``u1 = ((w1 >> 11) + 1) * 2**-53`` and ``u2 = (w2 >> 11) * 2**-53``, drawn
@@ -44,6 +46,7 @@ _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
 # draws per ``normals`` chunk: its words and temporaries peak at ~230 KiB beyond the output
 NORMALS_CHUNK = 2048
+POSITIONWISE_ROWS = 16  # rows from which shuffle_orders swaps position-wise; they tie near 10 rows
 
 
 def _scramble(z):
@@ -99,7 +102,7 @@ class Sm64Stream:
     def shuffle(self, items: List) -> None:
         """In-place Fisher-Yates shuffle: position i, from the last down, swaps with rand_below(i + 1)."""
         (draws,), (self._state,) = _fisher_yates_draws([self._state], len(items))
-        _swap(items, draws)
+        _swap(items, draws.tolist())
 
     def sample(self, items: Sequence, k: int) -> list:
         """k distinct items via partial Fisher-Yates; order is part of the draw.
@@ -137,10 +140,10 @@ def normals(seed: int, n: int) -> np.ndarray:
 
 
 def _fisher_yates_draws(seeds: Sequence[int], n: int):
-    """Per seed, its stream's draws rand_below(n), ..., rand_below(2), and its state after them."""
+    """Per seed, its stream's draws rand_below(n), ..., rand_below(2) (one int64 array), and its state after them."""
     k = max(n - 1, 0)
     words = stream_words(seeds, k)
-    draws = (words % np.arange(n, 1, -1, dtype=np.uint64)).tolist()
+    draws = (words % np.arange(n, 1, -1, dtype=np.uint64)).astype(np.int64)
     states = [(seed + k * _GOLDEN) & _MASK64 for seed in seeds]
     # rand_below(b) keeps r < (2**64 // b) * b; that bound is 2**64 when b is a
     # power of two, so compare with the bound minus one, which fits in uint64
@@ -152,18 +155,24 @@ def _fisher_yates_draws(seeds: Sequence[int], n: int):
     return draws, states
 
 
-def _swap(items: List, draws: Sequence[int]) -> None:
+def _swap(items: List, draws: Sequence[int]) -> List:
     for i, j in zip(range(len(items) - 1, 0, -1), draws):
         items[i], items[j] = items[j], items[i]
+    return items
 
 
 def shuffle_orders(seeds: Sequence[int], n: int) -> np.ndarray:
     """``[len(seeds), n]`` int64: row s is range(n) after ``Sm64Stream(seeds[s]).shuffle``.
 
-    The words of every stream are drawn at once; the swaps run per row in
-    Python, which beats a numpy pass per position unless there are dozens of rows.
+    The words of every stream are drawn at once. Below ``POSITIONWISE_ROWS`` rows the swaps run per row
+    in Python; from there up, one gather and scatter of the flat orders swaps position i in every row.
     """
-    orders = [list(range(n)) for _ in seeds]
-    for order, draws in zip(orders, _fisher_yates_draws(seeds, n)[0]):
-        _swap(order, draws)
-    return np.array(orders, dtype=np.int64).reshape(len(seeds), n)
+    draws, rows = _fisher_yates_draws(seeds, n)[0], len(seeds)
+    if rows < POSITIONWISE_ROWS:
+        return np.array([_swap(list(range(n)), row) for row in draws.tolist()], dtype=np.int64).reshape(rows, n)
+    flat, base = np.tile(np.arange(n, dtype=np.int64), rows), n * np.arange(rows)
+    # per position i, from n - 1 down to 1 (axis 0), and per row: the flat indices of i and of its partner
+    here, there = base + np.arange(n - 1, 0, -1)[:, None], base + draws.T
+    for src, dst in zip(np.concatenate([there, here], axis=1), np.concatenate([here, there], axis=1)):
+        flat[dst] = flat[src]  # a row whose partner is i itself writes the same value twice
+    return flat.reshape(rows, n)

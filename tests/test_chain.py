@@ -212,3 +212,16 @@ def test_load_rejects_keys_no_hash_covers():
     for line in ('["index"]', '"index"', "7", "null"):
         with pytest.raises(ValueError, match="^chain export line 1: "):
             load_lines(line + "\n")
+
+
+def test_load_rejects_a_repeated_key():
+    lines = export_lines(build_chain(3)).splitlines()
+    assert '"round":1,' in lines[1]
+    # json.loads would keep the later "round":1, which the hash covers, and hide the 99 before it
+    lines[1] = '{"round":99,' + lines[1][1:]
+    with pytest.raises(ValueError, match=r"^chain export line 2: duplicate key 'round'$"):
+        load_lines("\n".join(lines) + "\n")
+    # the same key twice with the same value is refused too
+    lines[1] = '{"round":1,' + lines[1][len('{"round":99,'):]
+    with pytest.raises(ValueError, match=r"^chain export line 2: duplicate key 'round'$"):
+        load_lines("\n".join(lines) + "\n")

@@ -616,8 +616,9 @@ def _two_round_export() -> str:
     (r'"round":1,', '"round":true,'),
     (r'"metric_value":([^,]+),', r'"metric_value":"\1",'),
     (r'"metric_name":"accuracy"', r'"metric_name":"\\ud800"'),  # unencodable when hashed
+    (r'^\{', '{"round":99,'),  # json.loads alone keeps the later, hashed "round":1
 ], ids=["negative_round", "negative_nonce", "timestamp_2_64", "float_round", "string_round",
-        "bool_round", "string_metric_value", "lone_surrogate_metric_name"])
+        "bool_round", "string_metric_value", "lone_surrogate_metric_name", "duplicated_round"])
 def test_cli_validate_chain_wrong_field_type_or_range_exits_3(tmp_path, capsys, pattern, replacement):
     lines = _two_round_export().splitlines()
     good = tmp_path / "good.jsonl"

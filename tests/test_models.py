@@ -536,9 +536,12 @@ def test_big_start_diverges_at_first_batch():
 def test_stack_width_follows_param_count(monkeypatch):
     widths = record_stack_widths(monkeypatch)
     opt = OptimizerConfig(local_epochs=1)
+    # STACK_BYTES of 512 KiB: 336 clients of 195 parameters, 3 of 17,411
     for spec, count, want in [(ModelSpec("linear", 64, 3), 18, [18]),
-                              (ModelSpec("linear", 64, 3), 170, [168, 2]),
-                              (ModelSpec("mlp", 64, 3, hidden_dim=256), 3, [1, 1, 1])]:
+                              (ModelSpec("linear", 64, 3), 336, [336]),
+                              (ModelSpec("linear", 64, 3), 340, [336, 4]),
+                              (ModelSpec("mlp", 64, 3, hidden_dim=256), 3, [3]),
+                              (ModelSpec("mlp", 64, 3, hidden_dim=256), 7, [3, 3, 1])]:
         widths.clear()
         data = [make_batch(spec, 4, seed=k) for k in range(count)]
         models.train_clients(spec, models.init_params(spec, 0), data, opt, list(range(count)))
@@ -546,7 +549,7 @@ def test_stack_width_follows_param_count(monkeypatch):
 
 
 def test_train_clients_checks_each_dataset_and_start_once():
-    spec = ModelSpec("mlp", 64, 3, hidden_dim=256)  # one client per stack
+    spec = ModelSpec("mlp", 64, 3, hidden_dim=256)  # three clients per stack
     start = models.init_params(spec, 0)
     narrow = Dataset(make_batch(spec, 4, seed=1).x[:, :63], np.zeros(4, dtype=np.int64))
     with pytest.raises(ValueError, match="^feature dim 63 does not match spec input_dim 64$"):

@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rfc_sim.seeds import (NORMALS_CHUNK, Sm64Stream, derive_seed, mix64, normals, shuffle_orders,
-                          stream_words, tag64)
+from rfc_sim import seeds as seeds_module
+from rfc_sim.seeds import (NORMALS_CHUNK, POSITIONWISE_ROWS, Sm64Stream, derive_seed, mix64, normals,
+                          shuffle_orders, stream_words, tag64)
 
 MASK64 = (1 << 64) - 1
 GOLDEN = 0x9E3779B97F4A7C15
@@ -168,12 +169,16 @@ def _unshift(y, s):
     return x
 
 
-def test_rejected_word_falls_back_to_scalar_path():
-    # invert the SplitMix64 finalizer to find the seed whose first word is 2**64 - 1
+def rejected_seed():
+    """The seed whose first word is 2**64 - 1, found by inverting the SplitMix64 finalizer."""
     z = _unshift(MASK64, 31)
     z = _unshift(z * pow(0x94D049BB133111EB, -1, 1 << 64) & MASK64, 27)
     z = _unshift(z * pow(0xBF58476D1CE4E5B9, -1, 1 << 64) & MASK64, 30)
-    seed = (z - GOLDEN) & MASK64
+    return (z - GOLDEN) & MASK64
+
+
+def test_rejected_word_falls_back_to_scalar_path():
+    seed = rejected_seed()
     assert Sm64Stream(seed).next_u64() == MASK64
     # 3 does not divide 2**64, so rand_below(3), the first draw of a 3-item shuffle, rejects it
     ref_stream, want = Sm64Stream(seed), [0, 1, 2]
@@ -183,3 +188,28 @@ def test_rejected_word_falls_back_to_scalar_path():
     got_stream.shuffle(got)
     assert got == want
     assert got_stream.next_u64() == ref_stream.next_u64()
+
+
+@pytest.mark.parametrize("rows", [1, POSITIONWISE_ROWS - 1, POSITIONWISE_ROWS, 180])
+@pytest.mark.parametrize("n", [0, 1, 2, 31, 32, 70])
+def test_both_shuffle_paths_match_scalar_stream(monkeypatch, rows, n):
+    rng = random.Random(rows * 100 + n)
+    seeds = [rng.getrandbits(64) for _ in range(rows)]
+    positionwise = rows >= POSITIONWISE_ROWS
+    if positionwise:
+        # rand_below(n) rejects its first word unless n is a power of two: those rows take the scalar draws
+        seeds[0] = seeds[-1] = rejected_seed()
+    swapped, real_swap = [], seeds_module._swap  # the per-row path's calls
+
+    def spy(items, draws):
+        swapped.append(len(items))
+        return real_swap(items, draws)
+
+    monkeypatch.setattr(seeds_module, "_swap", spy)
+    orders = shuffle_orders(seeds, n)
+    assert orders.dtype == np.int64 and orders.shape == (rows, n)
+    assert len(swapped) == (0 if positionwise else rows)
+    for seed, order in zip(seeds, orders.tolist()):
+        want = list(range(n))
+        scalar_shuffle(Sm64Stream(seed), want)
+        assert order == want

@@ -11,8 +11,9 @@ Block hashes are SHA-256 over every Block field but ``hash``, in order, little-e
 Genesis holds round 0, winning_pool_id -1 and empty strings. An export line is
 one JSON object of a block's fields, digests as hex, plus the chain's difficulty.
 
-A block meets difficulty d when its hash starts with d zero bits. Timestamps
-are logical round counters, never wall clock, so sealed chains are
+A block meets difficulty d when its hash starts with d zero bits; sealing hashes
+the fields before the nonce once (a midstate) and tests d as a 32-byte bound.
+Timestamps are logical round counters, never wall clock, so sealed chains are
 reproducible. A block holds no model: its payload_digest is the SHA-256 of
 the winning model's wire encoding (``params.to_bytes``), computed once, here.
 
@@ -36,6 +37,7 @@ from . import params
 ZERO32 = bytes(32)
 MAX_DIFFICULTY = 256  # a SHA-256 hash has 256 bits to be zero
 _U64 = struct.Struct("<Q")
+_BOUNDS = tuple(((1 << (256 - d)) - 1).to_bytes(32, "big") for d in range(MAX_DIFFICULTY + 1))  # largest hash meeting d
 
 
 @dataclass(frozen=True)
@@ -78,11 +80,7 @@ def block_hash(block: Block) -> bytes:
 
 
 def meets_difficulty(digest: bytes, difficulty: int) -> bool:
-    if difficulty <= 0:
-        return True
-    if difficulty > MAX_DIFFICULTY:
-        return False
-    return int.from_bytes(digest, "big") < (1 << (256 - difficulty))
+    return difficulty <= 0 or (difficulty <= MAX_DIFFICULTY and digest <= _BOUNDS[difficulty])
 
 
 def seal_block(draft: Block, difficulty: int) -> Block:
@@ -90,10 +88,12 @@ def seal_block(draft: Block, difficulty: int) -> Block:
     if not 0 <= difficulty <= MAX_DIFFICULTY:
         raise ValueError(f"difficulty must lie in [0, {MAX_DIFFICULTY}], got {difficulty}")
     head, tail = _preimage_parts(draft)
+    midstate, bound = hashlib.sha256(head), _BOUNDS[difficulty]
     for nonce in range(1 << 64):
-        h = hashlib.sha256(head + _U64.pack(nonce) + tail).digest()
-        if meets_difficulty(h, difficulty):
-            return replace(draft, nonce=nonce, hash=h)
+        h = midstate.copy()
+        h.update(nonce.to_bytes(8, "little") + tail)
+        if (digest := h.digest()) <= bound:
+            return replace(draft, nonce=nonce, hash=digest)
     raise RuntimeError(f"no valid nonce for block {draft.index} at difficulty {difficulty}")
 
 

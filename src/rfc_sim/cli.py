@@ -126,12 +126,14 @@ def _cmd_validate_chain(args) -> int:
     try:
         with open(args.chain_file) as fh:
             loaded = chain_mod.load_lines(fh.read())
+        if (bad := chain_mod.validate(loaded)) is not None:
+            raise ValueError(f"first invalid block {bad}")
+        if args.difficulty not in (None, loaded.difficulty):
+            raise ValueError(f"export claims difficulty {loaded.difficulty}, not --difficulty {args.difficulty}")
+        if args.tip not in (None, tip := loaded.blocks[-1].hash.hex()):
+            raise ValueError(f"tip {tip} is not --tip {args.tip}")
     except (OSError, ValueError) as exc:
         print(f"chain validation failed: {exc}", file=sys.stderr)
-        return 3
-    bad = chain_mod.validate(loaded)
-    if bad is not None:
-        print(f"chain validation failed: first invalid block {bad}", file=sys.stderr)
         return 3
     print(f"chain ok ({len(loaded.blocks)} blocks, difficulty {loaded.difficulty})")
     return 0
@@ -199,6 +201,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_val = sub.add_parser("validate-chain", help="re-validate an exported chain")
     p_val.add_argument("chain_file")
+    p_val.add_argument("--difficulty", type=int, help="exit 3 unless the export claims this difficulty")
+    p_val.add_argument("--tip", type=str.lower, help="exit 3 unless the last block's hash is this hex")
     p_val.set_defaults(func=_cmd_validate_chain)
 
     p_gen = sub.add_parser("gen-data", help="write a synthetic dataset CSV")

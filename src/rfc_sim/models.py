@@ -32,7 +32,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .data import Dataset
-from .seeds import mix64, shuffle_orders, stream_words
+from .seeds import epoch_seeds, shuffle_orders, stream_words
 
 MODEL_KINDS = ("linear", "mlp")
 OPTIMIZER_KINDS = ("sgd", "adam")
@@ -224,7 +224,7 @@ def train_clients(spec: ModelSpec, start: np.ndarray, datasets: Sequence[Dataset
     ws = np.empty((5, min(width, len(datasets)), param_count(spec)))
     workspace = ws, _unpack(spec, ws[0]), _unpack(spec, ws[3])
     for n, members in by_length.items():
-        orders = shuffle_orders([mix64(seeds[i], e) for i in members for e in range(opt.local_epochs)], n)
+        orders = shuffle_orders(epoch_seeds([seeds[i] for i in members], opt.local_epochs), n)
         orders = orders.reshape(len(members), opt.local_epochs, n)
         for lo in range(0, len(members), width):
             stack = members[lo : lo + width]

@@ -72,6 +72,12 @@ def tag64(tag: str) -> int:
     return h
 
 
+def epoch_seeds(seeds: Sequence[int], epochs: int) -> List[int]:
+    """``[mix64(s, e) for s in seeds for e in range(epochs)]``: ``scramble(mix64(s) + GOLDEN + e)`` in numpy."""
+    first = np.array([mix64(s) for s in seeds], dtype=np.uint64).reshape(-1, 1) + np.uint64(_GOLDEN)
+    return _scramble(first + np.arange(epochs, dtype=np.uint64)).ravel().tolist()
+
+
 def derive_seed(master_seed: int, round_idx: int, pool_id: int, client_id: int, purpose_tag: str) -> int:
     """Derive the 64-bit seed for one (round, pool, client, purpose) slot."""
     return mix64(master_seed, round_idx, pool_id, client_id, tag64(purpose_tag))

@@ -3,6 +3,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from rfc_sim import chain as chain_mod
 from rfc_sim import params
@@ -182,6 +184,44 @@ def test_meets_difficulty_boundaries():
     assert meets_difficulty(b"\xff" * 32, 0)
     assert meets_difficulty(b"\x00\xff" + bytes(30), 8)
     assert not meets_difficulty(b"\x01" + bytes(31), 8)
+    for d in range(1, 257):
+        largest = (1 << (256 - d)) - 1  # the largest hash with d leading zero bits
+        assert meets_difficulty(largest.to_bytes(32, "big"), d), d
+        assert not meets_difficulty((largest + 1).to_bytes(32, "big"), d), d
+    assert meets_difficulty(b"\xff" * 32, -1)  # a negative difficulty is met, and raises nothing
+    assert not meets_difficulty(bytes(32), 257)
+
+
+def _first_nonce_by_brute_force(draft, difficulty):
+    """The smallest nonce whose full-preimage hash, read as an integer, is below 2**(256 - d)."""
+    for nonce in range(1 << 20):
+        h = block_hash(dataclasses.replace(draft, nonce=nonce))
+        if int.from_bytes(h, "big") < 1 << (256 - difficulty):
+            return nonce, h
+    raise AssertionError("no nonce below 2**20")
+
+
+_label = st.one_of(st.text(max_size=80), st.text(alphabet="é€𝄞", max_size=40))
+
+
+@settings(max_examples=40)
+@given(difficulty=st.integers(0, 10), metric_name=_label, aggregator_rule=_label,
+       payload_digest=st.binary(min_size=32, max_size=32), prev_hash=st.binary(min_size=32, max_size=32),
+       round_idx=st.integers(0, (1 << 64) - 1), pool=st.integers(-(1 << 63), (1 << 63) - 1),
+       metric_value=st.floats())
+@example(difficulty=10, metric_name="", aggregator_rule="", payload_digest=bytes(32), prev_hash=bytes(32),
+         round_idx=0, pool=-1, metric_value=0.0)
+@example(difficulty=6, metric_name="macro_f1" * 40, aggregator_rule="\u00e9" * 100, payload_digest=bytes(32),
+         prev_hash=b"\xff" * 32, round_idx=(1 << 64) - 1, pool=(1 << 63) - 1, metric_value=float("nan"))
+def test_seal_matches_brute_force_search(difficulty, metric_name, aggregator_rule, payload_digest, prev_hash,
+                                         round_idx, pool, metric_value):
+    # the head before the nonce is 96 bytes plus both labels' UTF-8 bytes, so it ends in varying 64-byte blocks
+    draft = Block(index=round_idx, timestamp=round_idx, payload_digest=payload_digest, round=round_idx,
+                  winning_pool_id=pool, metric_name=metric_name, metric_value=metric_value,
+                  aggregator_rule=aggregator_rule, prev_hash=prev_hash)
+    sealed = seal_block(draft, difficulty)
+    assert (sealed.nonce, sealed.hash) == _first_nonce_by_brute_force(draft, difficulty)
+    assert sealed.hash == block_hash(sealed) and meets_difficulty(sealed.hash, difficulty)
 
 
 def test_seal_rejects_difficulty_above_hash_width():

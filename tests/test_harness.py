@@ -1,3 +1,4 @@
+import json
 import math
 import os
 import re
@@ -317,6 +318,50 @@ def test_cli_validate_chain_garbage_exits_3(tmp_path, capsys):
     bad = tmp_path / "junk.jsonl"
     bad.write_text("definitely not json\n")
     assert cli.main(["validate-chain", str(bad)]) == 3
+
+
+@pytest.fixture(scope="module")
+def difficulty8_export(tmp_path_factory):
+    """chain.jsonl of a 3-round run sealed at difficulty 8."""
+    tmp = tmp_path_factory.mktemp("difficulty8")
+    cfg = write_config(tmp, TINY_CONFIG + "chain_difficulty = 8\n")
+    assert cli.main(["run", "--config", cfg, "--out", str(tmp / "run")]) == 0
+    return tmp / "run" / "chain.jsonl"
+
+
+@pytest.mark.parametrize("difficulty", [8, 9, 7, 0, -1])
+def test_cli_validate_chain_difficulty_flag(difficulty8_export, capsys, difficulty):
+    code = cli.main(["validate-chain", str(difficulty8_export), "--difficulty", str(difficulty)])
+    out, err = capsys.readouterr()
+    if difficulty == 8:
+        assert (code, out, err) == (0, "chain ok (4 blocks, difficulty 8)\n", "")
+    else:
+        assert code == 3 and out == ""
+        assert err == f"chain validation failed: export claims difficulty 8, not --difficulty {difficulty}\n"
+
+
+def test_cli_validate_chain_difficulty_flag_refuses_a_rewritten_claim(difficulty8_export, tmp_path, capsys):
+    text = difficulty8_export.read_text()
+    rewritten = tmp_path / "difficulty0.jsonl"
+    rewritten.write_text(text.replace('"difficulty":8', '"difficulty":0'))
+    assert rewritten.read_text().count('"difficulty":0') == len(text.splitlines()) == 4
+    # every block meets the difficulty the file now claims, so plain validation accepts it
+    assert cli.main(["validate-chain", str(rewritten)]) == 0
+    assert capsys.readouterr().out == "chain ok (4 blocks, difficulty 0)\n"
+    assert cli.main(["validate-chain", str(rewritten), "--difficulty", "8"]) == 3
+    assert capsys.readouterr().err == "chain validation failed: export claims difficulty 0, not --difficulty 8\n"
+
+
+def test_cli_validate_chain_tip_flag(difficulty8_export, capsys):
+    hashes = [json.loads(line)["hash"] for line in difficulty8_export.read_text().splitlines()]
+    tip = hashes[-1]
+    for good in (tip, tip.upper()):
+        assert cli.main(["validate-chain", str(difficulty8_export), "--tip", good, "--difficulty", "8"]) == 0
+    flipped = tip[:-1] + "0123456789abcdef"[(int(tip[-1], 16) + 1) % 16]
+    for bad in (flipped, hashes[-2], tip[:16], tip + "0", ""):
+        capsys.readouterr()
+        assert cli.main(["validate-chain", str(difficulty8_export), "--tip", bad]) == 3, bad
+        assert capsys.readouterr().err == f"chain validation failed: tip {tip} is not --tip {bad}\n"
 
 
 @pytest.mark.parametrize("args,out_name", [(["--classes", "100"], "d.csv"),

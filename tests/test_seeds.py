@@ -7,8 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rfc_sim import seeds as seeds_module
-from rfc_sim.seeds import (NORMALS_CHUNK, POSITIONWISE_ROWS, Sm64Stream, derive_seed, mix64, normals,
-                          shuffle_orders, stream_words, tag64)
+from rfc_sim.seeds import (NORMALS_CHUNK, POSITIONWISE_ROWS, Sm64Stream, derive_seed, epoch_seeds, mix64,
+                          normals, shuffle_orders, stream_words, tag64)
 
 MASK64 = (1 << 64) - 1
 GOLDEN = 0x9E3779B97F4A7C15
@@ -65,6 +65,33 @@ def test_mix64_is_64_bit():
     for words in [(0,), (2**64 - 1, 17), (1, 2, 3, 4, 5)]:
         v = mix64(*words)
         assert 0 <= v < 2**64
+
+
+def unscramble(z):
+    """Inverse of the SplitMix64 finalizer: undo each xorshift and each odd multiplier, last first."""
+    def unshift(y, k):
+        x = y
+        for _ in range(64 // k):
+            x = y ^ (x >> k)
+        return x
+    z = unshift(z, 31) * pow(0x94D049BB133111EB, -1, 1 << 64) & MASK64
+    z = unshift(z, 27) * pow(0xBF58476D1CE4E5B9, -1, 1 << 64) & MASK64
+    return unshift(z, 30)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("rows,epochs", [(0, 3), (5, 0), (1, 5), (3, 5), (4, 4), (16, 1), (205, 7)])
+def test_epoch_seeds_match_scalar_mix64(rows, epochs):
+    # mix64(s) = scramble(GOLDEN + s), so this seed's add mix64(s) + GOLDEN + e wraps from epoch 3 on
+    wraps_at_3 = (unscramble(MASK64 - GOLDEN - 2) - GOLDEN) & MASK64
+    assert [mix64(wraps_at_3) + GOLDEN + e > MASK64 for e in range(5)] == [False] * 3 + [True] * 2
+    rng = random.Random(5)
+    seeds = ([wraps_at_3, 0, MASK64, GOLDEN, MASK64 - GOLDEN] + [rng.getrandbits(64) for _ in range(200)])[:rows]
+    if rows * epochs > 100:  # random seeds fall on both sides of the wrap
+        assert {mix64(s) + GOLDEN + e > MASK64 for s in seeds for e in range(epochs)} == {False, True}
+    words = epoch_seeds(seeds, epochs)
+    assert words == [mix64(s, e) for s in seeds for e in range(epochs)]
+    assert all(type(w) is int for w in words)
 
 
 def test_tag64_distinct_for_distinct_tags():

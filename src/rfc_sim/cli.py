@@ -99,15 +99,11 @@ def _cmd_run(args) -> int:
             rc = config_mod.with_master_seed(rc, args.seed)
         partition = config_mod.build_partition(rc)
         os.makedirs(args.out, exist_ok=True)
-    except (ValueError, OSError, MemoryError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 1
-    try:
         result = consensus.run_federation(rc.federation, partition)
     except (RoundAbortError, ProvenanceError) as exc:
         print(f"run aborted: {exc}", file=sys.stderr)
         return 2
-    except MemoryError as exc:  # a model too large to allocate
+    except (ValueError, OSError, MemoryError) as exc:  # MemoryError: a dataset or model too large to allocate
         print(f"config error: {exc}", file=sys.stderr)
         return 1
     try:
@@ -117,7 +113,7 @@ def _cmd_run(args) -> int:
         return 1
     last = result.records[-1]
     print(f"completed {len(result.records)} rounds; final test accuracy {last.test_accuracy:.4f}, "
-          f"chain tip {result.chain.blocks[-1].hash.hex()[:16]}…")
+          f"chain tip {result.chain.blocks[-1].hash.hex()}")
     print(f"outputs in {args.out}")
     return 0
 

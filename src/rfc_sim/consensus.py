@@ -141,14 +141,9 @@ def sample_clients(members: Sequence[int], pool_id: int, round_idx: int, quota: 
 
 
 def select_winner(candidates: Sequence[PoolCandidate], direction: str) -> Optional[PoolCandidate]:
-    """Best qualified candidate under the metric direction, ties to the lowest pool id."""
-    winner = None
-    for cand in candidates:
-        if cand.disqualified:
-            continue
-        if winner is None or metrics.better(cand.metric_value, winner.metric_value, direction):
-            winner = cand
-    return winner
+    """Best qualified candidate under the metric direction, ties to the first (lowest pool id)."""
+    qualified = [c for c in candidates if not c.disqualified]
+    return (max if direction == "maximize" else min)(qualified, key=lambda c: c.metric_value, default=None)
 
 
 def server_update(global_model: np.ndarray, aggregate: np.ndarray, eta: float) -> np.ndarray:
@@ -196,10 +191,12 @@ def _pool_candidate(cfg: FederationConfig, partition: FederatedPartition, pool_i
                     errors: List[Tuple[int, models.DivergenceError]], adversarial: frozenset,
                     global_model: np.ndarray, round_idx: int) -> PoolCandidate:
     """Boost (rows in place), aggregate and score one pool's ``[n, P]`` updates, or name a diverged client."""
+    def disqualified(note: str) -> PoolCandidate:
+        return PoolCandidate(pool_id, None, float("nan"), tuple(sampled), True, note)
+
     if errors:
         cid, exc = errors[0]
-        return PoolCandidate(pool_id, None, float("nan"), tuple(sampled), True,
-                             f"client {cid} diverged in round {round_idx}: {exc}")
+        return disqualified(f"client {cid} diverged in round {round_idx}: {exc}")
     adv_positions = [pos for pos, cid in enumerate(sampled) if cid in adversarial]
 
     adv = cfg.adversary
@@ -216,16 +213,13 @@ def _pool_candidate(cfg: FederationConfig, partition: FederatedPartition, pool_i
         try:
             aggregated = aggregation.aggregate(cfg.aggregator, updates)
         except ValueError as exc:
-            return PoolCandidate(pool_id, None, float("nan"), tuple(sampled), True,
-                                 f"aggregation failed in round {round_idx}: {exc}")
+            return disqualified(f"aggregation failed in round {round_idx}: {exc}")
         candidate_model = server_update(global_model, aggregated, cfg.server_eta)
         if not np.all(np.isfinite(candidate_model)):
-            return PoolCandidate(pool_id, None, float("nan"), tuple(sampled), True,
-                                 f"non-finite candidate in round {round_idx}")
+            return disqualified(f"non-finite candidate in round {round_idx}")
         value = metrics.score_model(cfg.metric, cfg.model, candidate_model, partition.validation)
     if not np.isfinite(value):
-        return PoolCandidate(pool_id, candidate_model, float("nan"), tuple(sampled), True,
-                             f"non-finite validation metric in round {round_idx}")
+        return disqualified(f"non-finite validation metric in round {round_idx}")
     return PoolCandidate(pool_id, candidate_model, float(value), tuple(sampled))
 
 

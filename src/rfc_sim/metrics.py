@@ -89,10 +89,7 @@ def summarize(series: Sequence[float], direction: str) -> SummaryStats:
     if direction not in ("maximize", "minimize"):
         raise ValueError(f"unknown direction {direction!r}")
     finite = [v for v in series if math.isfinite(v)]
-    if finite:
-        best = max(finite) if direction == "maximize" else min(finite)
-    else:
-        best = float("nan")
+    best = (max if direction == "maximize" else min)(finite, default=float("nan"))
     window = list(series[-10:])
     finite_window = [v for v in window if math.isfinite(v)]
     if finite_window:
@@ -128,8 +125,3 @@ def score_model(metric: MetricSpec, spec: models.ModelSpec, p: np.ndarray,
     if metric.name == "loss":
         return models.evaluate(spec, p, data)[0]
     return macro_f1(models.log_probs(spec, p, data).argmax(axis=1), data.y, spec.num_classes)
-
-
-def better(a: float, b: float, direction: str) -> bool:
-    """Strictly-better comparison under the metric direction (ties are not better)."""
-    return a > b if direction == "maximize" else a < b

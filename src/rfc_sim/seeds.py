@@ -72,10 +72,10 @@ def tag64(tag: str) -> int:
     return h
 
 
-def epoch_seeds(seeds: Sequence[int], epochs: int) -> List[int]:
-    """``[mix64(s, e) for s in seeds for e in range(epochs)]``: ``scramble(mix64(s) + GOLDEN + e)`` in numpy."""
+def epoch_seeds(seeds: Sequence[int], epochs: int) -> np.ndarray:
+    """uint64 ``[mix64(s, e) for s in seeds for e in range(epochs)]``: ``scramble(mix64(s) + GOLDEN + e)`` in numpy."""
     first = np.array([mix64(s) for s in seeds], dtype=np.uint64).reshape(-1, 1) + np.uint64(_GOLDEN)
-    return _scramble(first + np.arange(epochs, dtype=np.uint64)).ravel().tolist()
+    return _scramble(first + np.arange(epochs, dtype=np.uint64)).ravel()
 
 
 def derive_seed(master_seed: int, round_idx: int, pool_id: int, client_id: int, purpose_tag: str) -> int:
@@ -126,9 +126,9 @@ class Sm64Stream:
 
 
 def stream_words(seeds: Sequence[int], k: int) -> np.ndarray:
-    """``[len(seeds), k]`` uint64: the first k words of ``Sm64Stream(seed)`` per seed."""
+    """``[len(seeds), k]`` uint64: the first k words of ``Sm64Stream(seed)`` per seed, each in [0, 2**64)."""
     steps = np.arange(1, k + 1, dtype=np.uint64) * np.uint64(_GOLDEN)
-    return _scramble(np.array([s & _MASK64 for s in seeds], dtype=np.uint64).reshape(-1, 1) + steps)
+    return _scramble(np.asarray(seeds, dtype=np.uint64).reshape(-1, 1) + steps)
 
 
 def normals(seed: int, n: int) -> np.ndarray:
@@ -136,7 +136,7 @@ def normals(seed: int, n: int) -> np.ndarray:
     out = np.empty(n, dtype=np.float64)
     for lo in range(0, n, NORMALS_CHUNK):
         m = min(NORMALS_CHUNK, n - lo)
-        bits = stream_words([seed + 2 * lo * _GOLDEN], 2 * m)[0] >> np.uint64(11)
+        bits = stream_words([(seed + 2 * lo * _GOLDEN) & _MASK64], 2 * m)[0] >> np.uint64(11)
         u1 = (bits[0::2] + np.uint64(1)) * 2.0**-53  # (0, 1]
         u2 = bits[1::2] * 2.0**-53
         log_u1 = np.fromiter(map(math.log, u1.tolist()), dtype=np.float64, count=m)
@@ -150,15 +150,15 @@ def _fisher_yates_draws(seeds: Sequence[int], n: int):
     k = max(n - 1, 0)
     words = stream_words(seeds, k)
     draws = (words % np.arange(n, 1, -1, dtype=np.uint64)).astype(np.int64)
-    states = [(seed + k * _GOLDEN) & _MASK64 for seed in seeds]
+    states = np.asarray(seeds, dtype=np.uint64) + np.uint64(k * _GOLDEN & _MASK64)
     # rand_below(b) keeps r < (2**64 // b) * b; that bound is 2**64 when b is a
     # power of two, so compare with the bound minus one, which fits in uint64
     limits = np.array([((1 << 64) // b) * b - 1 for b in range(n, 1, -1)], dtype=np.uint64)
     for row in np.flatnonzero(~(words <= limits).all(axis=1)).tolist():
-        stream = Sm64Stream(seeds[row])  # a word was rejected: draw this stream one word at a time
+        stream = Sm64Stream(int(seeds[row]))  # a word was rejected: draw this stream one word at a time
         draws[row] = [stream.rand_below(b) for b in range(n, 1, -1)]
         states[row] = stream._state
-    return draws, states
+    return draws, states.tolist()
 
 
 def _swap(items: List, draws: Sequence[int]) -> List:

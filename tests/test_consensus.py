@@ -116,9 +116,15 @@ def test_select_winner_minimize_with_disqualified():
     assert select_winner(cands, "minimize").pool_id == 1
 
 
-def test_select_winner_tie_breaks_to_lowest_pool():
-    cands = [PoolCandidate(0, np.zeros(1), 0.9, ()), PoolCandidate(1, np.zeros(1), 0.9, ())]
-    assert select_winner(cands, "maximize").pool_id == 0
+@pytest.mark.parametrize("direction,values,winner", [
+    ("maximize", [0.9, 0.9], 0),
+    ("minimize", [0.9, 0.9], 0),
+    # only a strictly lower value displaces the leader: pool 2 ties pool 1 and loses to it
+    ("minimize", [0.5, 0.3, 0.3, 0.4], 1),
+], ids=["maximize", "minimize", "minimize_after_lead_change"])
+def test_select_winner_tie_breaks_to_lowest_pool(direction, values, winner):
+    cands = [PoolCandidate(pool, np.zeros(1), value, ()) for pool, value in enumerate(values)]
+    assert select_winner(cands, direction).pool_id == winner
 
 
 def test_select_winner_none_when_all_disqualified():

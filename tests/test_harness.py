@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from rfc_sim import cli, metrics
 from rfc_sim import chain as chain_mod
 from rfc_sim import config as config_mod
+from rfc_sim import consensus as consensus_mod
 from rfc_sim import data as data_mod
 from rfc_sim.config import (SCHEMA, ConfigError, desk_default, parse_config_text, preset,
                             render_config, with_master_seed)
@@ -224,6 +225,10 @@ def test_cli_run_writes_outputs(tmp_path, capsys):
         assert (out / name).exists(), name
     stdout = capsys.readouterr().out
     assert "completed 3 rounds" in stdout
+    # the printed tip is the full hash of the export's last block, as validate-chain --tip takes it
+    tip = re.search(r"chain tip ([0-9a-f]+)$", stdout, re.MULTILINE).group(1)
+    assert tip == json.loads((out / "chain.jsonl").read_text().splitlines()[-1])["hash"]
+    assert cli.main(["validate-chain", str(out / "chain.jsonl"), "--tip", tip]) == 0
     # the config snapshot reparses to the same run config
     from rfc_sim.config import parse_config_file
     assert parse_config_file(str(out / "config.txt")) == parse_config_file(cfg)
@@ -269,6 +274,23 @@ def test_cli_run_overflowing_updates_abort_with_one_line(tmp_path, capsys):
     assert cli.main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("run aborted:")
+
+
+@pytest.mark.parametrize("exc,code,prefix", [
+    (ValueError("partition lacks data"), 1, "config error: "),
+    (MemoryError("too large"), 1, "config error: "),
+    (consensus_mod.RoundAbortError(1, ["pool 0 disqualified"]), 2, "run aborted: "),
+], ids=["ValueError", "MemoryError", "RoundAbortError"])
+def test_cli_run_federation_errors_exit_with_one_line(tmp_path, capsys, monkeypatch, exc, code, prefix):
+    def fail(cfg, partition):
+        raise exc
+
+    monkeypatch.setattr(consensus_mod, "run_federation", fail)
+    out = tmp_path / "o"
+    assert cli.main(["run", "--config", write_config(tmp_path), "--out", str(out)]) == code
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0] == prefix + str(exc)
+    assert not (out / "config.txt").exists()
 
 
 def test_cli_run_foreign_sampled_client_exits_2(tmp_path, capsys, monkeypatch):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rfc_sim import metrics, models
+from rfc_sim import models
 from rfc_sim.data import Dataset, gen_synthetic
 from rfc_sim.attacks import build_backdoor_test
 from rfc_sim.metrics import MetricSpec, evaluate_backdoor, macro_f1, score_model, summarize
@@ -112,6 +112,14 @@ def test_summarize_excludes_nonfinite_with_count():
     assert stats.nonfinite_in_window == 2
 
 
+@pytest.mark.parametrize("direction", ["maximize", "minimize"])
+def test_summarize_no_finite_value_best_is_nan(direction):
+    stats = summarize([float("nan"), float("inf"), float("-inf")], direction)
+    assert math.isnan(stats.best) and math.isnan(stats.avg_last_10)
+    assert stats.final == float("-inf")
+    assert stats.nonfinite_in_window == 3
+
+
 def test_summarize_final_keeps_nan():
     stats = summarize([0.5, float("nan")], "maximize")
     assert math.isnan(stats.final)
@@ -206,10 +214,3 @@ def test_score_model_all_metrics():
     preds = models.log_probs(spec, p, data).argmax(axis=1)
     labels = [int(label) for label in data.y]
     assert score_model(MetricSpec("macro_f1"), spec, p, data) == macro_f1(list(preds), labels, 3)
-
-
-def test_better_directions():
-    assert metrics.better(0.9, 0.8, "maximize")
-    assert not metrics.better(0.8, 0.8, "maximize")
-    assert metrics.better(0.3, 0.4, "minimize")
-    assert not metrics.better(0.4, 0.4, "minimize")

@@ -90,8 +90,8 @@ def test_epoch_seeds_match_scalar_mix64(rows, epochs):
     if rows * epochs > 100:  # random seeds fall on both sides of the wrap
         assert {mix64(s) + GOLDEN + e > MASK64 for s in seeds for e in range(epochs)} == {False, True}
     words = epoch_seeds(seeds, epochs)
-    assert words == [mix64(s, e) for s in seeds for e in range(epochs)]
-    assert all(type(w) is int for w in words)
+    assert words.dtype == np.uint64 and words.shape == (rows * epochs,)
+    assert words.tolist() == [mix64(s, e) for s in seeds for e in range(epochs)]
 
 
 def test_tag64_distinct_for_distinct_tags():

@@ -62,11 +62,17 @@ def flip_labels(data: Dataset, num_classes: int) -> Dataset:
     return Dataset(data.x, (num_classes - 1) - data.y)
 
 
+def check_trigger(trigger_size: int, height: int, width: int) -> None:
+    """Raise ValueError unless the k x k trigger is smaller than the grid's shorter side."""
+    if trigger_size >= min(height, width):
+        raise ValueError(f"trigger_size {trigger_size} must be smaller than "
+                         f"min grid side {min(height, width)}")
+
+
 def apply_trigger(x: np.ndarray, height: int, width: int, trigger_size: int) -> np.ndarray:
     """Copy of the rows ``x`` with a white k x k box in each grid's bottom-right corner."""
     k = trigger_size
-    if k > min(height, width):
-        raise ValueError(f"trigger {k}x{k} does not fit a {height}x{width} grid")
+    check_trigger(k, height, width)
     out = np.array(x, dtype=np.float64)
     out.reshape(-1, height, width)[:, height - k :, width - k :] = 1.0
     return out

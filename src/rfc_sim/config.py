@@ -16,7 +16,7 @@ from typing import Callable, Dict, Tuple
 
 from . import consensus, data as data_mod
 from .aggregation import AGGREGATION_RULES, AggregatorConfig
-from .attacks import ATTACK_KINDS, BOOST_MODES, AdversaryConfig
+from .attacks import ATTACK_KINDS, BOOST_MODES, AdversaryConfig, check_trigger
 from .consensus import TOPOLOGIES, FederationConfig
 from .metrics import METRIC_DIRECTIONS, MetricSpec
 from .models import MODEL_KINDS, OPTIMIZER_KINDS, ModelSpec, OptimizerConfig
@@ -72,9 +72,7 @@ class RunConfig:
     def __post_init__(self):
         adv, d = self.federation.adversary, self.data
         if adv.attack == "backdoor":
-            if adv.trigger_size >= min(d.height, d.width):
-                raise ValueError(f"trigger_size {adv.trigger_size} must be smaller than "
-                                 f"min grid side {min(d.height, d.width)}")
+            check_trigger(adv.trigger_size, d.height, d.width)
             if not (0 <= adv.target_label < d.num_classes):
                 raise ValueError(f"target_label {adv.target_label} out of range")
 
@@ -107,33 +105,22 @@ def _parse_enum(options) -> Callable[[str], str]:
     return parse
 
 
-def _parse_placement(raw: str) -> Tuple[str, int]:
-    if raw in ("none", "all_pools"):
-        return raw, 0
-    if raw.startswith("one_pool:"):
-        return "one_pool", int(raw.split(":", 1)[1])
-    raise ValueError(f"expected none, all_pools or one_pool:<id>, got {raw!r}")
+def _parse_tagged(words: Tuple[str, ...], tag: str, least: int) -> Callable[[str], Tuple[str, int]]:
+    """A compound value: one of ``words``, which carries ``least``, or ``tag:<int>`` with the int >= ``least``."""
+    def parse(raw: str) -> Tuple[str, int]:
+        if raw in words:
+            return raw, least
+        if not raw.startswith(f"{tag}:"):
+            raise ValueError(f"expected {', '.join(words)} or {tag}:<int>, got {raw!r}")
+        value = _parse_int(raw[len(tag) + 1 :])
+        if value < least:
+            raise ValueError(f"{tag} needs an int >= {least}, got {value}")
+        return tag, value
+    return parse
 
 
-def _parse_partition(raw: str) -> Tuple[str, int]:
-    if raw == "iid":
-        return "iid", 1
-    if raw.startswith("label_shard:"):
-        spc = int(raw.split(":", 1)[1])
-        if spc < 1:
-            raise ValueError(f"label_shard needs >= 1 shard per client, got {spc}")
-        return "label_shard", spc
-    raise ValueError(f"expected iid or label_shard:<shards>, got {raw!r}")
-
-
-def _render_placement(value: Tuple[str, int]) -> str:
-    kind, pool_id = value
-    return f"one_pool:{pool_id}" if kind == "one_pool" else kind
-
-
-def _render_partition(value: Tuple[str, int]) -> str:
-    kind, spc = value
-    return f"label_shard:{spc}" if kind == "label_shard" else kind
+def _render_tagged(tag: str) -> Callable[[Tuple[str, int]], str]:
+    return lambda value: f"{tag}:{value[1]}" if value[0] == tag else value[0]
 
 
 def _render_bool(value: bool) -> str:
@@ -167,7 +154,7 @@ SCHEMA: Dict[str, tuple] = {
     "metric.name": ("federation.metric.name", _parse_enum(tuple(METRIC_DIRECTIONS)), str),
     "adversary.attack": ("federation.adversary.attack", _parse_enum(ATTACK_KINDS), str),
     "adversary.placement": (("federation.adversary.placement", "federation.adversary.pool_id"),
-                            _parse_placement, _render_placement),
+                            _parse_tagged(("none", "all_pools"), "one_pool", 0), _render_tagged("one_pool")),
     "adversary.adversaries_per_pool": ("federation.adversary.adversaries_per_pool", _parse_int, str),
     "adversary.boost": ("federation.adversary.boost", _parse_enum(BOOST_MODES), str),
     "adversary.boost_eta": ("federation.adversary.boost_eta", _parse_float, repr),
@@ -183,7 +170,8 @@ SCHEMA: Dict[str, tuple] = {
     "data.csv_path": ("data.csv_path", str, str),
     "data.val_fraction": ("data.val_fraction", _parse_float, repr),
     "data.test_fraction": ("data.test_fraction", _parse_float, repr),
-    "data.partition": (("data.scheme", "data.shards_per_client"), _parse_partition, _render_partition),
+    "data.partition": (("data.scheme", "data.shards_per_client"),
+                       _parse_tagged(("iid",), "label_shard", 1), _render_tagged("label_shard")),
     "export.records": ("export_records", _parse_bool, _render_bool),
     "export.chain": ("export_chain", _parse_bool, _render_bool),
     "export.summary": ("export_summary", _parse_bool, _render_bool),

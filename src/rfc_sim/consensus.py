@@ -155,7 +155,7 @@ def _client_data(cfg: FederationConfig, partition: FederatedPartition, cid: int,
                  is_adversary: bool, round_idx: int, pool_id: int) -> Dataset:
     data = partition.client_data[cid]
     adv = cfg.adversary
-    if not is_adversary or adv.attack == "none":
+    if not is_adversary:
         return data
     if adv.attack == "labelflip":
         return attacks.flip_labels(data, partition.num_classes)
@@ -261,8 +261,7 @@ def run_federation(cfg: FederationConfig, partition: FederatedPartition) -> Fede
 
         winner = select_winner(candidates, cfg.metric.direction)
         if winner is None:
-            raise RoundAbortError(round_idx, [c.note or f"pool {c.pool_id} disqualified"
-                                              for c in candidates])
+            raise RoundAbortError(round_idx, [c.note for c in candidates])
         global_model = winner.model
         ledger = chain_mod.append(ledger, global_model, round_idx, winner.pool_id, cfg.metric.name,
                                   winner.metric_value, cfg.aggregator.rule)

@@ -105,7 +105,7 @@ def gen_synthetic(num_classes: int, height: int, width: int, per_class: int,
     return Dataset(x, y)
 
 
-def load_csv(path: str, num_classes: int | None = None) -> Dataset:
+def load_csv(path: str, num_classes: int) -> Dataset:
     """Parse ``label,f0,f1,...`` rows; grid shape comes from the run config."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -127,7 +127,7 @@ def load_csv(path: str, num_classes: int | None = None) -> Dataset:
                 feats = [float(v) for v in row[1:]]
             except ValueError:
                 raise ValueError(f"{path}: line {lineno}: malformed numeric value")
-            if label < 0 or (num_classes is not None and label >= num_classes):
+            if not 0 <= label < num_classes:
                 raise ValueError(f"{path}: line {lineno}: label {label} out of range")
             bad = [v for v in feats if not 0.0 <= v <= 1.0]
             if bad:
@@ -190,9 +190,6 @@ def partition(data: Dataset, num_clients: int, scheme: str,
         for c in range(num_clients):
             mine = shard_order[c * shards_per_client : (c + 1) * shards_per_client]
             client_rows[c] = np.concatenate([shards[s] for s in mine])
-    for c, rows in client_rows.items():
-        if len(rows) == 0:
-            raise ValueError(f"insufficient data: client {c} received no examples")
     return FederatedPartition(client_data={c: data[rows] for c, rows in client_rows.items()},
                               validation=data[order[:n_val]],
                               test=data[order[n_val : n_val + n_test]],

@@ -67,12 +67,12 @@ def macro_f1(predictions: Sequence[int], labels: Sequence[int], num_classes: int
         raise ValueError(f"macro_f1 labels must lie in [0, {num_classes})")
     hit = pred == true
     tp = np.bincount(true[hit], minlength=num_classes).tolist()
-    fp = np.bincount(pred[~hit], minlength=num_classes).tolist()
-    fn = np.bincount(true[~hit], minlength=num_classes).tolist()
+    predicted = np.bincount(pred, minlength=num_classes).tolist()  # tp + fp per class
+    actual = np.bincount(true, minlength=num_classes).tolist()  # tp + fn per class
     total = 0.0
     for c in range(num_classes):
-        precision = tp[c] / (tp[c] + fp[c]) if tp[c] + fp[c] > 0 else 0.0
-        recall = tp[c] / (tp[c] + fn[c]) if tp[c] + fn[c] > 0 else 0.0
+        precision = tp[c] / predicted[c] if predicted[c] > 0 else 0.0
+        recall = tp[c] / actual[c] if actual[c] > 0 else 0.0
         total += 2 * precision * recall / (precision + recall) if precision + recall > 0 else 0.0
     return total / num_classes
 

@@ -22,6 +22,7 @@ from rfc_sim.aggregation import AggregatorConfig
 from rfc_sim.chain import Block, Chain
 from rfc_sim.cli import records_csv_text
 from rfc_sim.config import desk_default, execute_run, preset, with_master_seed
+from reference import bf_bulyan, bf_geomed, bf_krum, bf_krum_scores, bf_mean
 from test_models import forward_loss_grad
 
 SEEDS = (1, 2, 3)
@@ -55,40 +56,6 @@ def avg_final(scenario, rule, topology, field="test_accuracy"):
 
 
 # ------------------------------------------------- 1. aggregator oracles
-
-
-def bf_sq_dist(a, b):
-    return sum((x - y) ** 2 for x, y in zip(a, b))
-
-
-def bf_mean(rows):
-    n, dim = len(rows), len(rows[0])
-    return [sum(r[k] for r in rows) / n for k in range(dim)]
-
-
-def bf_krum_scores(rows, f):
-    n = len(rows)
-    out = []
-    for i in range(n):
-        dists = sorted(bf_sq_dist(rows[i], rows[j]) for j in range(n) if j != i)
-        out.append(sum(dists[: n - f - 2]))
-    return out
-
-
-def bf_krum(rows, f):
-    scores = bf_krum_scores(rows, f)
-    return rows[scores.index(min(scores))]
-
-
-def bf_bulyan(rows, f, m):
-    scores = bf_krum_scores(rows, f)
-    order = sorted(range(len(rows)), key=lambda i: (scores[i], i))[:m]
-    return bf_mean([rows[i] for i in order])
-
-
-def bf_geomed(rows):
-    totals = [sum(bf_sq_dist(r, q) for q in rows) for r in rows]
-    return rows[totals.index(min(totals))]
 
 
 def close(a, b):

@@ -11,49 +11,7 @@ from hypothesis import strategies as st
 from rfc_sim import aggregation, config, consensus, params
 from rfc_sim.aggregation import AggregatorConfig, aggregate, krum_scores, select
 from rfc_sim.models import ModelSpec
-
-
-# Brute-force reimplementations in plain Python, independent of the library path.
-
-def bf_sq_dist(a, b):
-    return sum((x - y) ** 2 for x, y in zip(a, b))
-
-
-def bf_mean(updates):
-    n = len(updates)
-    dim = len(updates[0])
-    out = []
-    for k in range(dim):
-        acc = 0.0
-        for u in updates:
-            acc += u[k]
-        out.append(acc / n)
-    return out
-
-
-def bf_krum_scores(updates, f):
-    n = len(updates)
-    scores = []
-    for i in range(n):
-        dists = sorted(bf_sq_dist(updates[i], updates[j]) for j in range(n) if j != i)
-        scores.append(sum(dists[: n - f - 2]))
-    return scores
-
-
-def bf_krum(updates, f):
-    scores = bf_krum_scores(updates, f)
-    return updates[scores.index(min(scores))]
-
-
-def bf_bulyan(updates, f, m):
-    scores = bf_krum_scores(updates, f)
-    order = sorted(range(len(updates)), key=lambda i: (scores[i], i))[:m]
-    return bf_mean([updates[i] for i in order])
-
-
-def bf_geomed(updates):
-    totals = [sum(bf_sq_dist(u, v) for v in updates) for u in updates]
-    return updates[totals.index(min(totals))]
+from reference import bf_bulyan, bf_geomed, bf_krum, bf_krum_scores, bf_mean, bf_sq_dist
 
 
 def vecs(rows):

@@ -66,8 +66,9 @@ def test_apply_trigger_idempotent():
 
 
 def test_apply_trigger_too_large():
-    with pytest.raises(ValueError):
-        apply_trigger(np.zeros((1, 4)), 2, 2, trigger_size=3)
+    for k in (2, 3):  # RunConfig's bound: the box leaves a row and a column of the grid unset
+        with pytest.raises(ValueError, match=f"^trigger_size {k} must be smaller than min grid side 2$"):
+            apply_trigger(np.zeros((1, 6)), 2, 3, trigger_size=k)
 
 
 def test_build_backdoor_test_keeps_clean_labels():

@@ -1,11 +1,12 @@
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from rfc_sim import chain as chain_mod
-from rfc_sim import consensus, metrics, params
+from rfc_sim import aggregation, consensus, metrics, params
 from rfc_sim import models as models_mod
 from rfc_sim.aggregation import AggregatorConfig
 from rfc_sim.attacks import AdversaryConfig
@@ -282,6 +283,31 @@ def test_divergent_clients_disqualify_pool_and_abort_round(monkeypatch):
         run_tiny()
     assert err.value.round_idx == 1
     assert "diverged" in str(err.value)
+
+
+def diverge_everyone(spec, start, datasets, opt, seeds):
+    return (np.full((len(seeds), models_mod.param_count(spec)), np.nan),
+            {i: models_mod.DivergenceError("blow-up") for i in range(len(seeds))})
+
+
+def refuse_to_aggregate(cfg, updates):
+    raise ValueError("refused")
+
+
+@pytest.mark.parametrize("owner,name,replacement,note", [
+    (models_mod, "train_clients", diverge_everyone, r"client \d+ diverged in round 1: blow-up"),
+    (aggregation, "aggregate", refuse_to_aggregate, "aggregation failed in round 1: refused"),
+    (aggregation, "aggregate", lambda cfg, updates: np.full(updates.shape[1], np.inf),
+     "non-finite candidate in round 1"),
+    (metrics, "score_model", lambda *a, **k: float("nan"), "non-finite validation metric in round 1"),
+], ids=["diverged", "aggregation_failed", "non_finite_candidate", "non_finite_metric"])
+def test_round_abort_notes_every_candidate(monkeypatch, owner, name, replacement, note):
+    monkeypatch.setattr(owner, name, replacement)
+    with pytest.raises(RoundAbortError) as err:
+        run_tiny()
+    assert len(err.value.notes) == 2  # one per pool
+    for pool_note in err.value.notes:
+        assert re.fullmatch(note, pool_note)
 
 
 def test_divergent_pool_disqualified_while_others_proceed(monkeypatch):

@@ -96,7 +96,7 @@ def test_csv_roundtrip(tmp_path):
 def test_csv_two_rows(tmp_path):
     path = tmp_path / "t.csv"
     path.write_text("label,f0,f1\n0,0.0,1.0\n1,1.0,0.0\n")
-    loaded = load_csv(str(path))
+    loaded = load_csv(str(path), num_classes=2)
     assert len(loaded) == 2
     assert np.array_equal(loaded.y, np.array([0, 1]))
     assert np.array_equal(loaded.x, np.array([[0.0, 1.0], [1.0, 0.0]]))
@@ -105,7 +105,7 @@ def test_csv_two_rows(tmp_path):
 def test_csv_empty_after_header(tmp_path):
     path = tmp_path / "e.csv"
     path.write_text("label,f0,f1\n")
-    loaded = load_csv(str(path))
+    loaded = load_csv(str(path), num_classes=2)
     assert len(loaded) == 0 and loaded.x.shape == (0, 2)
 
 
@@ -114,6 +114,8 @@ def test_csv_empty_after_header(tmp_path):
     ("0,0.5\n", "line 2"),                     # feature count mismatch
     ("0,0.5,0.5\n1,oops,0.5\n", "line 3"),     # malformed numeric
     ("7,0.5,0.5\n", "line 2"),                 # label out of range (num_classes=2)
+    ("2,0.5,0.5\n", "line 2: label 2 out of range"),  # the first label past num_classes=2
+    ("-1,0.5,0.5\n", "line 2: label -1 out of range"),
 ])
 def test_csv_errors_name_line(tmp_path, body, fragment):
     path = tmp_path / "bad.csv"
@@ -126,7 +128,7 @@ def test_csv_missing_header(tmp_path):
     path = tmp_path / "h.csv"
     path.write_text("0,0.1,0.2\n")
     with pytest.raises(ValueError, match="header"):
-        load_csv(str(path))
+        load_csv(str(path), num_classes=2)
 
 
 def test_partition_iid_counts():
@@ -180,9 +182,30 @@ def test_label_shard_conserves():
 
 
 def test_partition_insufficient_data():
-    data = gen_synthetic(2, 2, 2, per_class=3, noise_sigma=0.1, seed=1)
-    with pytest.raises(ValueError, match="insufficient"):
-        partition(data, 10, "iid", 0.1, 0.1, seed=0, height=2, width=2, num_classes=2)
+    data = gen_synthetic(2, 2, 2, per_class=3, noise_sigma=0.1, seed=1)  # 1 validation, 1 test, 4 left
+    for scheme in ("iid", "label_shard"):
+        with pytest.raises(ValueError, match="^insufficient data: 4 examples left for 5 clients$"):
+            partition(data, 5, scheme, 0.1, 0.1, seed=0, height=2, width=2, num_classes=2)
+    with pytest.raises(ValueError, match="^insufficient data: 4 examples for 6 shards$"):
+        partition(data, 2, "label_shard", 0.1, 0.1, seed=0, height=2, width=2, num_classes=2,
+                  shards_per_client=3)
+
+
+@given(clients=st.integers(1, 24), shards=st.integers(1, 3), scheme=st.sampled_from(["iid", "label_shard"]),
+       fraction=st.sampled_from([0.0, 0.1, 0.25]), seed=st.integers(0, 2**32))
+def test_partition_at_the_insufficient_data_bound_leaves_no_client_empty(clients, shards, scheme,
+                                                                         fraction, seed):
+    """Exactly the rows the insufficient-data checks demand: a row per client (iid) or per shard."""
+    least = clients if scheme == "iid" else clients * shards
+    n = least
+    while n - 2 * round(fraction * n) != least:  # validation and test each take round(fraction * n)
+        n += 1
+    data = Dataset(np.zeros((n, 1)), np.arange(n) % 3)
+    part = partition(data, clients, scheme, fraction, fraction, seed, height=1, width=1,
+                     num_classes=3, shards_per_client=shards)
+    assert sorted(part.client_data) == list(range(clients))
+    assert all(len(rows) >= 1 for rows in part.client_data.values())
+    assert sum(len(rows) for rows in part.client_data.values()) == least
 
 
 def test_partition_rejects_feature_length_mismatch():

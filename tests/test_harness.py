@@ -78,6 +78,18 @@ def test_partition_syntax():
     assert rc.data.shards_per_client == 3
 
 
+def test_compound_keys_take_the_int_syntax_of_int_keys():
+    rc = parse_config_text("rounds = 0x2\nadversary.attack = labelflip\nadversary.placement = one_pool:0x1\n"
+                           "data.partition = label_shard:0x2\n")
+    assert rc.federation.rounds == 2
+    assert (rc.federation.adversary.placement, rc.federation.adversary.pool_id) == ("one_pool", 1)
+    assert (rc.data.scheme, rc.data.shards_per_client) == ("label_shard", 2)
+    for key, value in (("rounds", "01"), ("adversary.placement", "one_pool:01"),
+                       ("data.partition", "label_shard:01")):
+        with pytest.raises(ConfigError, match=f"line 1: bad value for {re.escape(key)}: invalid literal"):
+            parse_config_text(f"{key} = {value}\n")
+
+
 @pytest.mark.parametrize("shards", ["0", "-1"])
 def test_partition_needs_a_shard_per_client(shards):
     with pytest.raises(ConfigError, match="line 2: bad value for data.partition: label_shard needs"):
@@ -175,14 +187,32 @@ def test_non_finite_float_rejected(key, value):
         parse_config_text(f"{key} = {value}\n")
 
 
-def test_readme_run_config_table_lists_every_key():
+def readme_config_rows():
+    """(keys, defaults) of each row of README's run config table; one default may serve every key."""
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     section = readme.split("## Run config", 1)[1].split("\n## ", 1)[0]
-    first_cells = [line.split("|")[1] for line in section.splitlines()
-                   if line.startswith("| `")]
-    keys = [key for cell in first_cells for key in re.findall(r"`([^`]+)`", cell)]
+    rows = []
+    for line in section.splitlines():
+        if line.startswith("| `"):
+            key_cell, default_cell = line.split("|")[1:3]
+            defaults = ["" if cell.strip() == "empty" else cell.strip().strip("`")
+                        for cell in default_cell.split(",")]
+            rows.append((re.findall(r"`([^`]+)`", key_cell), defaults))
+    return rows
+
+
+def test_readme_run_config_table_lists_every_key():
+    keys = [key for row_keys, _ in readme_config_rows() for key in row_keys]
     assert len(keys) == len(set(keys))
     assert set(keys) == set(SCHEMA)
+
+
+def test_readme_run_config_table_defaults_match_desk_default():
+    rendered = dict(line.split(" = ", 1) for line in render_config(desk_default()).splitlines())
+    for keys, defaults in readme_config_rows():
+        if len(defaults) == 1:
+            defaults = defaults * len(keys)
+        assert dict(zip(keys, defaults, strict=True)) == {key: rendered[key] for key in keys}
 
 
 def test_presets():
@@ -608,7 +638,10 @@ def test_cli_run_negative_placement_pool_exits_1(tmp_path, capsys):
     cfg = write_config(tmp_path, TINY_CONFIG + "adversary.attack = labelflip\n"
                        "adversary.placement = one_pool:-1\n")
     assert cli.main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
-    assert "adversary pool -1 out of range for 2 pools" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    lineno = len(TINY_CONFIG.splitlines()) + 2
+    assert f"line {lineno}: bad value for adversary.placement: one_pool needs an int >= 0, got -1" in err
+    assert len(err.strip().splitlines()) == 1
     assert not (tmp_path / "o").exists()
 
 

@@ -37,7 +37,7 @@ class AggregatorConfig:
 
 
 def min_updates(cfg: AggregatorConfig) -> int:
-    """Fewest updates the configured rule accepts per aggregation."""
+    """Fewest updates the configured rule accepts per aggregation; select refuses fewer."""
     if cfg.rule in ("krum", "bulyan"):
         return max(cfg.krum_f + 3, cfg.bulyan_m if cfg.rule == "bulyan" else 1)
     return 1
@@ -74,8 +74,6 @@ def _certified_order(X: np.ndarray, k: int, m: int) -> Optional[List[int]]:
     near-ties and non-finite input (NaN bounds compare False) return None.
     """
     n, p = X.shape
-    if k < 1:
-        return None  # the exact path raises for too few updates
     gram, buf = np.zeros((n, n)), np.empty((n, min(p, GRAM_BLOCK)))
     with np.errstate(over="ignore", invalid="ignore"):
         for lo in range(0, p, GRAM_BLOCK):
@@ -118,16 +116,14 @@ def select(cfg: AggregatorConfig, X: np.ndarray) -> List[int]:
       iterations), which minimizes the summed distance and need not be a row.
       A NaN sum ranks last.
     """
-    n = len(X)
-    if n == 0:
-        raise ValueError(f"{cfg.rule}: empty update matrix")
-    if cfg.rule == "fedavg":
+    n, need = len(X), min_updates(cfg)
+    if n < need:
+        raise ValueError(f"rule {cfg.rule} needs at least {need} updates per aggregation, got {n}")
+    if cfg.rule == "fedavg" or n == 1:
         return list(range(n))
     if cfg.rule == "geomed":
         return _certified_order(X, n - 1, 1) or np.argsort(_sq_dist_matrix(X).sum(axis=1), kind="stable")[:1].tolist()
     m = cfg.bulyan_m if cfg.rule == "bulyan" else 1
-    if m > n:
-        raise ValueError(f"bulyan: m={m} exceeds n={n}")
     chosen = _certified_order(X, n - cfg.krum_f - 2, m)
     return chosen or np.argsort(krum_scores(X, cfg.krum_f), kind="stable")[:m].tolist()
 

@@ -85,8 +85,6 @@ class FederationConfig:
             raise ValueError(f"chain_difficulty must lie in [0, {MAX_RUN_DIFFICULTY}], got "
                              f"{self.chain_difficulty}: sealing takes about 2**d hashes per block")
         quota = self.sample_quota()
-        if quota < 1:
-            raise ValueError("per-aggregation sample size must be >= 1")
         _, group = self.group_shape()
         if quota > group:
             raise ValueError(f"sample size {quota} exceeds group size {group}")

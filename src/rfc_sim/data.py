@@ -180,6 +180,8 @@ def partition(data: Dataset, num_clients: int, scheme: str,
     if scheme == "iid":
         client_rows = {c: rest[c::num_clients] for c in range(num_clients)}
     else:
+        if shards_per_client < 1:
+            raise ValueError(f"shards_per_client must be >= 1, got {shards_per_client}")
         n_shards = num_clients * shards_per_client
         if len(rest) < n_shards:
             raise ValueError(f"insufficient data: {len(rest)} examples for {n_shards} shards")

@@ -31,17 +31,25 @@ def bf_krum_scores(updates, f):
     return scores
 
 
-def bf_krum(updates, f):
+def bf_kept(rule, updates, f, m):
+    """Indices of the rows ``rule`` keeps, in averaging order; ties go to the lowest index."""
+    n = len(updates)
+    if rule == "fedavg":
+        return list(range(n))
+    if rule == "geomed":
+        totals = [sum(bf_sq_dist(u, v) for v in updates) for u in updates]
+        return [totals.index(min(totals))]
     scores = bf_krum_scores(updates, f)
-    return updates[scores.index(min(scores))]
+    return sorted(range(n), key=lambda i: (scores[i], i))[: m if rule == "bulyan" else 1]
+
+
+def bf_krum(updates, f):
+    return updates[bf_kept("krum", updates, f, 1)[0]]
 
 
 def bf_bulyan(updates, f, m):
-    scores = bf_krum_scores(updates, f)
-    order = sorted(range(len(updates)), key=lambda i: (scores[i], i))[:m]
-    return bf_mean([updates[i] for i in order])
+    return bf_mean([updates[i] for i in bf_kept("bulyan", updates, f, m)])
 
 
 def bf_geomed(updates):
-    totals = [sum(bf_sq_dist(u, v) for v in updates) for u in updates]
-    return updates[totals.index(min(totals))]
+    return updates[bf_kept("geomed", updates, 0, 1)[0]]

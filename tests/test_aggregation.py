@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from rfc_sim import aggregation, config, consensus, params
 from rfc_sim.aggregation import AggregatorConfig, aggregate, krum_scores, select
 from rfc_sim.models import ModelSpec
-from reference import bf_bulyan, bf_geomed, bf_krum, bf_krum_scores, bf_mean, bf_sq_dist
+from reference import bf_bulyan, bf_geomed, bf_kept, bf_krum, bf_krum_scores, bf_mean, bf_sq_dist
 
 
 def vecs(rows):
@@ -155,8 +155,21 @@ def test_bulyan_worked_example():
 
 
 def test_bulyan_m_exceeds_n():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^rule bulyan needs at least 5 updates per aggregation, got 4$"):
         bulyan(vecs([[0.0], [1.0], [2.0], [3.0]]), f=1, m=5)
+
+
+@pytest.mark.parametrize("rule", aggregation.AGGREGATION_RULES)
+@pytest.mark.parametrize("f, m", [(0, 1), (1, 3), (2, 5), (1, 7), (3, 2)])
+def test_select_refuses_below_min_updates_and_keeps_reference_rows_at_it(rule, f, m):
+    cfg = AggregatorConfig(rule, krum_f=f, bulyan_m=m)
+    need = aggregation.min_updates(cfg)
+    updates = np.random.default_rng(7).normal(size=(need, 3))
+    with pytest.raises(ValueError, match=f"^rule {rule} needs at least {need} updates per aggregation, got {need - 1}$"):
+        select(cfg, updates[:-1])
+    assert select(cfg, updates) == bf_kept(rule, updates.tolist(), f, m)
+    with pytest.raises(ValueError, match=f"^rule {rule} needs at least {need} updates per aggregation, sample gives 0$"):
+        consensus.FederationConfig(clients_sampled_per_round=0, aggregator=cfg)
 
 
 def test_geomed_examples():

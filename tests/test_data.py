@@ -168,7 +168,7 @@ def test_label_shard_single_label_per_client():
 @pytest.mark.parametrize("shards", [0, -1])
 def test_label_shard_without_shards_raises(shards):
     data = gen_synthetic(2, 2, 2, per_class=10, noise_sigma=0.1, seed=6)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=f"^shards_per_client must be >= 1, got {shards}$"):
         partition(data, 2, "label_shard", 0.0, 0.0, seed=4, height=2, width=2,
                   num_classes=2, shards_per_client=shards)
 

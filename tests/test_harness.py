@@ -2,6 +2,8 @@ import json
 import math
 import os
 import re
+import subprocess
+import sys
 import tempfile
 from dataclasses import replace
 from pathlib import Path
@@ -826,3 +828,25 @@ def test_cli_run_exit_code_contract(text):
         assert code in (0, 1, 2)
         if code == 0:
             assert cli.main(["validate-chain", os.path.join(out, "chain.jsonl")]) == 0
+
+
+RUN_MATRIX = Path(__file__).resolve().parent.parent / "scripts" / "run_matrix.py"
+
+
+def test_run_matrix_one_cell_writes_its_row_and_repeats_bytes(tmp_path):
+    """scripts/run_matrix.py on a one-cell matrix: one row under the header, the same bytes twice."""
+    written = []
+    for out in ("a", "b"):
+        subprocess.run([sys.executable, str(RUN_MATRIX), "--out", out, "--seeds", "1",
+                        "--scenarios", "no_attack", "--rules", "fedavg", "--topologies", "rfc",
+                        "--metrics", "accuracy"], cwd=tmp_path, check=True, capture_output=True, timeout=300)
+        written.append((tmp_path / out / "matrix.csv").read_bytes())
+    header, row = written[0].decode().splitlines()
+    assert header == ("scenario,rule,topology,metric,seed,final_accuracy,best_accuracy,avg10_accuracy,"
+                      "final_loss,best_loss,avg10_loss,final_backdoor,best_backdoor,avg10_backdoor")
+    fields = row.split(",")
+    assert fields[:5] == ["no_attack", "fedavg", "rfc", "accuracy", "1"]
+    stats = [float(v) for v in fields[5:]]
+    assert len(stats) == 9 and all(0.0 <= v <= 1.0 for v in stats[:3])
+    assert all(math.isnan(v) for v in stats[6:])  # no backdoor in no_attack
+    assert written[1] == written[0]

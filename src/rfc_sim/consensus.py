@@ -11,17 +11,18 @@ Topologies:
   baseline). The per-round server step is G <- G + eta * (aggregate - G).
 
 A round samples every pool, trains all sampled clients in one
-``models.train_clients`` call, then aggregates and scores pool by pool. No
-pool's result depends on that order or on the other pools' clients: every
-random draw is pre-derived per (round, pool, client, purpose) rather than
-consumed from a shared generator, and the chain hashes rely on this.
+``models.train_clients`` call, aggregates pool by pool, then scores the
+surviving candidates in one stacked ``metrics.score_model`` pass. No pool's
+result depends on that order or on the other pools' clients: every random
+draw is pre-derived per (round, pool, client, purpose) rather than consumed
+from a shared generator, and the chain hashes rely on this.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -164,61 +165,58 @@ def _client_data(cfg: FederationConfig, partition: FederatedPartition, cid: int,
 def _play_round(cfg: FederationConfig, partition: FederatedPartition,
                 groups: Sequence[Tuple[int, Sequence[int]]], adversarial: frozenset,
                 global_model: np.ndarray, round_idx: int, quota: int) -> Tuple[PoolCandidate, ...]:
-    """Sample every pool, train all sampled clients in one call, then build each pool's candidate."""
+    """Sample every pool, train all sampled clients in one call, aggregate pool by pool, then score the
+    survivors in one stacked pass; a pool's note names the first of those steps that disqualified it."""
     samples, datasets, seeds = [], [], []
     for pool_id, members in groups:
         sampled = sample_clients(members, pool_id, round_idx, quota, cfg.master_seed)
         if not all(cid in members for cid in sampled):
             raise ProvenanceError(f"round {round_idx}: pool {pool_id} sampled foreign clients")
-        samples.append((pool_id, sampled))
+        samples.append((pool_id, sampled, len(datasets)))
         for cid in sampled:
             datasets.append(_client_data(cfg, partition, cid, cid in adversarial, round_idx, pool_id))
             seeds.append(derive_seed(cfg.master_seed, round_idx, pool_id, cid, "shuffle"))
     trained, diverged = models.train_clients(cfg.model, global_model, datasets, cfg.optimizer, seeds)
-    candidates, lo = [], 0
-    for pool_id, sampled in samples:
-        errors = [(cid, diverged[i]) for i, cid in enumerate(sampled, lo) if i in diverged]
-        candidates.append(_pool_candidate(cfg, partition, pool_id, sampled, trained[lo : lo + len(sampled)],
-                                          errors, adversarial, global_model, round_idx))
-        lo += len(sampled)
+    # Overflow here only yields inf/nan, which the finiteness checks below disqualify.
+    with np.errstate(over="ignore", invalid="ignore"):
+        aggregates, notes = zip(*[_pool_aggregate(cfg, sampled, trained, lo, diverged, adversarial, global_model,
+                                                  round_idx) for _, sampled, lo in samples])
+        # every pool's candidate G + eta (A - G) as one row; the finite rows are scored in one stacked pass
+        stack = server_update(global_model, np.array(aggregates), cfg.server_eta)
+    finite = np.isfinite(stack).all(axis=1)
+    values = np.full(len(stack), np.nan)
+    values[finite] = metrics.score_model(cfg.metric, cfg.model, stack[finite], partition.validation)
+    candidates = []
+    for (pool_id, sampled, _), note, model, ok, value in zip(samples, notes, stack, finite, values.tolist()):
+        note = note or (f"non-finite candidate in round {round_idx}" if not ok else
+                        "" if np.isfinite(value) else f"non-finite validation metric in round {round_idx}")
+        candidates.append(PoolCandidate(pool_id, None, float("nan"), tuple(sampled), True, note) if note
+                          else PoolCandidate(pool_id, model, value, tuple(sampled)))
     return tuple(candidates)
 
 
-def _pool_candidate(cfg: FederationConfig, partition: FederatedPartition, pool_id: int,
-                    sampled: Sequence[int], updates: np.ndarray,
-                    errors: List[Tuple[int, models.DivergenceError]], adversarial: frozenset,
-                    global_model: np.ndarray, round_idx: int) -> PoolCandidate:
-    """Boost (rows in place), aggregate and score one pool's ``[n, P]`` updates, or name a diverged client."""
-    def disqualified(note: str) -> PoolCandidate:
-        return PoolCandidate(pool_id, None, float("nan"), tuple(sampled), True, note)
-
-    if errors:
-        cid, exc = errors[0]
-        return disqualified(f"client {cid} diverged in round {round_idx}: {exc}")
+def _pool_aggregate(cfg: FederationConfig, sampled: Sequence[int], trained: np.ndarray, lo: int,
+                    diverged: Dict[int, models.DivergenceError], adversarial: frozenset,
+                    global_model: np.ndarray, round_idx: int) -> Tuple[np.ndarray, str]:
+    """Boost (rows in place) and aggregate one pool's updates, the ``[n, P]`` rows of ``trained`` from ``lo``:
+    the aggregate and "", or a NaN row and the note of the first diverged client or the failed aggregation."""
+    updates = trained[lo : lo + len(sampled)]
+    for i, cid in enumerate(sampled, lo):
+        if i in diverged:
+            return np.full_like(global_model, np.nan), f"client {cid} diverged in round {round_idx}: {diverged[i]}"
     adv_positions = [pos for pos, cid in enumerate(sampled) if cid in adversarial]
 
     adv = cfg.adversary
-    # Overflow here only yields inf/nan, which the finiteness checks below disqualify.
-    with np.errstate(over="ignore", invalid="ignore"):
-        if adv.boost == "replacement" and adv_positions:
-            # Colluding adversaries in one aggregation split the replacement factor
-            # n/eta between them so the averaged update still lands on their model.
-            k = len(adv_positions)
-            for pos in adv_positions:
-                updates[pos] = attacks.boost_update(updates[pos], global_model,
-                                                    len(updates), adv.boost_eta * k)
-
-        try:
-            aggregated = aggregation.aggregate(cfg.aggregator, updates)
-        except ValueError as exc:
-            return disqualified(f"aggregation failed in round {round_idx}: {exc}")
-        candidate_model = server_update(global_model, aggregated, cfg.server_eta)
-        if not np.all(np.isfinite(candidate_model)):
-            return disqualified(f"non-finite candidate in round {round_idx}")
-        value = metrics.score_model(cfg.metric, cfg.model, candidate_model, partition.validation)
-    if not np.isfinite(value):
-        return disqualified(f"non-finite validation metric in round {round_idx}")
-    return PoolCandidate(pool_id, candidate_model, float(value), tuple(sampled))
+    if adv.boost == "replacement" and adv_positions:
+        # Colluding adversaries in one aggregation split the replacement factor
+        # n/eta between them so the averaged update still lands on their model.
+        k = len(adv_positions)
+        for pos in adv_positions:
+            updates[pos] = attacks.boost_update(updates[pos], global_model, len(updates), adv.boost_eta * k)
+    try:
+        return aggregation.aggregate(cfg.aggregator, updates), ""
+    except ValueError as exc:
+        return np.full_like(global_model, np.nan), f"aggregation failed in round {round_idx}: {exc}"
 
 
 def run_federation(cfg: FederationConfig, partition: FederatedPartition) -> FederationResult:
@@ -277,7 +275,8 @@ def run_federation(cfg: FederationConfig, partition: FederatedPartition) -> Fede
             backdoor_loss=bd_loss,
             pool_metrics=tuple(c.metric_value for c in candidates)))
         # the winner lives on as global_model; the record keeps no candidate's model
-        all_candidates.append(tuple(replace(c, model=None) for c in candidates))
+        all_candidates.append(tuple(PoolCandidate(c.pool_id, None, c.metric_value, c.clients, c.disqualified,
+                                                  c.note) for c in candidates))
 
     return FederationResult(final_model=global_model, records=records, chain=ledger,
                             candidates=all_candidates)

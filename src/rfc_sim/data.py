@@ -97,9 +97,11 @@ def gen_synthetic(num_classes: int, height: int, width: int, per_class: int,
         raise MemoryError(str(exc)) from exc
     x[np.arange(y.shape[0]), y] = TEMPLATE_BRIGHT
     if noise_sigma != 0.0:
-        # template + sigma * noise, clipped; in place, so only one extra array lives
-        noise = normals(seed, x.size).reshape(x.shape)
-        noise *= noise_sigma
+        # template + sigma * noise, clipped; in place, so only one extra array lives. A zero template
+        # cell clips any noise <= 0 to +0.0, which a noise of 0.0 gives too, so libm skips those.
+        noise = normals(seed, x.size, clipped=x.ravel() == 0.0).reshape(x.shape)
+        with np.errstate(over="ignore"):  # a product past the float range is +-inf, which the clip bounds
+            noise *= noise_sigma
         x += noise
         np.clip(x, 0.0, 1.0, out=x)
     return Dataset(x, y)

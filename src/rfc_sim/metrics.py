@@ -55,26 +55,27 @@ class SummaryStats:
     nonfinite_in_window: int
 
 
-def macro_f1(predictions: Sequence[int], labels: Sequence[int], num_classes: int) -> float:
-    """Unweighted mean over classes of 2PR/(P+R); empty denominators count as 0."""
-    if len(predictions) != len(labels):
-        raise ValueError(f"length mismatch: {len(predictions)} predictions vs {len(labels)} labels")
-    if len(labels) == 0:
-        raise ValueError("macro_f1 of empty inputs")
+def macro_f1(predictions, labels, num_classes: int):
+    """Unweighted mean over classes of 2PR/(P+R), empty denominators counting as 0: a float for predictions
+    ``[n]``, or a list of k for k candidates' ``[k, n]``, each as it would score alone."""
     pred = np.asarray(predictions, dtype=np.int64)
     true = np.asarray(labels, dtype=np.int64)
+    if pred.shape[-1] != len(true):
+        raise ValueError(f"length mismatch: {pred.shape[-1]} predictions vs {len(true)} labels")
+    if len(true) == 0:
+        raise ValueError("macro_f1 of empty inputs")
     if min(pred.min(), true.min()) < 0 or max(pred.max(), true.max()) >= num_classes:
         raise ValueError(f"macro_f1 labels must lie in [0, {num_classes})")
-    hit = pred == true
-    tp = np.bincount(true[hit], minlength=num_classes).tolist()
-    predicted = np.bincount(pred, minlength=num_classes).tolist()  # tp + fp per class
-    actual = np.bincount(true, minlength=num_classes).tolist()  # tp + fn per class
-    total = 0.0
-    for c in range(num_classes):
-        precision = tp[c] / predicted[c] if predicted[c] > 0 else 0.0
-        recall = tp[c] / actual[c] if actual[c] > 0 else 0.0
-        total += 2 * precision * recall / (precision + recall) if precision + recall > 0 else 0.0
-    return total / num_classes
+    rows = pred.reshape(-1, len(true))
+    # one bin per (candidate, class) pair; the counts are exact, so their order does not matter
+    at, bins = num_classes * np.arange(len(rows))[:, None], len(rows) * num_classes
+    tp = np.bincount((at + true)[rows == true], minlength=bins).reshape(-1, num_classes)
+    predicted = np.bincount((at + rows).ravel(), minlength=bins).reshape(-1, num_classes)  # tp + fp per class
+    actual = np.bincount(true, minlength=num_classes)  # tp + fn per class
+    precision, recall = (np.divide(tp, n, out=np.zeros(tp.shape), where=n > 0) for n in (predicted, actual))
+    f1 = np.divide(2 * precision * recall, precision + recall, out=np.zeros(tp.shape), where=precision + recall > 0)
+    # accumulate adds in order; its first term f1[:, 0] equals 0.0 + f1[:, 0], as f1 >= +0.0
+    return (np.add.accumulate(f1, axis=1)[:, -1] / num_classes).reshape(pred.shape[:-1]).tolist()
 
 
 def summarize(series: Sequence[float], direction: str) -> SummaryStats:
@@ -117,11 +118,10 @@ def evaluate_backdoor(spec: models.ModelSpec, p: np.ndarray, backdoor_test: Data
     return accuracy, clean, loss
 
 
-def score_model(metric: MetricSpec, spec: models.ModelSpec, p: np.ndarray,
-                data: Dataset) -> float:
-    """Value of the configured consensus metric on one dataset."""
-    if metric.name == "accuracy":
-        return models.evaluate(spec, p, data)[1]
-    if metric.name == "loss":
-        return models.evaluate(spec, p, data)[0]
-    return macro_f1(models.log_probs(spec, p, data).argmax(axis=1), data.y, spec.num_classes)
+def score_model(metric: MetricSpec, spec: models.ModelSpec, p: np.ndarray, data: Dataset):
+    """Value of the configured consensus metric on one dataset: a float for one parameter vector, or
+    for a stack ``[k, P]`` of candidates a list of k floats, each the bits it would get alone."""
+    if metric.name == "macro_f1":
+        return macro_f1(models.log_probs(spec, p, data).argmax(axis=-1), data.y, spec.num_classes)
+    loss, accuracy = models.evaluate(spec, p, data)
+    return loss if metric.name == "loss" else accuracy

@@ -144,7 +144,7 @@ def _forward(spec: ModelSpec, w: list, x: np.ndarray):
     """Logits of the rows ``x`` under the ``_unpack`` views ``w``, and the output layer's input.
 
     The linear model is the output layer alone, on ``x``; the MLP's output layer reads its ReLU layer.
-    ``w`` and ``x`` (``[..., n, input_dim]``) share leading client axes; each client computes as it would alone.
+    ``x`` (``[..., n, input_dim]``) broadcasts against ``w``'s leading client axes; each client computes as alone.
     """
     hidden = x if spec.kind == "linear" else np.maximum(x @ w[0] + w[1], 0.0)
     return hidden @ w[-2] + w[-1], hidden
@@ -179,18 +179,19 @@ def _loss_grad(spec: ModelSpec, w: list, x: np.ndarray, y: np.ndarray, g: Option
 
 
 def log_probs(spec: ModelSpec, p: np.ndarray, data: Dataset) -> np.ndarray:
-    """Per-example log class probabilities, shape (len(data), num_classes); overflow is silently non-finite."""
+    """Log class probabilities ``[..., len(data), num_classes]`` under ``p`` ``[..., P]``, silently non-finite."""
     _check(spec, p, data.x)
     with np.errstate(over="ignore", invalid="ignore"):
         return _log_softmax(_forward(spec, _unpack(spec, p), data.x)[0])
 
 
-def evaluate(spec: ModelSpec, p: np.ndarray, data: Dataset) -> Tuple[float, float]:
-    """(mean cross-entropy, accuracy) over a nonempty dataset."""
+def evaluate(spec: ModelSpec, p: np.ndarray, data: Dataset):
+    """(mean cross-entropy, accuracy) over a nonempty dataset: floats, or lists of k for ``p`` ``[k, P]``."""
     _check(spec, p, data.x)
+    y = data.y if p.ndim == 1 else data.y[None].repeat(len(p), axis=0)
     with np.errstate(over="ignore", invalid="ignore"):
-        loss, logits = _loss_grad(spec, _unpack(spec, p), data.x, data.y)
-    return float(loss), int((logits.argmax(axis=-1) == data.y).sum()) / len(data)
+        loss, logits = _loss_grad(spec, _unpack(spec, p), data.x, y)
+    return loss.tolist(), ((logits.argmax(axis=-1) == y).sum(axis=-1) / len(data)).tolist()  # as int / int rounds
 
 
 def train_local(spec: ModelSpec, start: np.ndarray, data: Dataset, opt: OptimizerConfig, seed: int) -> np.ndarray:

@@ -36,7 +36,7 @@ The mixing function is fixed so independent implementations can agree:
 from __future__ import annotations
 
 import math
-from typing import List, Sequence
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -131,17 +131,23 @@ def stream_words(seeds: Sequence[int], k: int) -> np.ndarray:
     return _scramble(np.asarray(seeds, dtype=np.uint64).reshape(-1, 1) + steps)
 
 
-def normals(seed: int, n: int) -> np.ndarray:
-    """float64 [n]: the first n Box-Muller values of ``Sm64Stream(seed)``'s words; see the module docstring."""
-    out = np.empty(n, dtype=np.float64)
+def normals(seed: int, n: int, clipped: Optional[np.ndarray] = None) -> np.ndarray:
+    """float64 [n]: the first n Box-Muller values of ``Sm64Stream(seed)``'s words; see the module docstring.
+
+    ``clipped`` (bool [n]) names the values whose negatives the caller clips to zero: there, an angle
+    2 pi u2 in [1.5708, 4.7123], inside (pi/2, 3pi/2) by far more than libm's error, makes the value
+    <= 0, so it is left at 0.0 without calling libm.
+    """
+    out = np.zeros(n, dtype=np.float64)
     for lo in range(0, n, NORMALS_CHUNK):
         m = min(NORMALS_CHUNK, n - lo)
         bits = stream_words([(seed + 2 * lo * _GOLDEN) & _MASK64], 2 * m)[0] >> np.uint64(11)
         u1 = (bits[0::2] + np.uint64(1)) * 2.0**-53  # (0, 1]
-        u2 = bits[1::2] * 2.0**-53
-        log_u1 = np.fromiter(map(math.log, u1.tolist()), dtype=np.float64, count=m)
-        cos_u2 = np.fromiter(map(math.cos, (2.0 * math.pi * u2).tolist()), dtype=np.float64, count=m)
-        out[lo : lo + m] = np.sqrt(-2.0 * log_u1) * cos_u2
+        angle = 2.0 * math.pi * (bits[1::2] * 2.0**-53)
+        live = slice(None) if clipped is None else ~(clipped[lo : lo + m] & (angle >= 1.5708) & (angle <= 4.7123))
+        log_u1 = np.fromiter(map(math.log, u1[live].tolist()), dtype=np.float64)
+        cos_angle = np.fromiter(map(math.cos, angle[live].tolist()), dtype=np.float64)
+        out[lo : lo + m][live] = np.sqrt(-2.0 * log_u1) * cos_angle
     return out
 
 

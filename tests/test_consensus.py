@@ -267,7 +267,7 @@ def test_no_attack_run_has_nan_backdoor_fields():
 
 
 def test_round_abort_when_every_candidate_bad(monkeypatch):
-    monkeypatch.setattr(metrics, "score_model", lambda *a, **k: float("nan"))
+    monkeypatch.setattr(metrics, "score_model", lambda metric, spec, p, data: np.full(len(p), np.nan))
     with pytest.raises(RoundAbortError) as err:
         run_tiny()
     assert err.value.round_idx == 1
@@ -299,7 +299,8 @@ def refuse_to_aggregate(cfg, updates):
     (aggregation, "aggregate", refuse_to_aggregate, "aggregation failed in round 1: refused"),
     (aggregation, "aggregate", lambda cfg, updates: np.full(updates.shape[1], np.inf),
      "non-finite candidate in round 1"),
-    (metrics, "score_model", lambda *a, **k: float("nan"), "non-finite validation metric in round 1"),
+    (metrics, "score_model", lambda metric, spec, p, data: np.full(len(p), np.nan),
+     "non-finite validation metric in round 1"),
 ], ids=["diverged", "aggregation_failed", "non_finite_candidate", "non_finite_metric"])
 def test_round_abort_notes_every_candidate(monkeypatch, owner, name, replacement, note):
     monkeypatch.setattr(owner, name, replacement)
@@ -308,6 +309,38 @@ def test_round_abort_notes_every_candidate(monkeypatch, owner, name, replacement
     assert len(err.value.notes) == 2  # one per pool
     for pool_note in err.value.notes:
         assert re.fullmatch(note, pool_note)
+
+
+def test_play_round_notes_each_disqualification_in_pool_order(monkeypatch):
+    """One stacked round: pools 0-3 each in one disqualification state, pool 4 qualified."""
+    fed = tiny_config(num_pools=5, clients_sampled_per_round=10, metric=MetricSpec("loss"))
+    partition = build_partition(tiny_run_config(fed))
+    real_train, real_aggregate = models_mod.train_clients, aggregation.aggregate
+
+    def pool0_second_client_diverges(spec, start, datasets, opt, seeds):
+        trained, diverged = real_train(spec, start, datasets, opt, seeds)
+        trained[1], diverged[1] = np.nan, models_mod.DivergenceError("blow-up")  # row 1: pool 0's second client
+        return trained, diverged
+
+    def refuse(cfg, updates):
+        raise ValueError("refused")
+
+    # pool 0 never aggregates; pools 1-4 aggregate in pool order
+    rules = iter([refuse, lambda cfg, updates: np.full(updates.shape[1], np.inf),
+                  lambda cfg, updates: np.full(updates.shape[1], 1e308), real_aggregate])
+    monkeypatch.setattr(models_mod, "train_clients", pool0_second_client_diverges)
+    monkeypatch.setattr(aggregation, "aggregate", lambda cfg, updates: next(rules)(cfg, updates))
+    start = models_mod.init_params(fed.model, 3)
+    groups = [(g, range(4 * g, 4 * g + 4)) for g in range(5)]
+    cands = consensus._play_round(fed, partition, groups, frozenset(), start, 1, fed.sample_quota())
+    assert [c.pool_id for c in cands] == [0, 1, 2, 3, 4]
+    assert [c.note for c in cands] == [
+        f"client {cands[0].clients[1]} diverged in round 1: blow-up", "aggregation failed in round 1: refused",
+        "non-finite candidate in round 1", "non-finite validation metric in round 1", ""]
+    assert [c.disqualified for c in cands] == [True] * 4 + [False]
+    assert all(c.model is None and math.isnan(c.metric_value) for c in cands[:4])
+    assert cands[4].metric_value == metrics.score_model(fed.metric, fed.model, cands[4].model, partition.validation)
+    assert all(len(c.clients) == 2 for c in cands)
 
 
 def test_divergent_pool_disqualified_while_others_proceed(monkeypatch):

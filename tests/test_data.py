@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from rfc_sim import data as data_mod
 from rfc_sim import models
 from rfc_sim.data import Dataset, gen_synthetic, load_csv, partition, save_csv
-from rfc_sim.seeds import Sm64Stream, mix64, tag64
+from rfc_sim.seeds import Sm64Stream, mix64, normals, tag64
 from test_seeds import gauss
 
 
@@ -43,6 +43,27 @@ def test_gen_synthetic_counts_and_determinism():
 def test_gen_synthetic_clipped_to_unit_interval():
     data = gen_synthetic(2, 3, 3, per_class=50, noise_sigma=0.8, seed=4)
     assert np.all(data.x >= 0.0) and np.all(data.x <= 1.0)
+
+
+def every_value_synthetic(num_classes, height, width, per_class, noise_sigma, seed):
+    """gen_synthetic with every noise value evaluated through libm, none left at 0.0 for the clip."""
+    y = np.repeat(np.arange(num_classes), per_class)
+    x = np.zeros((len(y), height * width))
+    x[np.arange(len(y)), y] = data_mod.TEMPLATE_BRIGHT
+    with np.errstate(over="ignore"):
+        x += normals(seed, x.size).reshape(x.shape) * noise_sigma
+    return np.clip(x, 0.0, 1.0), y
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**64 - 1), st.integers(2, 10), st.integers(1, 9), st.integers(0, 4), st.integers(1, 40),
+       st.sampled_from([5e-324, 0.2, 3.0, 1e308]))
+def test_gen_synthetic_skipping_clipped_noise_keeps_every_byte(seed, classes, height, extra, per_class, sigma):
+    """Noise that the clip turns into +0.0 is left at 0.0 without libm; the features keep every byte."""
+    width = -(-classes // height) + extra  # the narrowest grid with a cell per class, or wider: 1 x 2 up
+    got = gen_synthetic(classes, height, width, per_class, sigma, seed)
+    x, y = every_value_synthetic(classes, height, width, per_class, sigma, seed)
+    assert got.x.tobytes() == x.tobytes() and got.y.tobytes() == y.tobytes()
 
 
 def test_dataset_is_read_only_and_checks_shapes():

@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import math
 import os
@@ -850,3 +851,36 @@ def test_run_matrix_one_cell_writes_its_row_and_repeats_bytes(tmp_path):
     assert len(stats) == 9 and all(0.0 <= v <= 1.0 for v in stats[:3])
     assert all(math.isnan(v) for v in stats[6:])  # no backdoor in no_attack
     assert written[1] == written[0]
+
+
+def load_ab_bench():
+    spec = importlib.util.spec_from_file_location("ab_bench", RUN_MATRIX.parent / "ab_bench.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def canned_line(run_s, failed=0, setup_s=0.02):
+    metrics = {"setup_s": {"value": setup_s, "unit": "s"}, "run_s": {"value": run_s, "unit": "s"}}
+    return ("workload long_chain  seed 42  trace 0  samples 4  failed 0  error_rate 0.0000\n"
+            + json.dumps({"correct": failed == 0, "attempted": 4, "failed": failed, "metrics": metrics}))
+
+
+def test_ab_bench_summary_on_canned_result_lines():
+    """scripts/ab_bench.py's table from result lines alone: medians, IQRs, wins, null deviation, failures."""
+    ab = load_ab_bench()
+    assert ab.parse_result("FAIL sample 0 (untraced): boom\nnot json") is None
+    assert ab.parse_result("") is None
+    results = {"base": [ab.parse_result(canned_line(v)) for v in (1.00, 1.10, 0.90)],
+               "null": [ab.parse_result(canned_line(v)) for v in (1.02, 1.00, 0.98)],
+               "change": [ab.parse_result(canned_line(0.93, failed=1)), ab.parse_result(canned_line(1.12)), None]}
+    metrics = [m for m in ab.benchmark()["end_to_end"] if m["name"] in ("run_s", "setup_s", "peak_rss_mb")]
+    assert [m["name"] for m in metrics] == ["setup_s", "run_s", "peak_rss_mb"]
+    table = ab.summarize(results, metrics).splitlines()
+    run_s = next(line for line in table if line.startswith("run_s "))
+    # base 0.90 / 1.00 / 1.10; change 0.93, 1.12 and no result line (not a win); null 0.98 / 1.00 / 1.02
+    assert "1 [0.95, 1.05]" in run_s and "1.025 [0.9775, 1.073]" in run_s and "1 [0.99, 1.01]" in run_s
+    assert run_s.split()[-3:] == ["+2.5%", "1/3", "+0.0%"]
+    assert next(line for line in table if line.startswith("setup_s ")).split()[-3:] == ["+0.0%", "0/3", "+0.0%"]
+    assert next(line for line in table if line.startswith("peak_rss_mb ")).split()[-3:] == ["-", "0/3", "-"]
+    assert table[-2:] == ["FAIL pair 0 change: failed 1 of 4 samples", "FAIL pair 2 change: no result line"]

@@ -10,7 +10,9 @@ from hypothesis import strategies as st
 from rfc_sim import models
 from rfc_sim.data import Dataset, gen_synthetic
 from rfc_sim.attacks import build_backdoor_test
-from rfc_sim.metrics import MetricSpec, evaluate_backdoor, macro_f1, score_model, summarize
+from rfc_sim.metrics import METRIC_DIRECTIONS, MetricSpec, evaluate_backdoor, macro_f1, score_model, summarize
+
+from reference import reference_macro_f1, reference_score
 
 
 def bf_macro_f1(predictions, labels, num_classes):
@@ -214,3 +216,41 @@ def test_score_model_all_metrics():
     preds = models.log_probs(spec, p, data).argmax(axis=1)
     labels = [int(label) for label in data.y]
     assert score_model(MetricSpec("macro_f1"), spec, p, data) == macro_f1(list(preds), labels, 3)
+
+
+def float_bits(values):
+    return np.asarray(values, dtype=np.float64).tobytes()
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.sampled_from([("linear", 0), ("mlp", 16), ("mlp", 256)]), st.integers(1, 5), st.integers(1, 299),
+       st.integers(2, 10), st.integers(1, 12), st.sampled_from(sorted(METRIC_DIRECTIONS)),
+       st.integers(-1, 4), st.integers(0, 2**32 - 1))
+def test_stacked_scores_equal_per_candidate_reference_bit_for_bit(kind_hidden, k, n, num_classes, input_dim,
+                                                                 metric, overflow_row, seed):
+    """score_model on a [k, P] stack gives each candidate the bits of its own per-candidate pass."""
+    kind, hidden = kind_hidden
+    spec = models.ModelSpec(kind, input_dim, num_classes, hidden)
+    rng = np.random.default_rng(seed)
+    stack = rng.normal(size=(k, models.param_count(spec)))
+    if 0 <= overflow_row < k:  # finite parameters whose logits overflow to inf and nan
+        stack[overflow_row] = np.copysign(1e308, stack[overflow_row])
+    data = Dataset(rng.random((n, input_dim)), rng.integers(0, num_classes, n))
+    want = [reference_score(metric, spec, row, data) for row in stack]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = score_model(MetricSpec(metric), spec, stack, data)
+        one = score_model(MetricSpec(metric), spec, stack[0], data)
+    assert len(got) == k and float_bits(got) == float_bits(want)
+    assert type(one) is float and float_bits(one) == float_bits(want[0])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 5), st.integers(1, 80), st.integers(2, 10), st.integers(0, 2**32 - 1))
+def test_stacked_macro_f1_equals_the_scalar_left_fold(k, n, num_classes, seed):
+    rng = random.Random(seed)
+    labels = [rng.randrange(num_classes) for _ in range(n)]
+    preds = [[rng.randrange(num_classes) for _ in range(n)] for _ in range(k)]
+    want = [reference_macro_f1(row, labels, num_classes) for row in preds]
+    assert float_bits(macro_f1(preds, labels, num_classes)) == float_bits(want)
+    assert float_bits(macro_f1(preds[0], labels, num_classes)) == float_bits(want[0])

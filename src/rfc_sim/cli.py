@@ -21,8 +21,8 @@ from . import data as data_mod
 from . import metrics
 from .consensus import FederationResult, ProvenanceError, RoundAbortError
 
-# records.csv columns: RoundRecord's fields, then one pool<p>_metric column per pool
-RECORD_COLUMNS = tuple(f.name for f in fields(metrics.RoundRecord) if f.name != "pool_metrics")
+# records.csv columns: RoundRecord's fields, then one pool<p>_metric column per pool candidate
+RECORD_COLUMNS = tuple(f.name for f in fields(metrics.RoundRecord))
 
 SUMMARY_DIRECTIONS = {
     "test_accuracy": "maximize",
@@ -38,11 +38,10 @@ def _fmt(value) -> str:
 
 
 def records_csv_text(result: FederationResult) -> str:
-    n_pools = len(result.records[0].pool_metrics) if result.records else 0
-    header = list(RECORD_COLUMNS) + [f"pool{p}_metric" for p in range(n_pools)]
+    header = list(RECORD_COLUMNS) + [f"pool{c.pool_id}_metric" for c in result.candidates[0]]
     lines = [",".join(header)]
-    for rec in result.records:
-        row = [getattr(rec, column) for column in RECORD_COLUMNS] + list(rec.pool_metrics)
+    for rec, candidates in zip(result.records, result.candidates):
+        row = [getattr(rec, column) for column in RECORD_COLUMNS] + [c.metric_value for c in candidates]
         lines.append(",".join(_fmt(v) for v in row))
     return "\n".join(lines) + "\n"
 

@@ -74,7 +74,7 @@ class RunConfig:
         if adv.attack == "backdoor":
             check_trigger(adv.trigger_size, d.height, d.width)
             if not (0 <= adv.target_label < d.num_classes):
-                raise ValueError(f"target_label {adv.target_label} out of range")
+                raise ValueError(f"adversary.target_label {adv.target_label} out of range for {d.num_classes} classes")
 
 
 def _parse_int(raw: str) -> int:
@@ -304,7 +304,7 @@ def build_partition(rc: RunConfig) -> data_mod.FederatedPartition:
                               f"{len(dataset)} in the dataset")
     return data_mod.partition(dataset, fed.total_clients(), d.scheme, d.val_fraction,
                               d.test_fraction, derive_seed(fed.master_seed, 0, 0, 0, "partition"),
-                              height=d.height, width=d.width, num_classes=d.num_classes,
+                              height=d.height, width=d.width,
                               shards_per_client=d.shards_per_client)
 
 

@@ -81,17 +81,20 @@ class FederationConfig:
         if self.topology not in TOPOLOGIES:
             raise ValueError(f"unknown topology {self.topology!r}")
         if self.server_eta <= 0:
-            raise ValueError("server_eta must be > 0")
+            raise ValueError(f"server_eta must be > 0, got {self.server_eta}")
         if not 0 <= self.chain_difficulty <= MAX_RUN_DIFFICULTY:
             raise ValueError(f"chain_difficulty must lie in [0, {MAX_RUN_DIFFICULTY}], got "
                              f"{self.chain_difficulty}: sealing takes about 2**d hashes per block")
         quota = self.sample_quota()
         _, group = self.group_shape()
         if quota > group:
-            raise ValueError(f"sample size {quota} exceeds group size {group}")
+            size = "clients_per_pool" if self.topology == "rfc" else "num_pools x clients_per_pool"
+            raise ValueError(f"clients_sampled_per_round = {self.clients_sampled_per_round} gives {quota} clients "
+                             f"per aggregation, more than {size} = {group}")
         need = aggregation.min_updates(self.aggregator)
         if quota < need:
-            raise ValueError(f"rule {self.aggregator.rule} needs at least {need} updates per aggregation, sample gives {quota}")
+            raise ValueError(f"aggregator.rule = {self.aggregator.rule} needs at least {need} updates per aggregation, "
+                             f"but clients_sampled_per_round = {self.clients_sampled_per_round} gives {quota}")
         adv = self.adversary
         if adv.placement == "one_pool" and not 0 <= adv.pool_id < self.num_pools:
             raise ValueError(f"adversary pool {adv.pool_id} out of range for {self.num_pools} pools")
@@ -116,12 +119,15 @@ class FederationConfig:
 
 @dataclass(frozen=True)
 class PoolCandidate:
+    """One pool's entry in a round's validation contest; a non-empty note disqualifies it and says why."""
     pool_id: int
-    model: Optional[np.ndarray]
     metric_value: float
     clients: Tuple[int, ...]
-    disqualified: bool = False
     note: str = ""
+
+    @property
+    def disqualified(self) -> bool:
+        return bool(self.note)
 
 
 @dataclass
@@ -157,16 +163,16 @@ def _client_data(cfg: FederationConfig, partition: FederatedPartition, cid: int,
     if not is_adversary:
         return data
     if adv.attack == "labelflip":
-        return attacks.flip_labels(data, partition.num_classes)
+        return attacks.flip_labels(data, cfg.model.num_classes)
     seed = derive_seed(cfg.master_seed, round_idx, pool_id, cid, "poison")
     return attacks.poison_examples(data, partition.height, partition.width, adv, seed)
 
 
 def _play_round(cfg: FederationConfig, partition: FederatedPartition,
                 groups: Sequence[Tuple[int, Sequence[int]]], adversarial: frozenset,
-                global_model: np.ndarray, round_idx: int, quota: int) -> Tuple[PoolCandidate, ...]:
-    """Sample every pool, train all sampled clients in one call, aggregate pool by pool, then score the
-    survivors in one stacked pass; a pool's note names the first of those steps that disqualified it."""
+                global_model: np.ndarray, round_idx: int, quota: int) -> Tuple[Tuple[PoolCandidate, ...], np.ndarray]:
+    """One round as the module docstring orders it: the pools' candidates, each noting the first step that
+    disqualified it, and the ``[k, P]`` stack of their models, pool g's in row g."""
     samples, datasets, seeds = [], [], []
     for pool_id, members in groups:
         sampled = sample_clients(members, pool_id, round_idx, quota, cfg.master_seed)
@@ -187,12 +193,11 @@ def _play_round(cfg: FederationConfig, partition: FederatedPartition,
     values = np.full(len(stack), np.nan)
     values[finite] = metrics.score_model(cfg.metric, cfg.model, stack[finite], partition.validation)
     candidates = []
-    for (pool_id, sampled, _), note, model, ok, value in zip(samples, notes, stack, finite, values.tolist()):
+    for (pool_id, sampled, _), note, ok, value in zip(samples, notes, finite, values.tolist()):
         note = note or (f"non-finite candidate in round {round_idx}" if not ok else
                         "" if np.isfinite(value) else f"non-finite validation metric in round {round_idx}")
-        candidates.append(PoolCandidate(pool_id, None, float("nan"), tuple(sampled), True, note) if note
-                          else PoolCandidate(pool_id, model, value, tuple(sampled)))
-    return tuple(candidates)
+        candidates.append(PoolCandidate(pool_id, float("nan") if note else value, tuple(sampled), note))
+    return tuple(candidates), stack
 
 
 def _pool_aggregate(cfg: FederationConfig, sampled: Sequence[int], trained: np.ndarray, lo: int,
@@ -224,9 +229,6 @@ def run_federation(cfg: FederationConfig, partition: FederatedPartition) -> Fede
     if partition.height * partition.width != cfg.model.input_dim:
         raise ValueError(f"model input_dim {cfg.model.input_dim} does not match grid "
                          f"{partition.height}x{partition.width}")
-    if partition.num_classes != cfg.model.num_classes:
-        raise ValueError(f"model num_classes {cfg.model.num_classes} does not match dataset "
-                         f"{partition.num_classes}")
     missing = [c for c in range(cfg.total_clients()) if c not in partition.client_data]
     if missing:
         raise ValueError(f"partition lacks data for clients {missing[:5]}")
@@ -253,12 +255,12 @@ def run_federation(cfg: FederationConfig, partition: FederatedPartition) -> Fede
     records: List[metrics.RoundRecord] = []
     all_candidates: List[Tuple[PoolCandidate, ...]] = []
     for round_idx in range(1, cfg.rounds + 1):
-        candidates = _play_round(cfg, partition, groups, adversarial, global_model, round_idx, quota)
+        candidates, stack = _play_round(cfg, partition, groups, adversarial, global_model, round_idx, quota)
 
         winner = select_winner(candidates, cfg.metric.direction)
         if winner is None:
             raise RoundAbortError(round_idx, [c.note for c in candidates])
-        global_model = winner.model
+        global_model = stack[winner.pool_id]
         ledger = chain_mod.append(ledger, global_model, round_idx, winner.pool_id, cfg.metric.name,
                                   winner.metric_value, cfg.aggregator.rule)
 
@@ -272,11 +274,8 @@ def run_federation(cfg: FederationConfig, partition: FederatedPartition) -> Fede
             round=round_idx, winning_pool=winner.pool_id,
             val_metric=winner.metric_value, test_accuracy=test_acc, test_loss=test_loss,
             backdoor_accuracy_target=bd_target, backdoor_accuracy_clean=bd_clean,
-            backdoor_loss=bd_loss,
-            pool_metrics=tuple(c.metric_value for c in candidates)))
-        # the winner lives on as global_model; the record keeps no candidate's model
-        all_candidates.append(tuple(PoolCandidate(c.pool_id, None, c.metric_value, c.clients, c.disqualified,
-                                                  c.note) for c in candidates))
+            backdoor_loss=bd_loss))
+        all_candidates.append(candidates)
 
     return FederationResult(final_model=global_model, records=records, chain=ledger,
                             candidates=all_candidates)

@@ -62,7 +62,6 @@ class FederatedPartition:
     test: Dataset
     height: int
     width: int
-    num_classes: int
 
 
 def check_grid(num_classes: int, height: int, width: int, key: str = "") -> None:
@@ -152,7 +151,7 @@ def save_csv(data: Dataset, path: str) -> None:
 
 def partition(data: Dataset, num_clients: int, scheme: str,
               val_fraction: float, test_fraction: float, seed: int, *,
-              height: int, width: int, num_classes: int,
+              height: int, width: int,
               shards_per_client: int = 1) -> FederatedPartition:
     """Split off validation/test, then deal the rest to clients.
 
@@ -197,4 +196,4 @@ def partition(data: Dataset, num_clients: int, scheme: str,
     return FederatedPartition(client_data={c: data[rows] for c, rows in client_rows.items()},
                               validation=data[order[:n_val]],
                               test=data[order[n_val : n_val + n_test]],
-                              height=height, width=width, num_classes=num_classes)
+                              height=height, width=width)

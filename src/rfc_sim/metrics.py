@@ -44,7 +44,6 @@ class RoundRecord:
     backdoor_accuracy_target: float
     backdoor_accuracy_clean: float
     backdoor_loss: float
-    pool_metrics: Tuple[float, ...]
 
 
 @dataclass(frozen=True)
@@ -64,7 +63,7 @@ def macro_f1(predictions, labels, num_classes: int):
         raise ValueError(f"length mismatch: {pred.shape[-1]} predictions vs {len(true)} labels")
     if len(true) == 0:
         raise ValueError("macro_f1 of empty inputs")
-    if min(pred.min(), true.min()) < 0 or max(pred.max(), true.max()) >= num_classes:
+    if min(pred.min(initial=0), true.min()) < 0 or max(pred.max(initial=0), true.max()) >= num_classes:
         raise ValueError(f"macro_f1 labels must lie in [0, {num_classes})")
     rows = pred.reshape(-1, len(true))
     # one bin per (candidate, class) pair; the counts are exact, so their order does not matter

@@ -82,9 +82,9 @@ class OptimizerConfig:
         if self.learning_rate < 0:
             raise ValueError(f"learning_rate must be >= 0, got {self.learning_rate}")
         if not (0 < self.adam_beta1 < 1 and 0 < self.adam_beta2 < 1):
-            raise ValueError("adam betas must lie in (0, 1)")
+            raise ValueError(f"adam_beta1 and adam_beta2 must lie in (0, 1), got {self.adam_beta1}, {self.adam_beta2}")
         if self.adam_epsilon <= 0:
-            raise ValueError("adam_epsilon must be > 0")
+            raise ValueError(f"adam_epsilon must be > 0, got {self.adam_epsilon}")
         if self.local_epochs < 1:
             raise ValueError(f"local_epochs must be >= 1, got {self.local_epochs}")
         if self.batch_size < 1:

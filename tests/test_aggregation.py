@@ -168,7 +168,8 @@ def test_select_refuses_below_min_updates_and_keeps_reference_rows_at_it(rule, f
     with pytest.raises(ValueError, match=f"^rule {rule} needs at least {need} updates per aggregation, got {need - 1}$"):
         select(cfg, updates[:-1])
     assert select(cfg, updates) == bf_kept(rule, updates.tolist(), f, m)
-    with pytest.raises(ValueError, match=f"^rule {rule} needs at least {need} updates per aggregation, sample gives 0$"):
+    with pytest.raises(ValueError, match=f"^aggregator.rule = {rule} needs at least {need} updates per aggregation, "
+                                         "but clients_sampled_per_round = 0 gives 0$"):
         consensus.FederationConfig(clients_sampled_per_round=0, aggregator=cfg)
 
 

@@ -1,3 +1,5 @@
+import dataclasses
+import json
 import math
 import re
 from dataclasses import replace
@@ -83,7 +85,9 @@ def test_group_shape_per_topology():
 @pytest.mark.parametrize("topology", ["rfc", "client_server"])
 def test_huge_sample_count_refused_by_group_size(topology):
     # the quota is exact: a sample count past float range is refused, not an OverflowError
-    with pytest.raises(ValueError, match="exceeds group size"):
+    size = {"rfc": "clients_per_pool = 4", "client_server": "num_pools x clients_per_pool = 8"}[topology]
+    with pytest.raises(ValueError, match=f"^clients_sampled_per_round = {10**400} gives \\d+ clients per "
+                                         f"aggregation, more than {size}$"):
         tiny_config(topology=topology, clients_sampled_per_round=10**400)
 
 
@@ -106,14 +110,13 @@ def test_sample_clients_varies_across_rounds():
 
 
 def test_select_winner_maximize():
-    cands = [PoolCandidate(0, np.zeros(1), 0.8, ()), PoolCandidate(1, np.zeros(1), 0.9, ()),
-             PoolCandidate(2, np.zeros(1), 0.7, ())]
+    cands = [PoolCandidate(0, 0.8, ()), PoolCandidate(1, 0.9, ()), PoolCandidate(2, 0.7, ())]
     assert select_winner(cands, "maximize").pool_id == 1
 
 
 def test_select_winner_minimize_with_disqualified():
-    cands = [PoolCandidate(0, np.zeros(1), 0.5, ()), PoolCandidate(1, np.zeros(1), 0.4, ()),
-             PoolCandidate(2, None, float("nan"), (), disqualified=True)]
+    cands = [PoolCandidate(0, 0.5, ()), PoolCandidate(1, 0.4, ()),
+             PoolCandidate(2, float("nan"), (), "non-finite candidate in round 1")]
     assert select_winner(cands, "minimize").pool_id == 1
 
 
@@ -124,12 +127,12 @@ def test_select_winner_minimize_with_disqualified():
     ("minimize", [0.5, 0.3, 0.3, 0.4], 1),
 ], ids=["maximize", "minimize", "minimize_after_lead_change"])
 def test_select_winner_tie_breaks_to_lowest_pool(direction, values, winner):
-    cands = [PoolCandidate(pool, np.zeros(1), value, ()) for pool, value in enumerate(values)]
+    cands = [PoolCandidate(pool, value, ()) for pool, value in enumerate(values)]
     assert select_winner(cands, direction).pool_id == winner
 
 
 def test_select_winner_none_when_all_disqualified():
-    cands = [PoolCandidate(0, None, float("nan"), (), disqualified=True)]
+    cands = [PoolCandidate(0, float("nan"), (), "aggregation failed in round 1: refused")]
     assert select_winner(cands, "maximize") is None
 
 
@@ -176,11 +179,22 @@ def test_genesis_and_tip_payload_digests_certify_init_and_final_model():
 
 
 def test_candidates_are_recorded_without_models():
-    result = run_tiny()
-    assert len(result.candidates) == len(result.records)
-    for round_cands, rec in zip(result.candidates, result.records):
-        assert all(cand.model is None for cand in round_cands)
-        assert tuple(c.metric_value for c in round_cands) == rec.pool_metrics
+    # pool 0's adversary boosts past the float range, so its candidate is non-finite in every round
+    adv = AdversaryConfig(attack="backdoor", placement="one_pool", pool_id=0, adversaries_per_pool=1,
+                          boost="replacement", boost_eta=1e-308, trigger_size=1, target_label=0)
+    result = run_tiny(adversary=adv)
+    assert [[c.disqualified for c in cands] for cands in result.candidates] == [[True, False]] * 3
+    for round_cands in result.candidates:
+        for cand in round_cands:
+            # plain data: every field serializes as it is, and the note alone decides disqualification
+            assert json.loads(json.dumps(dataclasses.asdict(cand)))["pool_id"] == cand.pool_id
+            assert cand.disqualified == bool(cand.note)
+    # records.csv's pool columns are the candidates' scores, nan for the disqualified pool 0
+    rows = [line.split(",") for line in records_csv_text(result).splitlines()]
+    assert rows[0][-2:] == ["pool0_metric", "pool1_metric"]
+    for row, round_cands in zip(rows[1:], result.candidates, strict=True):
+        assert row[-2:] == [repr(c.metric_value) for c in round_cands]
+        assert row[-2] == "nan"
 
 
 def test_benign_desk_training_reaches_090_by_round_20():
@@ -192,9 +206,9 @@ def test_benign_desk_training_reaches_090_by_round_20():
 
 def test_macro_f1_consensus_metric_runs():
     result = run_tiny(metric=MetricSpec("macro_f1"))
-    for rec in result.records:
+    for rec, round_cands in zip(result.records, result.candidates):
         assert 0.0 <= rec.val_metric <= 1.0
-        finite = [v for v in rec.pool_metrics if math.isfinite(v)]
+        finite = [c.metric_value for c in round_cands if math.isfinite(c.metric_value)]
         assert rec.val_metric == max(finite)
     assert result.chain.blocks[-1].metric_name == "macro_f1"
 
@@ -210,15 +224,15 @@ def test_label_shard_partition_runs_end_to_end():
 
 def test_winner_dominates_pool_metrics():
     result = run_tiny(num_pools=2, clients_sampled_per_round=6)
-    for rec in result.records:
-        finite = [v for v in rec.pool_metrics if math.isfinite(v)]
+    for rec, round_cands in zip(result.records, result.candidates):
+        finite = [c.metric_value for c in round_cands if math.isfinite(c.metric_value)]
         assert rec.val_metric == max(finite)
 
 
 def test_winner_dominates_under_loss_metric():
     result = run_tiny(metric=MetricSpec("loss"))
-    for rec in result.records:
-        finite = [v for v in rec.pool_metrics if math.isfinite(v)]
+    for rec, round_cands in zip(result.records, result.candidates):
+        finite = [c.metric_value for c in round_cands if math.isfinite(c.metric_value)]
         assert rec.val_metric == min(finite)
 
 
@@ -232,8 +246,8 @@ def test_single_pool_rfc_equals_client_server():
 
 def test_client_server_single_candidate_per_round():
     result = run_tiny(topology="client_server", clients_sampled_per_round=5)
-    for rec in result.records:
-        assert len(rec.pool_metrics) == 1
+    for rec, round_cands in zip(result.records, result.candidates):
+        assert len(round_cands) == 1
         assert rec.winning_pool == 0
 
 
@@ -311,6 +325,14 @@ def test_round_abort_notes_every_candidate(monkeypatch, owner, name, replacement
         assert re.fullmatch(note, pool_note)
 
 
+def test_round_abort_when_no_candidate_is_finite_under_macro_f1(monkeypatch):
+    # no row reaches the stacked scoring pass, so macro_f1 scores zero candidates
+    monkeypatch.setattr(aggregation, "aggregate", lambda cfg, updates: np.full(updates.shape[1], np.inf))
+    with pytest.raises(RoundAbortError) as err:
+        run_tiny(metric=MetricSpec("macro_f1"))
+    assert err.value.notes == ("non-finite candidate in round 1",) * 2
+
+
 def test_play_round_notes_each_disqualification_in_pool_order(monkeypatch):
     """One stacked round: pools 0-3 each in one disqualification state, pool 4 qualified."""
     fed = tiny_config(num_pools=5, clients_sampled_per_round=10, metric=MetricSpec("loss"))
@@ -332,14 +354,15 @@ def test_play_round_notes_each_disqualification_in_pool_order(monkeypatch):
     monkeypatch.setattr(aggregation, "aggregate", lambda cfg, updates: next(rules)(cfg, updates))
     start = models_mod.init_params(fed.model, 3)
     groups = [(g, range(4 * g, 4 * g + 4)) for g in range(5)]
-    cands = consensus._play_round(fed, partition, groups, frozenset(), start, 1, fed.sample_quota())
+    cands, stack = consensus._play_round(fed, partition, groups, frozenset(), start, 1, fed.sample_quota())
     assert [c.pool_id for c in cands] == [0, 1, 2, 3, 4]
     assert [c.note for c in cands] == [
         f"client {cands[0].clients[1]} diverged in round 1: blow-up", "aggregation failed in round 1: refused",
         "non-finite candidate in round 1", "non-finite validation metric in round 1", ""]
     assert [c.disqualified for c in cands] == [True] * 4 + [False]
-    assert all(c.model is None and math.isnan(c.metric_value) for c in cands[:4])
-    assert cands[4].metric_value == metrics.score_model(fed.metric, fed.model, cands[4].model, partition.validation)
+    assert all(math.isnan(c.metric_value) for c in cands[:4])
+    assert stack.shape == (5, models_mod.param_count(fed.model))
+    assert cands[4].metric_value == metrics.score_model(fed.metric, fed.model, stack[4], partition.validation)
     assert all(len(c.clients) == 2 for c in cands)
 
 
@@ -373,3 +396,8 @@ def test_partition_mismatch_rejected():
     data = replace(rc.data, height=3, width=3, num_classes=3, per_class=40)
     with pytest.raises(ValueError, match="input_dim"):
         execute_run(replace(rc, federation=fed, data=data))
+    fed = tiny_config()
+    partition = build_partition(replace(rc, federation=fed, data=data))
+    del partition.client_data[5]
+    with pytest.raises(ValueError, match=r"^partition lacks data for clients \[5\]$"):
+        consensus.run_federation(fed, partition)

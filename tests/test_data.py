@@ -1,4 +1,5 @@
 import collections
+import re
 import tracemalloc
 
 import numpy as np
@@ -128,6 +129,8 @@ def test_csv_empty_after_header(tmp_path):
     path.write_text("label,f0,f1\n")
     loaded = load_csv(str(path), num_classes=2)
     assert len(loaded) == 0 and loaded.x.shape == (0, 2)
+    with pytest.raises(ValueError, match="^nothing to write$"):
+        save_csv(loaded, str(tmp_path / "out.csv"))
 
 
 @pytest.mark.parametrize("body,fragment", [
@@ -154,7 +157,7 @@ def test_csv_missing_header(tmp_path):
 
 def test_partition_iid_counts():
     data = gen_synthetic(2, 2, 5, per_class=50, noise_sigma=0.1, seed=1)  # 100 examples
-    part = partition(data, 10, "iid", 0.1, 0.1, seed=5, height=2, width=5, num_classes=2)
+    part = partition(data, 10, "iid", 0.1, 0.1, seed=5, height=2, width=5)
     assert len(part.validation) == 10
     assert len(part.test) == 10
     assert all(len(v) == 8 for v in part.client_data.values())
@@ -162,26 +165,26 @@ def test_partition_iid_counts():
 
 def test_partition_conserves_multiset():
     data = gen_synthetic(3, 3, 3, per_class=40, noise_sigma=0.2, seed=3)
-    part = partition(data, 7, "iid", 0.15, 0.1, seed=5, height=3, width=3, num_classes=3)
+    part = partition(data, 7, "iid", 0.15, 0.1, seed=5, height=3, width=3)
     combined = concat(part.validation, part.test, *part.client_data.values())
     assert multiset(combined) == multiset(data)
 
 
 def test_partition_deterministic():
     data = gen_synthetic(2, 2, 2, per_class=30, noise_sigma=0.1, seed=8)
-    a = partition(data, 4, "iid", 0.1, 0.1, seed=2, height=2, width=2, num_classes=2)
-    b = partition(data, 4, "iid", 0.1, 0.1, seed=2, height=2, width=2, num_classes=2)
+    a = partition(data, 4, "iid", 0.1, 0.1, seed=2, height=2, width=2)
+    b = partition(data, 4, "iid", 0.1, 0.1, seed=2, height=2, width=2)
     for c in a.client_data:
         assert multiset(a.client_data[c]) == multiset(b.client_data[c])
     assert multiset(a.validation) == multiset(b.validation)
-    c = partition(data, 4, "iid", 0.1, 0.1, seed=3, height=2, width=2, num_classes=2)
+    c = partition(data, 4, "iid", 0.1, 0.1, seed=3, height=2, width=2)
     assert any(multiset(a.client_data[k]) != multiset(c.client_data[k]) for k in a.client_data)
 
 
 def test_label_shard_single_label_per_client():
     data = gen_synthetic(2, 2, 2, per_class=20, noise_sigma=0.1, seed=6)
     part = partition(data, 2, "label_shard", 0.0, 0.0, seed=4, height=2, width=2,
-                     num_classes=2, shards_per_client=1)
+                     shards_per_client=1)
     for items in part.client_data.values():
         assert len(set(items.y.tolist())) == 1  # zero label entropy
 
@@ -191,13 +194,13 @@ def test_label_shard_without_shards_raises(shards):
     data = gen_synthetic(2, 2, 2, per_class=10, noise_sigma=0.1, seed=6)
     with pytest.raises(ValueError, match=f"^shards_per_client must be >= 1, got {shards}$"):
         partition(data, 2, "label_shard", 0.0, 0.0, seed=4, height=2, width=2,
-                  num_classes=2, shards_per_client=shards)
+                  shards_per_client=shards)
 
 
 def test_label_shard_conserves():
     data = gen_synthetic(3, 2, 2, per_class=30, noise_sigma=0.2, seed=6)
     part = partition(data, 5, "label_shard", 0.1, 0.1, seed=4, height=2, width=2,
-                     num_classes=3, shards_per_client=3)
+                     shards_per_client=3)
     combined = concat(part.validation, part.test, *part.client_data.values())
     assert multiset(combined) == multiset(data)
 
@@ -206,9 +209,9 @@ def test_partition_insufficient_data():
     data = gen_synthetic(2, 2, 2, per_class=3, noise_sigma=0.1, seed=1)  # 1 validation, 1 test, 4 left
     for scheme in ("iid", "label_shard"):
         with pytest.raises(ValueError, match="^insufficient data: 4 examples left for 5 clients$"):
-            partition(data, 5, scheme, 0.1, 0.1, seed=0, height=2, width=2, num_classes=2)
+            partition(data, 5, scheme, 0.1, 0.1, seed=0, height=2, width=2)
     with pytest.raises(ValueError, match="^insufficient data: 4 examples for 6 shards$"):
-        partition(data, 2, "label_shard", 0.1, 0.1, seed=0, height=2, width=2, num_classes=2,
+        partition(data, 2, "label_shard", 0.1, 0.1, seed=0, height=2, width=2,
                   shards_per_client=3)
 
 
@@ -223,16 +226,26 @@ def test_partition_at_the_insufficient_data_bound_leaves_no_client_empty(clients
         n += 1
     data = Dataset(np.zeros((n, 1)), np.arange(n) % 3)
     part = partition(data, clients, scheme, fraction, fraction, seed, height=1, width=1,
-                     num_classes=3, shards_per_client=shards)
+                     shards_per_client=shards)
     assert sorted(part.client_data) == list(range(clients))
     assert all(len(rows) >= 1 for rows in part.client_data.values())
     assert sum(len(rows) for rows in part.client_data.values()) == least
 
 
+@pytest.mark.parametrize("num_clients,scheme,message", [
+    (2, "random", "unknown partition scheme 'random'"),
+    (0, "iid", "num_clients must be >= 1, got 0"),
+])
+def test_partition_refuses_a_bad_scheme_or_client_count(num_clients, scheme, message):
+    data = gen_synthetic(2, 2, 2, per_class=10, noise_sigma=0.1, seed=6)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        partition(data, num_clients, scheme, 0.1, 0.1, seed=0, height=2, width=2)
+
+
 def test_partition_rejects_feature_length_mismatch():
     data = Dataset(np.zeros((2, 5)), np.array([0, 1]))
     with pytest.raises(ValueError, match="grid"):
-        partition(data, 1, "iid", 0.0, 0.0, seed=0, height=2, width=2, num_classes=2)
+        partition(data, 1, "iid", 0.0, 0.0, seed=0, height=2, width=2)
 
 
 @settings(max_examples=25)
@@ -241,7 +254,7 @@ def test_partition_rejects_feature_length_mismatch():
 def test_partition_conservation_property(per_class, clients, scheme, seed):
     data = gen_synthetic(2, 2, 2, per_class=per_class, noise_sigma=0.3, seed=11)
     part = partition(data, clients, scheme, 0.1, 0.1, seed=seed,
-                     height=2, width=2, num_classes=2, shards_per_client=2)
+                     height=2, width=2, shards_per_client=2)
     assert all(len(items) >= 1 for items in part.client_data.values())
     combined = concat(part.validation, part.test, *part.client_data.values())
     assert multiset(combined) == multiset(data)
@@ -283,7 +296,7 @@ def reference_partition(data, num_clients, scheme, val_fraction, test_fraction, 
 def test_partition_matches_per_example_reference(per_class, clients, spc, scheme, seed):
     data = gen_synthetic(3, 2, 2, per_class=per_class, noise_sigma=0.3, seed=12)
     part = partition(data, clients, scheme, 0.15, 0.1, seed=seed,
-                     height=2, width=2, num_classes=3, shards_per_client=spc)
+                     height=2, width=2, shards_per_client=spc)
     val_rows, test_rows, client_rows = reference_partition(data, clients, scheme, 0.15, 0.1,
                                                            seed, spc)
     for got, rows in [(part.validation, val_rows), (part.test, test_rows)] + [

@@ -356,9 +356,15 @@ def test_cli_validate_chain_ok_and_tampered(tmp_path, capsys):
     assert cli.main(["run", "--config", cfg, "--out", str(out)]) == 0
     chain_file = out / "chain.jsonl"
     assert cli.main(["validate-chain", str(chain_file)]) == 0
-    assert "chain ok" in capsys.readouterr().out
+    assert "chain ok (4 blocks" in capsys.readouterr().out
+    # blank lines between blocks are skipped: the same blocks load
+    lines = chain_file.read_text().splitlines()
+    spaced = tmp_path / "spaced.jsonl"
+    spaced.write_text(lines[0] + "\n\n" + "\n \n".join(lines[1:]) + "\n")
+    assert chain_mod.load_lines(spaced.read_text()) == chain_mod.load_lines(chain_file.read_text())
+    assert cli.main(["validate-chain", str(spaced)]) == 0
+    assert "chain ok (4 blocks" in capsys.readouterr().out
 
-    import json
     rec = json.loads(chain_file.read_text().splitlines()[2])
     rec["metric_value"] = rec["metric_value"] - 0.125
     tampered = chain_file.read_text().splitlines()
@@ -637,6 +643,43 @@ def test_cli_run_bad_data_key_names_the_key(tmp_path, capsys, line, message):
     assert not (tmp_path / "o").exists()
 
 
+BACKDOOR = "adversary.attack = backdoor\nadversary.placement = all_pools\n"
+
+
+@pytest.mark.parametrize("line,fragments", [
+    ("clients_sampled_per_round = 40", ["clients_sampled_per_round = 40 gives 13", "clients_per_pool = 10"]),
+    ("aggregator.rule = krum\nclients_sampled_per_round = 6",
+     ["aggregator.rule = krum needs at least 5", "clients_sampled_per_round = 6 gives 2"]),
+    ("optimizer.adam_beta1 = 1", ["adam_beta1 and adam_beta2 must lie in (0, 1), got 1.0, 0.999"]),
+    (BACKDOOR + "adversary.target_label = 3", ["adversary.target_label 3 out of range for 3 classes"]),
+    ("clients_per_pool = 0", ["clients_per_pool must be >= 1, got 0"]),
+    ("server_eta = 0", ["server_eta must be > 0, got 0.0"]),
+    ("optimizer.adam_epsilon = 0", ["adam_epsilon must be > 0, got 0.0"]),
+    ("optimizer.batch_size = 0", ["batch_size must be >= 1, got 0"]),
+    (BACKDOOR + "adversary.trigger_size = 0", ["trigger_size must be >= 1"]),
+    ("export.records = maybe", ["bad value for export.records"]),
+], ids=["sample_over_pool", "krum_sample", "adam_beta1", "target_label", "clients_per_pool", "server_eta",
+        "adam_epsilon", "batch_size", "trigger_size", "export_records"])
+def test_cli_run_config_refusal_names_its_field(tmp_path, capsys, line, fragments):
+    cfg = write_config(tmp_path, f"rounds = 1\n{line}\n")
+    assert cli.main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1
+    assert all(fragment in err for fragment in fragments), err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("text,message", [("", "missing header row"),
+                                          ("label\n", "line 1: header declares no feature columns")],
+                         ids=["empty", "label_only"])
+def test_cli_run_csv_source_without_features_exits_1(tmp_path, capsys, text, message):
+    path = tmp_path / "data.csv"
+    path.write_text(text)
+    cfg = write_config(tmp_path, f"rounds = 1\ndata.source = csv\ndata.csv_path = {path}\n")
+    assert cli.main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err == f"config error: {path}: {message}\n"
+
+
 def test_cli_run_negative_placement_pool_exits_1(tmp_path, capsys):
     cfg = write_config(tmp_path, TINY_CONFIG + "adversary.attack = labelflip\n"
                        "adversary.placement = one_pool:-1\n")
@@ -662,6 +705,15 @@ def test_cli_summarize_nothing_to_summarize_exits_1(tmp_path, capsys, text):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"summarize failed: {path}: no records.csv rows to summarize\n"
+
+
+def test_cli_summarize_prints_only_the_summarized_columns_present(tmp_path, capsys):
+    path = tmp_path / "records.csv"
+    path.write_text("round,val_metric,test_loss\n1,0.5,0.25\n2,0.75,0.125\n")
+    assert cli.main(["summarize", str(path)]) == 0
+    assert capsys.readouterr().out == ("metric,direction,final,best,avg_last_10,nonfinite_in_window\n"
+                                       "val_metric,maximize,0.75,0.75,0.625,0\n"
+                                       "test_loss,minimize,0.125,0.125,0.1875,0\n")
 
 
 @pytest.mark.parametrize("body", ["1,0,0.5,oops\n", "1,0,0.5\n"])

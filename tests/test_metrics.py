@@ -218,6 +218,14 @@ def test_score_model_all_metrics():
     assert score_model(MetricSpec("macro_f1"), spec, p, data) == macro_f1(list(preds), labels, 3)
 
 
+@pytest.mark.parametrize("metric", sorted(METRIC_DIRECTIONS))
+def test_score_model_of_an_empty_stack_is_empty(metric):
+    """A round whose every candidate is non-finite scores a [0, P] stack: no score, and no error."""
+    spec = models.ModelSpec("linear", 4, 3)
+    data = gen_synthetic(3, 2, 2, per_class=10, noise_sigma=0.1, seed=9)
+    assert list(score_model(MetricSpec(metric), spec, np.zeros((0, models.param_count(spec))), data)) == []
+
+
 def float_bits(values):
     return np.asarray(values, dtype=np.float64).tobytes()
 

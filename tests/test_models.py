@@ -234,6 +234,8 @@ def test_evaluate_perfect_and_empty():
     assert loss < 1e-6
     with pytest.raises(ValueError):
         models.evaluate(spec, p, empty(2))
+    with pytest.raises(ValueError, match=r"^parameter vector has 5 entries, spec needs 6$"):
+        models.evaluate(spec, p[:5], data)
 
 
 def test_zero_params_balanced_binary():

@@ -31,9 +31,9 @@ class AggregatorConfig:
         if self.rule not in AGGREGATION_RULES:
             raise ValueError(f"unknown aggregation rule {self.rule!r}")
         if self.krum_f < 0:
-            raise ValueError("krum_f must be >= 0")
+            raise ValueError(f"krum_f must be >= 0, got {self.krum_f}")
         if self.bulyan_m < 1:
-            raise ValueError("bulyan_m must be >= 1")
+            raise ValueError(f"bulyan_m must be >= 1, got {self.bulyan_m}")
 
 
 def min_updates(cfg: AggregatorConfig) -> int:

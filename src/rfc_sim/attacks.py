@@ -43,15 +43,15 @@ class AdversaryConfig:
         if self.boost not in BOOST_MODES:
             raise ValueError(f"unknown boost mode {self.boost!r}")
         if self.adversaries_per_pool < 1:
-            raise ValueError("adversaries_per_pool must be >= 1")
+            raise ValueError(f"adversaries_per_pool must be >= 1, got {self.adversaries_per_pool}")
         if self.boost_eta <= 0:
-            raise ValueError("boost_eta must be > 0")
+            raise ValueError(f"boost_eta must be > 0, got {self.boost_eta}")
         if self.trigger_size < 1:
-            raise ValueError("trigger_size must be >= 1")
+            raise ValueError(f"trigger_size must be >= 1, got {self.trigger_size}")
         if self.target_label < 0:
-            raise ValueError("target_label must be >= 0")
+            raise ValueError(f"target_label must be >= 0, got {self.target_label}")
         if not (0 < self.poison_fraction <= 1):
-            raise ValueError("poison_fraction must lie in (0, 1]")
+            raise ValueError(f"poison_fraction must lie in (0, 1], got {self.poison_fraction}")
 
 
 def flip_labels(data: Dataset, num_classes: int) -> Dataset:

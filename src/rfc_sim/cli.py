@@ -136,18 +136,12 @@ def _cmd_validate_chain(args) -> int:
 
 def _cmd_gen_data(args) -> int:
     try:
-        dataset = data_mod.gen_synthetic(args.classes, args.height, args.width,
-                                         args.per_class, args.noise_sigma, args.seed)
+        cfg = data_mod.DataConfig(num_classes=args.classes, height=args.height, width=args.width,
+                                  per_class=args.per_class, noise_sigma=args.noise_sigma)
+        dataset = data_mod.gen_synthetic(cfg, args.seed)
         data_mod.save_csv(dataset, args.out)
     except (ValueError, OSError, MemoryError) as exc:
-        hint = ""
-        if isinstance(exc, MemoryError):  # lead with the larger factor, as build_partition does
-            grid = f"--height x --width = {args.height}x{args.width} grid"
-            examples = f"--per-class x --classes = {args.per_class} x {args.classes} examples"
-            more_examples = args.per_class * args.classes >= args.height * args.width
-            hint = (f"--per-class {args.per_class} is too large: {examples} of a {grid}: " if more_examples
-                    else f"{grid} is too large for {examples}: ")
-        print(f"gen-data failed: {hint}{exc}", file=sys.stderr)
+        print(f"gen-data failed: {exc}", file=sys.stderr)
         return 1
     print(f"wrote {len(dataset)} examples to {args.out}")
     return 0
@@ -202,11 +196,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_gen = sub.add_parser("gen-data", help="write a synthetic dataset CSV")
     p_gen.add_argument("--out", required=True)
-    p_gen.add_argument("--classes", type=int, default=3)
-    p_gen.add_argument("--height", type=int, default=8)
-    p_gen.add_argument("--width", type=int, default=8)
-    p_gen.add_argument("--per-class", type=int, default=100, dest="per_class")
-    p_gen.add_argument("--noise-sigma", type=float, default=0.35, dest="noise_sigma")
+    p_gen.add_argument("--classes", type=int, default=3, help="sets data.num_classes")
+    p_gen.add_argument("--height", type=int, default=8, help="sets data.height")
+    p_gen.add_argument("--width", type=int, default=8, help="sets data.width")
+    p_gen.add_argument("--per-class", type=int, default=100, dest="per_class", help="sets data.per_class")
+    p_gen.add_argument("--noise-sigma", type=float, default=0.35, dest="noise_sigma", help="sets data.noise_sigma")
     p_gen.add_argument("--seed", type=int, default=0)
     p_gen.set_defaults(func=_cmd_gen_data)
 

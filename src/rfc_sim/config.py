@@ -18,6 +18,7 @@ from . import consensus, data as data_mod
 from .aggregation import AGGREGATION_RULES, AggregatorConfig
 from .attacks import ATTACK_KINDS, BOOST_MODES, AdversaryConfig, check_trigger
 from .consensus import TOPOLOGIES, FederationConfig
+from .data import DATA_SOURCES, DataConfig
 from .metrics import METRIC_DIRECTIONS, MetricSpec
 from .models import MODEL_KINDS, OPTIMIZER_KINDS, ModelSpec, OptimizerConfig
 from .seeds import derive_seed
@@ -25,40 +26,9 @@ from .seeds import derive_seed
 PRESET_NAMES = ("no_attack", "one_pool_labelflip", "one_pool_backdoor",
                 "all_pools_labelflip", "all_pools_backdoor")
 
-DATA_SOURCES = ("synthetic", "csv")
-
 
 class ConfigError(ValueError):
     """Configuration rejected; message carries file/line context when known."""
-
-
-@dataclass(frozen=True)
-class DataConfig:
-    source: str = "synthetic"
-    num_classes: int = 3
-    height: int = 8
-    width: int = 8
-    per_class: int = 400
-    noise_sigma: float = 0.2
-    csv_path: str = ""
-    val_fraction: float = 0.1
-    test_fraction: float = 0.1
-    scheme: str = "iid"
-    shards_per_client: int = 1
-
-    def __post_init__(self):
-        if self.source not in DATA_SOURCES:
-            raise ValueError(f"unknown data source {self.source!r}")
-        if self.source == "csv" and not self.csv_path:
-            raise ValueError("data.source = csv requires data.csv_path")
-        data_mod.check_grid(self.num_classes, self.height, self.width, key="data.")
-        if self.source == "synthetic":
-            data_mod.check_synthetic(self.num_classes, self.height, self.width, self.per_class,
-                                     self.noise_sigma, key="data.")
-        v, t = self.val_fraction, self.test_fraction
-        if not (0 <= v < 1 and 0 <= t < 1 and v + t < 1):
-            raise ValueError(f"data.val_fraction and data.test_fraction must lie in [0, 1) "
-                             f"and sum below 1, got {v!r} and {t!r}")
 
 
 @dataclass(frozen=True)
@@ -286,16 +256,7 @@ def build_partition(rc: RunConfig) -> data_mod.FederatedPartition:
     """
     fed, d = rc.federation, rc.data
     if d.source == "synthetic":
-        try:
-            dataset = data_mod.gen_synthetic(d.num_classes, d.height, d.width, d.per_class,
-                                             d.noise_sigma, derive_seed(fed.master_seed, 0, 0, 0, "dataset"))
-        except MemoryError as exc:  # lead with the larger factor: the example count or one example's grid
-            grid = f"data.height x data.width = {d.height}x{d.width} grid"
-            examples = f"data.per_class x data.num_classes = {d.per_class} x {d.num_classes} examples"
-            more_examples = d.per_class * d.num_classes >= d.height * d.width
-            blame = (f"data.per_class = {d.per_class} is too large: {examples} of a {grid}" if more_examples
-                     else f"{grid} is too large for {examples}")
-            raise ConfigError(f"{blame}: {exc}") from exc
+        dataset = data_mod.gen_synthetic(d, derive_seed(fed.master_seed, 0, 0, 0, "dataset"))
     else:
         dataset = data_mod.load_csv(d.csv_path, num_classes=d.num_classes)
     for key, fraction in (("data.val_fraction", d.val_fraction), ("data.test_fraction", d.test_fraction)):

@@ -99,7 +99,8 @@ class FederationConfig:
         if adv.placement == "one_pool" and not 0 <= adv.pool_id < self.num_pools:
             raise ValueError(f"adversary pool {adv.pool_id} out of range for {self.num_pools} pools")
         if adv.placement != "none" and adv.adversaries_per_pool > self.clients_per_pool:
-            raise ValueError("adversaries_per_pool exceeds clients_per_pool")
+            raise ValueError(f"adversaries_per_pool exceeds clients_per_pool, got {adv.adversaries_per_pool} > "
+                             f"{self.clients_per_pool}")
 
     def group_shape(self) -> Tuple[int, int]:
         """(groups, clients per group) that aggregate apart; group g holds client ids g * size onward."""

@@ -1,4 +1,4 @@
-"""Dataset representation, synthetic generation, CSV ingestion and partitioning.
+"""Dataset representation, its ``DataConfig`` section, synthetic generation, CSV ingestion and partitioning.
 
 A ``Dataset`` is one read-only array pair: ``x`` holds n H x W grayscale grids
 flattened row-major into [0, 1] float64 features (shape ``[n, H*W]``), so
@@ -24,6 +24,8 @@ from .seeds import Sm64Stream, mix64, normals, tag64
 TEMPLATE_BRIGHT = 0.95
 
 PARTITION_SCHEMES = ("iid", "label_shard")
+
+DATA_SOURCES = ("synthetic", "csv")
 
 
 @dataclass(frozen=True, eq=False)
@@ -64,45 +66,73 @@ class FederatedPartition:
     width: int
 
 
-def check_grid(num_classes: int, height: int, width: int, key: str = "") -> None:
-    """Raise ValueError unless there are two classes or more and both grid sides are >= 1."""
-    if num_classes < 2:
-        raise ValueError(f"{key}num_classes must be >= 2, got {num_classes}")
-    if height < 1 or width < 1:
-        raise ValueError(f"{key}height and {key}width must be >= 1, got {height}x{width}")
+@dataclass(frozen=True)
+class DataConfig:
+    """The ``data.*`` section of a run config; each refusal names its key and the value given."""
+
+    source: str = "synthetic"
+    num_classes: int = 3
+    height: int = 8
+    width: int = 8
+    per_class: int = 400
+    noise_sigma: float = 0.2
+    csv_path: str = ""
+    val_fraction: float = 0.1
+    test_fraction: float = 0.1
+    scheme: str = "iid"
+    shards_per_client: int = 1
+
+    def __post_init__(self):
+        if self.source not in DATA_SOURCES:
+            raise ValueError(f"unknown data.source {self.source!r}")
+        if self.source == "csv" and not self.csv_path:
+            raise ValueError("data.source = csv requires data.csv_path")
+        if self.num_classes < 2:
+            raise ValueError(f"data.num_classes must be >= 2, got {self.num_classes}")
+        if self.height < 1 or self.width < 1:
+            raise ValueError(f"data.height and data.width must be >= 1, got {self.height}x{self.width}")
+        if self.source == "synthetic":
+            if self.height * self.width < self.num_classes:
+                raise ValueError(f"data.height x data.width grid {self.height}x{self.width} has fewer cells "
+                                 f"than data.num_classes = {self.num_classes}")
+            if self.per_class < 1:
+                raise ValueError(f"data.per_class must be >= 1, got {self.per_class}")
+            if not 0 <= self.noise_sigma < float("inf"):
+                raise ValueError(f"data.noise_sigma must be finite and >= 0, got {self.noise_sigma!r}")
+        v, t = self.val_fraction, self.test_fraction
+        if not (0 <= v < 1 and 0 <= t < 1 and v + t < 1):
+            raise ValueError(f"data.val_fraction and data.test_fraction must lie in [0, 1) "
+                             f"and sum below 1, got {v!r} and {t!r}")
 
 
-def check_synthetic(num_classes: int, height: int, width: int, per_class: int, noise_sigma: float,
-                    key: str = "") -> None:
-    """Raise ValueError unless ``gen_synthetic`` takes these arguments past ``check_grid``; messages say key + name."""
-    if height * width < num_classes:
-        raise ValueError(f"{key}height x {key}width grid {height}x{width} has fewer cells than "
-                         f"{key}num_classes = {num_classes}")
-    if per_class < 1:
-        raise ValueError(f"{key}per_class must be >= 1, got {per_class}")
-    if not 0 <= noise_sigma < float("inf"):
-        raise ValueError(f"{key}noise_sigma must be finite and >= 0, got {noise_sigma!r}")
+def gen_synthetic(cfg: DataConfig, seed: int) -> Dataset:
+    """cfg.per_class examples of each class in class order, deterministic in seed.
 
-
-def gen_synthetic(num_classes: int, height: int, width: int, per_class: int,
-                  noise_sigma: float, seed: int) -> Dataset:
-    """per_class examples of each class in class order, deterministic in seed."""
-    check_grid(num_classes, height, width)
-    check_synthetic(num_classes, height, width, per_class, noise_sigma)
-    try:  # numpy refuses a size past its index range with ValueError or OverflowError
-        y = np.repeat(np.arange(num_classes, dtype=np.int64), per_class)
-        x = np.zeros((y.shape[0], height * width), dtype=np.float64)
-    except (ValueError, OverflowError) as exc:
-        raise MemoryError(str(exc)) from exc
-    x[np.arange(y.shape[0]), y] = TEMPLATE_BRIGHT
-    if noise_sigma != 0.0:
-        # template + sigma * noise, clipped; in place, so only one extra array lives. A zero template
-        # cell clips any noise <= 0 to +0.0, which a noise of 0.0 gives too, so libm skips those.
-        noise = normals(seed, x.size, clipped=x.ravel() == 0.0).reshape(x.shape)
-        with np.errstate(over="ignore"):  # a product past the float range is +-inf, which the clip bounds
-            noise *= noise_sigma
-        x += noise
-        np.clip(x, 0.0, 1.0, out=x)
+    A size too large to allocate is a MemoryError that names the data keys, led by the larger factor:
+    the example count or one example's grid.
+    """
+    try:
+        try:  # numpy refuses a size past its index range with ValueError or OverflowError
+            y = np.repeat(np.arange(cfg.num_classes, dtype=np.int64), cfg.per_class)
+            x = np.zeros((y.shape[0], cfg.height * cfg.width), dtype=np.float64)
+        except (ValueError, OverflowError) as exc:
+            raise MemoryError(str(exc)) from exc
+        x[np.arange(y.shape[0]), y] = TEMPLATE_BRIGHT
+        if cfg.noise_sigma != 0.0:
+            # template + sigma * noise, clipped; in place, so only one extra array lives. A zero template
+            # cell clips any noise <= 0 to +0.0, which a noise of 0.0 gives too, so libm skips those.
+            noise = normals(seed, x.size, clipped=x.ravel() == 0.0).reshape(x.shape)
+            with np.errstate(over="ignore"):  # a product past the float range is +-inf, which the clip bounds
+                noise *= cfg.noise_sigma
+            x += noise
+            np.clip(x, 0.0, 1.0, out=x)
+    except MemoryError as exc:
+        grid = f"data.height x data.width = {cfg.height}x{cfg.width} grid"
+        examples = f"data.per_class x data.num_classes = {cfg.per_class} x {cfg.num_classes} examples"
+        more_examples = cfg.per_class * cfg.num_classes >= cfg.height * cfg.width
+        blame = (f"data.per_class = {cfg.per_class} is too large: {examples} of a {grid}" if more_examples
+                 else f"{grid} is too large for {examples}")
+        raise MemoryError(f"{blame}: {exc}") from exc
     return Dataset(x, y)
 
 
@@ -154,8 +184,6 @@ def partition(data: Dataset, num_clients: int, scheme: str,
               height: int, width: int,
               shards_per_client: int = 1) -> FederatedPartition:
     """Split off validation/test, then deal the rest to clients.
-
-    The fractions are taken as given: ``config.DataConfig`` checks them.
 
     ``iid`` deals the shuffled rest round-robin; ``label_shard`` sorts it by
     label (stable), cuts ``num_clients * shards_per_client`` contiguous shards

@@ -61,9 +61,9 @@ class ModelSpec:
         if self.num_classes < 2:
             raise ValueError(f"num_classes must be >= 2, got {self.num_classes}")
         if self.kind == "linear" and self.hidden_dim != 0:
-            raise ValueError("linear model must have hidden_dim == 0")
+            raise ValueError(f"linear model must have hidden_dim == 0, got {self.hidden_dim}")
         if self.kind == "mlp" and self.hidden_dim < 1:
-            raise ValueError("mlp model needs hidden_dim >= 1")
+            raise ValueError(f"mlp model needs hidden_dim >= 1, got {self.hidden_dim}")
 
 
 @dataclass(frozen=True)

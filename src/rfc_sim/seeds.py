@@ -36,6 +36,7 @@ The mixing function is fixed so independent implementations can agree:
 from __future__ import annotations
 
 import math
+from functools import cache
 from typing import List, Optional, Sequence
 
 import numpy as np
@@ -64,6 +65,7 @@ def mix64(*words: int) -> int:
     return acc
 
 
+@cache  # a run derives its seeds from a handful of constant tags
 def tag64(tag: str) -> int:
     """FNV-1a 64 of the tag's UTF-8 bytes."""
     h = _FNV_OFFSET

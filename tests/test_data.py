@@ -7,11 +7,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rfc_sim import cli, models
 from rfc_sim import data as data_mod
-from rfc_sim import models
-from rfc_sim.data import Dataset, gen_synthetic, load_csv, partition, save_csv
+from rfc_sim.data import DataConfig, Dataset, gen_synthetic, load_csv, partition, save_csv
 from rfc_sim.seeds import Sm64Stream, mix64, normals, tag64
 from test_seeds import gauss
+
+
+def synthetic(num_classes, height, width, per_class, noise_sigma, seed):
+    """``gen_synthetic`` of the checked ``DataConfig`` these fields give."""
+    cfg = DataConfig(num_classes=num_classes, height=height, width=width, per_class=per_class,
+                     noise_sigma=noise_sigma)
+    return gen_synthetic(cfg, seed)
 
 
 def multiset(data):
@@ -23,7 +30,7 @@ def concat(*parts):
 
 
 def test_gen_synthetic_zero_noise_yields_templates():
-    data = gen_synthetic(3, 2, 2, per_class=4, noise_sigma=0.0, seed=1)
+    data = synthetic(3, 2, 2, per_class=4, noise_sigma=0.0, seed=1)
     assert len(data) == 12
     for feats, label in zip(data.x, data.y):
         template = np.zeros(4)
@@ -32,17 +39,17 @@ def test_gen_synthetic_zero_noise_yields_templates():
 
 
 def test_gen_synthetic_counts_and_determinism():
-    a = gen_synthetic(3, 4, 4, per_class=10, noise_sigma=0.3, seed=9)
-    b = gen_synthetic(3, 4, 4, per_class=10, noise_sigma=0.3, seed=9)
+    a = synthetic(3, 4, 4, per_class=10, noise_sigma=0.3, seed=9)
+    b = synthetic(3, 4, 4, per_class=10, noise_sigma=0.3, seed=9)
     assert len(a) == 30
     assert collections.Counter(a.y.tolist()) == {0: 10, 1: 10, 2: 10}
     assert np.array_equal(a.x, b.x) and np.array_equal(a.y, b.y)
-    c = gen_synthetic(3, 4, 4, per_class=10, noise_sigma=0.3, seed=10)
+    c = synthetic(3, 4, 4, per_class=10, noise_sigma=0.3, seed=10)
     assert not np.array_equal(a.x, c.x)
 
 
 def test_gen_synthetic_clipped_to_unit_interval():
-    data = gen_synthetic(2, 3, 3, per_class=50, noise_sigma=0.8, seed=4)
+    data = synthetic(2, 3, 3, per_class=50, noise_sigma=0.8, seed=4)
     assert np.all(data.x >= 0.0) and np.all(data.x <= 1.0)
 
 
@@ -62,13 +69,13 @@ def every_value_synthetic(num_classes, height, width, per_class, noise_sigma, se
 def test_gen_synthetic_skipping_clipped_noise_keeps_every_byte(seed, classes, height, extra, per_class, sigma):
     """Noise that the clip turns into +0.0 is left at 0.0 without libm; the features keep every byte."""
     width = -(-classes // height) + extra  # the narrowest grid with a cell per class, or wider: 1 x 2 up
-    got = gen_synthetic(classes, height, width, per_class, sigma, seed)
+    got = synthetic(classes, height, width, per_class, sigma, seed)
     x, y = every_value_synthetic(classes, height, width, per_class, sigma, seed)
     assert got.x.tobytes() == x.tobytes() and got.y.tobytes() == y.tobytes()
 
 
 def test_dataset_is_read_only_and_checks_shapes():
-    data = gen_synthetic(2, 2, 2, per_class=3, noise_sigma=0.1, seed=1)
+    data = synthetic(2, 2, 2, per_class=3, noise_sigma=0.1, seed=1)
     assert data.x.dtype == np.float64 and data.x.shape == (6, 4)
     assert data.y.dtype == np.int64 and data.y.shape == (6,)
     with pytest.raises(ValueError):
@@ -81,35 +88,36 @@ def test_dataset_is_read_only_and_checks_shapes():
         Dataset(np.zeros(4), np.zeros(4, dtype=np.int64))
 
 
-def test_gen_synthetic_rejects_small_grid():
-    with pytest.raises(ValueError):
-        gen_synthetic(5, 2, 2, per_class=1, noise_sigma=0.1, seed=0)
-
-
 @pytest.mark.parametrize("classes,height,width,message", [
-    (1, 8, 8, "num_classes must be >= 2, got 1"),
+    (5, 2, 2, "data.height x data.width grid 2x2 has fewer cells than data.num_classes = 5"),
+    (1, 8, 8, "data.num_classes must be >= 2, got 1"),
     # 4 cells hold 3 classes, so only the sides' own check refuses the grid
-    (3, -2, -2, "height and width must be >= 1, got -2x-2"),
-    (3, 0, 8, "height and width must be >= 1, got 0x8"),
-])
-def test_gen_synthetic_rejects_what_a_run_refuses(classes, height, width, message):
-    with pytest.raises(ValueError, match=f"^{message}$"):
-        gen_synthetic(classes, height, width, per_class=2, noise_sigma=0.1, seed=0)
+    (3, -2, -2, "data.height and data.width must be >= 1, got -2x-2"),
+    (3, 0, 8, "data.height and data.width must be >= 1, got 0x8"),
+], ids=["fewer_cells_than_classes", "one_class", "negative_sides", "zero_height"])
+def test_data_config_and_gen_data_refuse_alike(tmp_path, capsys, classes, height, width, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        DataConfig(num_classes=classes, height=height, width=width, per_class=2, noise_sigma=0.1)
+    out = tmp_path / "d.csv"
+    assert cli.main(["gen-data", "--out", str(out), "--classes", str(classes), "--height", str(height),
+                     "--width", str(width), "--per-class", "2", "--noise-sigma", "0.1"]) == 1
+    assert capsys.readouterr().err == f"gen-data failed: {message}\n"
+    assert not out.exists()
 
 
 def test_synthetic_task_is_separable_by_linear_model():
-    train = gen_synthetic(3, 4, 4, per_class=60, noise_sigma=0.1, seed=2)
+    train = synthetic(3, 4, 4, per_class=60, noise_sigma=0.1, seed=2)
     spec = models.ModelSpec("linear", 16, 3)
     opt = models.OptimizerConfig(kind="adam", learning_rate=0.01, local_epochs=10, batch_size=8)
     trained = models.train_local(spec, models.init_params(spec, 0), train, opt, seed=3)
-    held_out = gen_synthetic(3, 4, 4, per_class=40, noise_sigma=0.1, seed=99)
+    held_out = synthetic(3, 4, 4, per_class=40, noise_sigma=0.1, seed=99)
     _, acc = models.evaluate(spec, trained, held_out)
     assert acc >= 0.95
 
 
 def test_csv_roundtrip(tmp_path):
     path = tmp_path / "data.csv"
-    data = gen_synthetic(2, 2, 3, per_class=5, noise_sigma=0.2, seed=7)
+    data = synthetic(2, 2, 3, per_class=5, noise_sigma=0.2, seed=7)
     save_csv(data, str(path))
     loaded = load_csv(str(path), num_classes=2)
     assert multiset(loaded) == multiset(data)
@@ -156,7 +164,7 @@ def test_csv_missing_header(tmp_path):
 
 
 def test_partition_iid_counts():
-    data = gen_synthetic(2, 2, 5, per_class=50, noise_sigma=0.1, seed=1)  # 100 examples
+    data = synthetic(2, 2, 5, per_class=50, noise_sigma=0.1, seed=1)  # 100 examples
     part = partition(data, 10, "iid", 0.1, 0.1, seed=5, height=2, width=5)
     assert len(part.validation) == 10
     assert len(part.test) == 10
@@ -164,14 +172,14 @@ def test_partition_iid_counts():
 
 
 def test_partition_conserves_multiset():
-    data = gen_synthetic(3, 3, 3, per_class=40, noise_sigma=0.2, seed=3)
+    data = synthetic(3, 3, 3, per_class=40, noise_sigma=0.2, seed=3)
     part = partition(data, 7, "iid", 0.15, 0.1, seed=5, height=3, width=3)
     combined = concat(part.validation, part.test, *part.client_data.values())
     assert multiset(combined) == multiset(data)
 
 
 def test_partition_deterministic():
-    data = gen_synthetic(2, 2, 2, per_class=30, noise_sigma=0.1, seed=8)
+    data = synthetic(2, 2, 2, per_class=30, noise_sigma=0.1, seed=8)
     a = partition(data, 4, "iid", 0.1, 0.1, seed=2, height=2, width=2)
     b = partition(data, 4, "iid", 0.1, 0.1, seed=2, height=2, width=2)
     for c in a.client_data:
@@ -182,7 +190,7 @@ def test_partition_deterministic():
 
 
 def test_label_shard_single_label_per_client():
-    data = gen_synthetic(2, 2, 2, per_class=20, noise_sigma=0.1, seed=6)
+    data = synthetic(2, 2, 2, per_class=20, noise_sigma=0.1, seed=6)
     part = partition(data, 2, "label_shard", 0.0, 0.0, seed=4, height=2, width=2,
                      shards_per_client=1)
     for items in part.client_data.values():
@@ -191,14 +199,14 @@ def test_label_shard_single_label_per_client():
 
 @pytest.mark.parametrize("shards", [0, -1])
 def test_label_shard_without_shards_raises(shards):
-    data = gen_synthetic(2, 2, 2, per_class=10, noise_sigma=0.1, seed=6)
+    data = synthetic(2, 2, 2, per_class=10, noise_sigma=0.1, seed=6)
     with pytest.raises(ValueError, match=f"^shards_per_client must be >= 1, got {shards}$"):
         partition(data, 2, "label_shard", 0.0, 0.0, seed=4, height=2, width=2,
                   shards_per_client=shards)
 
 
 def test_label_shard_conserves():
-    data = gen_synthetic(3, 2, 2, per_class=30, noise_sigma=0.2, seed=6)
+    data = synthetic(3, 2, 2, per_class=30, noise_sigma=0.2, seed=6)
     part = partition(data, 5, "label_shard", 0.1, 0.1, seed=4, height=2, width=2,
                      shards_per_client=3)
     combined = concat(part.validation, part.test, *part.client_data.values())
@@ -206,7 +214,7 @@ def test_label_shard_conserves():
 
 
 def test_partition_insufficient_data():
-    data = gen_synthetic(2, 2, 2, per_class=3, noise_sigma=0.1, seed=1)  # 1 validation, 1 test, 4 left
+    data = synthetic(2, 2, 2, per_class=3, noise_sigma=0.1, seed=1)  # 1 validation, 1 test, 4 left
     for scheme in ("iid", "label_shard"):
         with pytest.raises(ValueError, match="^insufficient data: 4 examples left for 5 clients$"):
             partition(data, 5, scheme, 0.1, 0.1, seed=0, height=2, width=2)
@@ -237,7 +245,7 @@ def test_partition_at_the_insufficient_data_bound_leaves_no_client_empty(clients
     (0, "iid", "num_clients must be >= 1, got 0"),
 ])
 def test_partition_refuses_a_bad_scheme_or_client_count(num_clients, scheme, message):
-    data = gen_synthetic(2, 2, 2, per_class=10, noise_sigma=0.1, seed=6)
+    data = synthetic(2, 2, 2, per_class=10, noise_sigma=0.1, seed=6)
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         partition(data, num_clients, scheme, 0.1, 0.1, seed=0, height=2, width=2)
 
@@ -252,7 +260,7 @@ def test_partition_rejects_feature_length_mismatch():
 @given(per_class=st.integers(8, 30), clients=st.integers(1, 6),
        scheme=st.sampled_from(["iid", "label_shard"]), seed=st.integers(0, 2**32))
 def test_partition_conservation_property(per_class, clients, scheme, seed):
-    data = gen_synthetic(2, 2, 2, per_class=per_class, noise_sigma=0.3, seed=11)
+    data = synthetic(2, 2, 2, per_class=per_class, noise_sigma=0.3, seed=11)
     part = partition(data, clients, scheme, 0.1, 0.1, seed=seed,
                      height=2, width=2, shards_per_client=2)
     assert all(len(items) >= 1 for items in part.client_data.values())
@@ -294,7 +302,7 @@ def reference_partition(data, num_clients, scheme, val_fraction, test_fraction, 
 @given(per_class=st.integers(8, 30), clients=st.integers(1, 6), spc=st.integers(1, 3),
        scheme=st.sampled_from(["iid", "label_shard"]), seed=st.integers(0, 2**32))
 def test_partition_matches_per_example_reference(per_class, clients, spc, scheme, seed):
-    data = gen_synthetic(3, 2, 2, per_class=per_class, noise_sigma=0.3, seed=12)
+    data = synthetic(3, 2, 2, per_class=per_class, noise_sigma=0.3, seed=12)
     part = partition(data, clients, scheme, 0.15, 0.1, seed=seed,
                      height=2, width=2, shards_per_client=spc)
     val_rows, test_rows, client_rows = reference_partition(data, clients, scheme, 0.15, 0.1,
@@ -307,7 +315,7 @@ def test_partition_matches_per_example_reference(per_class, clients, spc, scheme
 def test_gen_synthetic_matches_per_example_reference():
     # a tiny grid, and the desk grid: 38,400 draws across many seeds.NORMALS_CHUNK chunks
     for classes, height, width, per_class, sigma, seed in [(3, 2, 3, 4, 0.4, 21), (3, 8, 8, 200, 0.3, 2021)]:
-        data = gen_synthetic(classes, height, width, per_class=per_class, noise_sigma=sigma, seed=seed)
+        data = synthetic(classes, height, width, per_class=per_class, noise_sigma=sigma, seed=seed)
         stream = Sm64Stream(seed)
         row = 0
         for c in range(classes):
@@ -329,7 +337,7 @@ def test_gen_synthetic_cold_peak_memory():
     try:
         before = tracemalloc.get_traced_memory()[0]
         tracemalloc.reset_peak()
-        data = gen_synthetic(*key)
+        data = synthetic(*key)
         peak = tracemalloc.get_traced_memory()[1] - before
     finally:
         if started:

@@ -440,8 +440,8 @@ def test_cli_gen_data_bad_input_exits_1(tmp_path, capsys, args, out_name):
     err = capsys.readouterr().err
     assert err.startswith("gen-data failed: ") and len(err.strip().splitlines()) == 1
     assert not out.exists()
-    if "100000000000000" in args:  # too large to allocate: the message names the flag
-        assert err.startswith("gen-data failed: --per-class 100000000000000 is too large: ")
+    if "100000000000000" in args:  # too large to allocate: the message names the key the flag sets
+        assert err.startswith("gen-data failed: data.per_class = 100000000000000 is too large: ")
 
 
 def test_cli_gen_data_roundtrip(tmp_path, capsys):
@@ -576,43 +576,34 @@ def test_cli_run_model_too_large_exits_1(tmp_path, capsys, hidden_dim):
 
 
 # each too large to allocate (PiB), or past what numpy can index or count; the
-# message names every size that sets the dataset's shape, leading with the larger factor
-@pytest.mark.parametrize("sizes,config_blame,flag_blame", [
+# message names every size that sets the dataset's shape, leading with the larger
+# factor, and run and gen-data give the same text after their prefixes
+@pytest.mark.parametrize("sizes,blame", [
     ({"per_class": 100000000000000},
      "data.per_class = 100000000000000 is too large: data.per_class x data.num_classes = "
-     "100000000000000 x 3 examples of a data.height x data.width = 8x8 grid: ",
-     "--per-class 100000000000000 is too large: --per-class x --classes = 100000000000000 x 3 "
-     "examples of a --height x --width = 8x8 grid: "),
+     "100000000000000 x 3 examples of a data.height x data.width = 8x8 grid: "),
     ({"height": 1000000, "width": 1000000},
      "data.height x data.width = 1000000x1000000 grid is too large for data.per_class x "
-     "data.num_classes = 400 x 3 examples: ",
-     "--height x --width = 1000000x1000000 grid is too large for --per-class x --classes = "
-     "400 x 3 examples: "),
+     "data.num_classes = 400 x 3 examples: "),
     ({"per_class": 10000000000000000000},  # past int64: np.repeat raises OverflowError
      "data.per_class = 10000000000000000000 is too large: data.per_class x data.num_classes = "
-     "10000000000000000000 x 3 examples of a data.height x data.width = 8x8 grid: ",
-     "--per-class 10000000000000000000 is too large: --per-class x --classes = 10000000000000000000 x 3 "
-     "examples of a --height x --width = 8x8 grid: "),
+     "10000000000000000000 x 3 examples of a data.height x data.width = 8x8 grid: "),
     ({"height": 1000000000, "width": 1000000000},  # 1.2e21 elements: ValueError "array is too big"
      "data.height x data.width = 1000000000x1000000000 grid is too large for data.per_class x "
-     "data.num_classes = 400 x 3 examples: ",
-     "--height x --width = 1000000000x1000000000 grid is too large for --per-class x --classes = "
-     "400 x 3 examples: "),
+     "data.num_classes = 400 x 3 examples: "),
     ({"height": 10000000000000000000},  # one dimension past int64: ValueError "Maximum allowed dimension"
      "data.height x data.width = 10000000000000000000x8 grid is too large for data.per_class x "
-     "data.num_classes = 400 x 3 examples: ",
-     "--height x --width = 10000000000000000000x8 grid is too large for --per-class x --classes = "
-     "400 x 3 examples: "),
+     "data.num_classes = 400 x 3 examples: "),
 ], ids=["per_class", "grid", "per_class_past_int64", "grid_past_index", "height_past_int64"])
-def test_cli_dataset_too_large_names_every_size(tmp_path, capsys, sizes, config_blame, flag_blame):
+def test_cli_dataset_too_large_names_every_size(tmp_path, capsys, sizes, blame):
     cfg = write_config(tmp_path, "rounds = 1\n" + "".join(f"data.{k} = {v}\n" for k, v in sizes.items()))
     assert cli.main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("config error: " + config_blame) and len(err.strip().splitlines()) == 1
+    assert err.startswith("config error: " + blame) and len(err.strip().splitlines()) == 1
     flags = [arg for k, v in sizes.items() for arg in (f"--{k.replace('_', '-')}", str(v))]
     assert cli.main(["gen-data", "--out", str(tmp_path / "d.csv"), "--per-class", "400"] + flags) == 1
     err = capsys.readouterr().err
-    assert err.startswith("gen-data failed: " + flag_blame) and len(err.strip().splitlines()) == 1
+    assert err.startswith("gen-data failed: " + blame) and len(err.strip().splitlines()) == 1
 
 
 def test_cli_run_nan_boost_eta_exits_1(tmp_path, capsys):
@@ -656,10 +647,22 @@ BACKDOOR = "adversary.attack = backdoor\nadversary.placement = all_pools\n"
     ("server_eta = 0", ["server_eta must be > 0, got 0.0"]),
     ("optimizer.adam_epsilon = 0", ["adam_epsilon must be > 0, got 0.0"]),
     ("optimizer.batch_size = 0", ["batch_size must be >= 1, got 0"]),
-    (BACKDOOR + "adversary.trigger_size = 0", ["trigger_size must be >= 1"]),
+    (BACKDOOR + "adversary.trigger_size = 0", ["trigger_size must be >= 1, got 0"]),
     ("export.records = maybe", ["bad value for export.records"]),
+    ("adversary.adversaries_per_pool = 0", ["adversaries_per_pool must be >= 1, got 0"]),
+    ("adversary.boost_eta = 0", ["boost_eta must be > 0, got 0.0"]),
+    ("adversary.target_label = -1", ["target_label must be >= 0, got -1"]),
+    (BACKDOOR + "adversary.poison_fraction = 2", ["poison_fraction must lie in (0, 1], got 2.0"]),
+    ("aggregator.krum_f = -1", ["krum_f must be >= 0, got -1"]),
+    ("aggregator.bulyan_m = 0", ["bulyan_m must be >= 1, got 0"]),
+    ("model.hidden_dim = 5", ["linear model must have hidden_dim == 0, got 5"]),
+    ("model.kind = mlp\nmodel.hidden_dim = 0", ["mlp model needs hidden_dim >= 1, got 0"]),
+    (BACKDOOR + "adversary.adversaries_per_pool = 11",
+     ["adversaries_per_pool exceeds clients_per_pool, got 11 > 10"]),
 ], ids=["sample_over_pool", "krum_sample", "adam_beta1", "target_label", "clients_per_pool", "server_eta",
-        "adam_epsilon", "batch_size", "trigger_size", "export_records"])
+        "adam_epsilon", "batch_size", "trigger_size", "export_records", "adversaries_per_pool", "boost_eta",
+        "negative_target_label", "poison_fraction", "krum_f", "bulyan_m", "linear_hidden_dim", "mlp_hidden_dim",
+        "adversaries_over_pool"])
 def test_cli_run_config_refusal_names_its_field(tmp_path, capsys, line, fragments):
     cfg = write_config(tmp_path, f"rounds = 1\n{line}\n")
     assert cli.main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 1

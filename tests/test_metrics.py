@@ -8,11 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rfc_sim import models
-from rfc_sim.data import Dataset, gen_synthetic
+from rfc_sim.data import Dataset
 from rfc_sim.attacks import build_backdoor_test
 from rfc_sim.metrics import METRIC_DIRECTIONS, MetricSpec, evaluate_backdoor, macro_f1, score_model, summarize
 
 from reference import reference_macro_f1, reference_score
+from test_data import synthetic
 
 
 def bf_macro_f1(predictions, labels, num_classes):
@@ -147,7 +148,7 @@ def test_evaluate_backdoor_hardcoded_target_model():
     spec = models.ModelSpec("linear", 4, 3)
     p = np.zeros(models.param_count(spec))
     p[4 * 3 + 1] = 100.0  # bias of class 1
-    data = gen_synthetic(3, 2, 2, per_class=5, noise_sigma=0.1, seed=1)
+    data = synthetic(3, 2, 2, per_class=5, noise_sigma=0.1, seed=1)
     triggered = build_backdoor_test(data, 2, 2, 1)
     acc, clean, loss = evaluate_backdoor(spec, p, triggered, target_label=1)
     assert acc == 1.0
@@ -158,7 +159,7 @@ def test_evaluate_backdoor_hardcoded_target_model():
 def test_evaluate_backdoor_uniform_model_loss():
     spec = models.ModelSpec("linear", 4, 3)
     p = np.zeros(models.param_count(spec))
-    data = gen_synthetic(3, 2, 2, per_class=4, noise_sigma=0.1, seed=2)
+    data = synthetic(3, 2, 2, per_class=4, noise_sigma=0.1, seed=2)
     triggered = build_backdoor_test(data, 2, 2, 1)
     acc, clean, loss = evaluate_backdoor(spec, p, triggered, target_label=2)
     assert loss == pytest.approx(math.log(3), abs=1e-12)
@@ -169,11 +170,11 @@ def test_evaluate_backdoor_uniform_model_loss():
 def test_evaluate_backdoor_clean_model_near_target_prior():
     # a clean, converged model should classify triggered inputs mostly by their
     # true class, so target hits stay near the target-class prior
-    train = gen_synthetic(3, 4, 4, per_class=80, noise_sigma=0.2, seed=3)
+    train = synthetic(3, 4, 4, per_class=80, noise_sigma=0.2, seed=3)
     spec = models.ModelSpec("linear", 16, 3)
     opt = models.OptimizerConfig(kind="adam", learning_rate=0.01, local_epochs=15, batch_size=8)
     trained = models.train_local(spec, models.init_params(spec, 4), train, opt, seed=5)
-    test = gen_synthetic(3, 4, 4, per_class=40, noise_sigma=0.2, seed=6)
+    test = synthetic(3, 4, 4, per_class=40, noise_sigma=0.2, seed=6)
     triggered = build_backdoor_test(test, 4, 4, 2)
     acc, clean, _ = evaluate_backdoor(spec, trained, triggered, target_label=0)
     assert abs(acc - 1 / 3) < 0.15
@@ -209,7 +210,7 @@ def test_evaluate_backdoor_empty():
 def test_score_model_all_metrics():
     spec = models.ModelSpec("linear", 4, 3)
     p = models.init_params(spec, 1)
-    data = gen_synthetic(3, 2, 2, per_class=10, noise_sigma=0.1, seed=9)
+    data = synthetic(3, 2, 2, per_class=10, noise_sigma=0.1, seed=9)
     loss, acc = models.evaluate(spec, p, data)
     assert score_model(MetricSpec("accuracy"), spec, p, data) == acc
     assert score_model(MetricSpec("loss"), spec, p, data) == loss
@@ -222,7 +223,7 @@ def test_score_model_all_metrics():
 def test_score_model_of_an_empty_stack_is_empty(metric):
     """A round whose every candidate is non-finite scores a [0, P] stack: no score, and no error."""
     spec = models.ModelSpec("linear", 4, 3)
-    data = gen_synthetic(3, 2, 2, per_class=10, noise_sigma=0.1, seed=9)
+    data = synthetic(3, 2, 2, per_class=10, noise_sigma=0.1, seed=9)
     assert list(score_model(MetricSpec(metric), spec, np.zeros((0, models.param_count(spec))), data)) == []
 
 

@@ -29,7 +29,7 @@ class AggregatorConfig:
 
     def __post_init__(self):
         if self.rule not in AGGREGATION_RULES:
-            raise ValueError(f"unknown aggregation rule {self.rule!r}")
+            raise ValueError(f"aggregator.rule must be one of {', '.join(AGGREGATION_RULES)}, got {self.rule!r}")
         if self.krum_f < 0:
             raise ValueError(f"krum_f must be >= 0, got {self.krum_f}")
         if self.bulyan_m < 1:

@@ -35,13 +35,13 @@ class AdversaryConfig:
 
     def __post_init__(self):
         if self.attack not in ATTACK_KINDS:
-            raise ValueError(f"unknown attack {self.attack!r}")
+            raise ValueError(f"adversary.attack must be one of {', '.join(ATTACK_KINDS)}, got {self.attack!r}")
         if self.placement not in PLACEMENTS:
-            raise ValueError(f"unknown placement {self.placement!r}")
+            raise ValueError(f"adversary.placement must be one of {', '.join(PLACEMENTS)}, got {self.placement!r}")
         if (self.attack == "none") != (self.placement == "none"):
             raise ValueError("placement is 'none' exactly when attack is 'none'")
         if self.boost not in BOOST_MODES:
-            raise ValueError(f"unknown boost mode {self.boost!r}")
+            raise ValueError(f"adversary.boost must be one of {', '.join(BOOST_MODES)}, got {self.boost!r}")
         if self.adversaries_per_pool < 1:
             raise ValueError(f"adversaries_per_pool must be >= 1, got {self.adversaries_per_pool}")
         if self.boost_eta <= 0:

@@ -77,7 +77,7 @@ def write_outputs(result: FederationResult, rc: config_mod.RunConfig, out_dir: s
     placed: List[str] = []
     try:
         for path, text in enabled:
-            with open(path + ".tmp", "w", newline="\n") as fh:
+            with open(path + ".tmp", "w", encoding="utf-8", newline="\n") as fh:
                 fh.write(text())
         for path, _ in enabled:
             os.replace(path + ".tmp", path)
@@ -119,8 +119,7 @@ def _cmd_run(args) -> int:
 
 def _cmd_validate_chain(args) -> int:
     try:
-        with open(args.chain_file) as fh:
-            loaded = chain_mod.load_lines(fh.read())
+        loaded = chain_mod.load_lines(data_mod.open_text(args.chain_file).read())
         if (bad := chain_mod.validate(loaded)) is not None:
             raise ValueError(f"first invalid block {bad}")
         if args.difficulty not in (None, loaded.difficulty):
@@ -150,16 +149,15 @@ def _cmd_gen_data(args) -> int:
 def _read_series(path: str) -> Dict[str, List[float]]:
     """The summarized columns of a records.csv; a cell that is not a number raises ValueError."""
     series: Dict[str, List[float]] = {}
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        for row in reader:
-            for name in ("val_metric",) + tuple(SUMMARY_DIRECTIONS):
-                if name in row:
-                    try:
-                        series.setdefault(name, []).append(float(row[name]))
-                    except (TypeError, ValueError):
-                        raise ValueError(f"{path}: line {reader.line_num}: {name} is not a number: "
-                                         f"{row[name]!r}")
+    reader = csv.DictReader(data_mod.open_text(path))
+    for row in reader:
+        for name in ("val_metric",) + tuple(SUMMARY_DIRECTIONS):
+            if name in row:
+                try:
+                    series.setdefault(name, []).append(float(row[name]))
+                except (TypeError, ValueError):
+                    raise ValueError(f"{path}: line {reader.line_num}: {name} is not a number: "
+                                     f"{row[name]!r}")
     if not series:
         raise ValueError(f"{path}: no records.csv rows to summarize")
     return series

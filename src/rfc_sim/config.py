@@ -1,26 +1,27 @@
 """Run configuration: file schema, scenario presets, dataset assembly.
 
-A run is described by a flat ``key = value`` text file ('#' starts a comment).
-Unknown keys, duplicate keys and malformed values are rejected with the
-offending line number; a misconfigured attack must fail loudly rather than
-silently run a different scenario. Every key has a desk-scale default, so an
-empty file is the benign desk preset.
+A run is a flat UTF-8 ``key = value`` text file ('#' starts a comment) whose
+schema is derived from the section dataclasses; every key defaults to the desk
+preset. Malformed values, unknown keys and duplicates are rejected with their
+line number, out-of-range and unknown enum values by their section, which names
+the key and the value: a misconfigured attack must fail loudly rather than
+silently run a different scenario.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, is_dataclass, replace
 from functools import reduce
 from typing import Callable, Dict, Tuple
 
 from . import consensus, data as data_mod
-from .aggregation import AGGREGATION_RULES, AggregatorConfig
-from .attacks import ATTACK_KINDS, BOOST_MODES, AdversaryConfig, check_trigger
-from .consensus import TOPOLOGIES, FederationConfig
-from .data import DATA_SOURCES, DataConfig
-from .metrics import METRIC_DIRECTIONS, MetricSpec
-from .models import MODEL_KINDS, OPTIMIZER_KINDS, ModelSpec, OptimizerConfig
+from .aggregation import AggregatorConfig
+from .attacks import AdversaryConfig, check_trigger
+from .consensus import FederationConfig
+from .data import DataConfig
+from .metrics import MetricSpec
+from .models import ModelSpec, OptimizerConfig
 from .seeds import derive_seed
 
 PRESET_NAMES = ("no_attack", "one_pool_labelflip", "one_pool_backdoor",
@@ -67,14 +68,6 @@ def _parse_bool(raw: str) -> bool:
     raise ValueError(f"expected a boolean, got {raw!r}")
 
 
-def _parse_enum(options) -> Callable[[str], str]:
-    def parse(raw: str) -> str:
-        if raw not in options:
-            raise ValueError(f"expected one of {', '.join(options)}, got {raw!r}")
-        return raw
-    return parse
-
-
 def _parse_tagged(words: Tuple[str, ...], tag: str, least: int) -> Callable[[str], Tuple[str, int]]:
     """A compound value: one of ``words``, which carries ``least``, or ``tag:<int>`` with the int >= ``least``."""
     def parse(raw: str) -> Tuple[str, int]:
@@ -97,55 +90,42 @@ def _render_bool(value: bool) -> str:
     return "true" if value else "false"
 
 
-# key -> (RunConfig field path, parser, renderer). A compound key names one path
-# per part of its parsed value. Defaults are read from RunConfig(), the desk preset.
-_DEFAULTS = RunConfig()
-SCHEMA: Dict[str, tuple] = {
-    "topology": ("federation.topology", _parse_enum(TOPOLOGIES), str),
-    "rounds": ("federation.rounds", _parse_int, str),
-    "num_pools": ("federation.num_pools", _parse_int, str),
-    "clients_per_pool": ("federation.clients_per_pool", _parse_int, str),
-    "clients_sampled_per_round": ("federation.clients_sampled_per_round", _parse_int, str),
-    "master_seed": ("federation.master_seed", _parse_int, str),
-    "server_eta": ("federation.server_eta", _parse_float, repr),
-    "chain_difficulty": ("federation.chain_difficulty", _parse_int, str),
-    "model.kind": ("federation.model.kind", _parse_enum(MODEL_KINDS), str),
-    "model.hidden_dim": ("federation.model.hidden_dim", _parse_int, str),
-    "optimizer.kind": ("federation.optimizer.kind", _parse_enum(OPTIMIZER_KINDS), str),
-    "optimizer.learning_rate": ("federation.optimizer.learning_rate", _parse_float, repr),
-    "optimizer.adam_beta1": ("federation.optimizer.adam_beta1", _parse_float, repr),
-    "optimizer.adam_beta2": ("federation.optimizer.adam_beta2", _parse_float, repr),
-    "optimizer.adam_epsilon": ("federation.optimizer.adam_epsilon", _parse_float, repr),
-    "optimizer.local_epochs": ("federation.optimizer.local_epochs", _parse_int, str),
-    "optimizer.batch_size": ("federation.optimizer.batch_size", _parse_int, str),
-    "aggregator.rule": ("federation.aggregator.rule", _parse_enum(AGGREGATION_RULES), str),
-    "aggregator.krum_f": ("federation.aggregator.krum_f", _parse_int, str),
-    "aggregator.bulyan_m": ("federation.aggregator.bulyan_m", _parse_int, str),
-    "metric.name": ("federation.metric.name", _parse_enum(tuple(METRIC_DIRECTIONS)), str),
-    "adversary.attack": ("federation.adversary.attack", _parse_enum(ATTACK_KINDS), str),
-    "adversary.placement": (("federation.adversary.placement", "federation.adversary.pool_id"),
-                            _parse_tagged(("none", "all_pools"), "one_pool", 0), _render_tagged("one_pool")),
-    "adversary.adversaries_per_pool": ("federation.adversary.adversaries_per_pool", _parse_int, str),
-    "adversary.boost": ("federation.adversary.boost", _parse_enum(BOOST_MODES), str),
-    "adversary.boost_eta": ("federation.adversary.boost_eta", _parse_float, repr),
-    "adversary.trigger_size": ("federation.adversary.trigger_size", _parse_int, str),
-    "adversary.target_label": ("federation.adversary.target_label", _parse_int, str),
-    "adversary.poison_fraction": ("federation.adversary.poison_fraction", _parse_float, repr),
-    "data.source": ("data.source", _parse_enum(DATA_SOURCES), str),
-    "data.num_classes": ("data.num_classes", _parse_int, str),
-    "data.height": ("data.height", _parse_int, str),
-    "data.width": ("data.width", _parse_int, str),
-    "data.per_class": ("data.per_class", _parse_int, str),
-    "data.noise_sigma": ("data.noise_sigma", _parse_float, repr),
-    "data.csv_path": ("data.csv_path", str, str),
-    "data.val_fraction": ("data.val_fraction", _parse_float, repr),
-    "data.test_fraction": ("data.test_fraction", _parse_float, repr),
-    "data.partition": (("data.scheme", "data.shards_per_client"),
-                       _parse_tagged(("iid",), "label_shard", 1), _render_tagged("label_shard")),
-    "export.records": ("export_records", _parse_bool, _render_bool),
-    "export.chain": ("export_chain", _parse_bool, _render_bool),
-    "export.summary": ("export_summary", _parse_bool, _render_bool),
+_CODECS = ((bool, _parse_bool, _render_bool), (int, _parse_int, str), (float, _parse_float, repr), (str, str, str))
+# The only fields whose keys are written out, by field path. A compound key stands
+# where its first field is and covers the rest; the model's input_dim and
+# num_classes are derived from data in _assemble and have no key.
+_EXPLICIT = {
+    "federation.model.input_dim": {},
+    "federation.model.num_classes": {},
+    "federation.adversary.placement": {"adversary.placement": (
+        ("federation.adversary.placement", "federation.adversary.pool_id"),
+        _parse_tagged(("none", "all_pools"), "one_pool", 0), _render_tagged("one_pool"))},
+    "federation.adversary.pool_id": {},
+    "data.scheme": {"data.partition": (("data.scheme", "data.shards_per_client"),
+                                       _parse_tagged(("iid",), "label_shard", 1), _render_tagged("label_shard"))},
+    "data.shards_per_client": {},
 }
+
+
+def _derive_schema(section, prefix: str = "") -> Dict[str, tuple]:
+    """A key per leaf field of section, in field order, coded by its default's type: bool first, as a bool is an int."""
+    schema: Dict[str, tuple] = {}
+    for f in fields(section):
+        path, default = prefix + f.name, getattr(section, f.name)
+        if is_dataclass(default):
+            schema.update(_derive_schema(default, path + "."))
+        elif path in _EXPLICIT:
+            schema.update(_EXPLICIT[path])
+        else:
+            parse, render = next((p, r) for kind, p, r in _CODECS if isinstance(default, kind))
+            schema[path.removeprefix("federation.").replace("export_", "export.")] = (path, parse, render)
+    return schema
+
+
+# key -> (RunConfig field path, parser, renderer), in field order, which is config.txt's key
+# order. A compound key names one path per part of its parsed value. Defaults: RunConfig().
+_DEFAULTS = RunConfig()
+SCHEMA: Dict[str, tuple] = _derive_schema(_DEFAULTS)
 
 # Each nested dataclass and the prefix of its fields' paths, in build order:
 # the first invalid section of a bad file is the one reported. The model's
@@ -165,32 +145,27 @@ def _read(rc: RunConfig, key: str):
     return tuple(reduce(getattr, path.split("."), rc) for path in paths)
 
 
-def _store(fields: Dict[str, object], key: str, value) -> None:
+def _store(values: Dict[str, object], key: str, value) -> None:
     paths = SCHEMA[key][0]
     if isinstance(paths, str):
-        fields[paths] = value
+        values[paths] = value
     else:
-        fields.update(zip(paths, value))
+        values.update(zip(paths, value))
 
 
-def _assemble(fields: Dict[str, object]) -> RunConfig:
+def _assemble(values: Dict[str, object]) -> RunConfig:
     """Build RunConfig from its field paths, innermost section first."""
-    fields["federation.model.input_dim"] = fields["data.height"] * fields["data.width"]
-    fields["federation.model.num_classes"] = fields["data.num_classes"]
+    values["federation.model.input_dim"] = values["data.height"] * values["data.width"]
+    values["federation.model.num_classes"] = values["data.num_classes"]
     for prefix, cls in _SECTIONS:
-        kwargs = {}
-        for path, value in fields.items():
-            head, _, name = path.rpartition(".")
-            if head == prefix:
-                kwargs[name] = value
-        fields[prefix] = cls(**kwargs)
-    return fields[""]
+        values[prefix] = cls(**{f.name: values[f"{prefix}.{f.name}" if prefix else f.name] for f in fields(cls)})
+    return values[""]
 
 
 def parse_config_text(text: str, name: str = "<config>") -> RunConfig:
-    fields: Dict[str, object] = {}
+    values: Dict[str, object] = {}
     for key in SCHEMA:
-        _store(fields, key, _read(_DEFAULTS, key))
+        _store(values, key, _read(_DEFAULTS, key))
     seen: Dict[str, int] = {}
     for lineno, raw_line in enumerate(text.splitlines(), start=1):
         line = raw_line.strip()
@@ -206,18 +181,17 @@ def parse_config_text(text: str, name: str = "<config>") -> RunConfig:
         seen[key] = lineno
         parser = SCHEMA[key][1]
         try:
-            _store(fields, key, parser(raw_value))
+            _store(values, key, parser(raw_value))
         except ValueError as exc:
             raise ConfigError(f"{name}: line {lineno}: bad value for {key}: {exc}")
     try:
-        return _assemble(fields)
+        return _assemble(values)
     except ValueError as exc:
         raise ConfigError(f"{name}: {exc}")
 
 
 def parse_config_file(path: str) -> RunConfig:
-    with open(path) as fh:
-        return parse_config_text(fh.read(), name=path)
+    return parse_config_text(data_mod.open_text(path).read(), name=path)
 
 
 def render_config(rc: RunConfig) -> str:

@@ -52,10 +52,14 @@ class ProvenanceError(RuntimeError):
 
 @dataclass(frozen=True)
 class FederationConfig:
+    topology: str = "rfc"
+    rounds: int = 30
     num_pools: int = 3
     clients_per_pool: int = 10
-    rounds: int = 30
     clients_sampled_per_round: int = 18
+    master_seed: int = 42
+    server_eta: float = 1.0
+    chain_difficulty: int = 0
     model: models.ModelSpec = field(default_factory=lambda: models.ModelSpec("linear", 64, 3))
     # Desk-scale training schedule: enough local steps per round that clients
     # roughly converge on their local data, which the replacement-boost
@@ -66,10 +70,6 @@ class FederationConfig:
     metric: metrics.MetricSpec = field(default_factory=lambda: metrics.MetricSpec("accuracy"))
     adversary: attacks.AdversaryConfig = field(
         default_factory=lambda: attacks.AdversaryConfig(adversaries_per_pool=2))
-    master_seed: int = 42
-    topology: str = "rfc"
-    server_eta: float = 1.0
-    chain_difficulty: int = 0
 
     def __post_init__(self):
         if self.num_pools < 1:
@@ -79,7 +79,7 @@ class FederationConfig:
         if self.rounds < 1:
             raise ValueError(f"rounds must be >= 1, got {self.rounds}")
         if self.topology not in TOPOLOGIES:
-            raise ValueError(f"unknown topology {self.topology!r}")
+            raise ValueError(f"topology must be one of {', '.join(TOPOLOGIES)}, got {self.topology!r}")
         if self.server_eta <= 0:
             raise ValueError(f"server_eta must be > 0, got {self.server_eta}")
         if not 0 <= self.chain_difficulty <= MAX_RUN_DIFFICULTY:

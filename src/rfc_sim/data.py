@@ -14,6 +14,7 @@ row by row, take ``seeds.normals(seed, n*H*W)``: Box-Muller values
 from __future__ import annotations
 
 import csv
+import io
 from dataclasses import dataclass
 from typing import Dict
 
@@ -84,7 +85,7 @@ class DataConfig:
 
     def __post_init__(self):
         if self.source not in DATA_SOURCES:
-            raise ValueError(f"unknown data.source {self.source!r}")
+            raise ValueError(f"data.source must be one of {', '.join(DATA_SOURCES)}, got {self.source!r}")
         if self.source == "csv" and not self.csv_path:
             raise ValueError("data.source = csv requires data.csv_path")
         if self.num_classes < 2:
@@ -136,35 +137,43 @@ def gen_synthetic(cfg: DataConfig, seed: int) -> Dataset:
     return Dataset(x, y)
 
 
+def open_text(path: str) -> io.StringIO:
+    """The file at path decoded as UTF-8, line ends as stored; a non-UTF-8 byte raises ValueError naming path."""
+    with open(path, encoding="utf-8", newline="") as fh:
+        try:
+            return io.StringIO(fh.read(), newline="")
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{path}: {exc}")
+
+
 def load_csv(path: str, num_classes: int) -> Dataset:
     """Parse ``label,f0,f1,...`` rows; grid shape comes from the run config."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
+    reader = csv.reader(open_text(path))
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise ValueError(f"{path}: missing header row")
+    if not header or header[0] != "label":
+        raise ValueError(f"{path}: line 1: header must start with 'label', got {header[:1]!r}")
+    n_features = len(header) - 1
+    if n_features < 1:
+        raise ValueError(f"{path}: line 1: header declares no feature columns")
+    rows, labels = [], []
+    for lineno, row in enumerate(reader, start=2):
+        if len(row) != n_features + 1:
+            raise ValueError(f"{path}: line {lineno}: expected {n_features + 1} fields, got {len(row)}")
         try:
-            header = next(reader)
-        except StopIteration:
-            raise ValueError(f"{path}: missing header row")
-        if not header or header[0] != "label":
-            raise ValueError(f"{path}: line 1: header must start with 'label', got {header[:1]!r}")
-        n_features = len(header) - 1
-        if n_features < 1:
-            raise ValueError(f"{path}: line 1: header declares no feature columns")
-        rows, labels = [], []
-        for lineno, row in enumerate(reader, start=2):
-            if len(row) != n_features + 1:
-                raise ValueError(f"{path}: line {lineno}: expected {n_features + 1} fields, got {len(row)}")
-            try:
-                label = int(row[0])
-                feats = [float(v) for v in row[1:]]
-            except ValueError:
-                raise ValueError(f"{path}: line {lineno}: malformed numeric value")
-            if not 0 <= label < num_classes:
-                raise ValueError(f"{path}: line {lineno}: label {label} out of range")
-            bad = [v for v in feats if not 0.0 <= v <= 1.0]
-            if bad:
-                raise ValueError(f"{path}: line {lineno}: feature value {bad[0]} outside [0, 1]")
-            rows.append(feats)
-            labels.append(label)
+            label = int(row[0])
+            feats = [float(v) for v in row[1:]]
+        except ValueError:
+            raise ValueError(f"{path}: line {lineno}: malformed numeric value")
+        if not 0 <= label < num_classes:
+            raise ValueError(f"{path}: line {lineno}: label {label} out of range")
+        bad = [v for v in feats if not 0.0 <= v <= 1.0]
+        if bad:
+            raise ValueError(f"{path}: line {lineno}: feature value {bad[0]} outside [0, 1]")
+        rows.append(feats)
+        labels.append(label)
     return Dataset(np.array(rows, dtype=np.float64).reshape(len(rows), n_features),
                    np.array(labels, dtype=np.int64))
 

@@ -26,7 +26,7 @@ class MetricSpec:
 
     def __post_init__(self):
         if self.name not in METRIC_DIRECTIONS:
-            raise ValueError(f"unknown metric {self.name!r}")
+            raise ValueError(f"metric.name must be one of {', '.join(METRIC_DIRECTIONS)}, got {self.name!r}")
 
     @property
     def direction(self) -> str:

@@ -55,7 +55,7 @@ class ModelSpec:
 
     def __post_init__(self):
         if self.kind not in MODEL_KINDS:
-            raise ValueError(f"unknown model kind {self.kind!r}")
+            raise ValueError(f"model.kind must be one of {', '.join(MODEL_KINDS)}, got {self.kind!r}")
         if self.input_dim < 1:
             raise ValueError(f"input_dim must be >= 1, got {self.input_dim}")
         if self.num_classes < 2:
@@ -78,7 +78,7 @@ class OptimizerConfig:
 
     def __post_init__(self):
         if self.kind not in OPTIMIZER_KINDS:
-            raise ValueError(f"unknown optimizer kind {self.kind!r}")
+            raise ValueError(f"optimizer.kind must be one of {', '.join(OPTIMIZER_KINDS)}, got {self.kind!r}")
         if self.learning_rate < 0:
             raise ValueError(f"learning_rate must be >= 0, got {self.learning_rate}")
         if not (0 < self.adam_beta1 < 1 and 0 < self.adam_beta2 < 1):

@@ -6,7 +6,7 @@ import re
 import subprocess
 import sys
 import tempfile
-from dataclasses import replace
+from dataclasses import fields, is_dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -58,8 +58,9 @@ def test_duplicate_key_names_both_lines():
 def test_bad_value_names_line():
     with pytest.raises(ConfigError, match="line 1: bad value for rounds"):
         parse_config_text("rounds = many\n")
-    with pytest.raises(ConfigError, match="line 1"):
+    with pytest.raises(ConfigError) as refusal:
         parse_config_text("aggregator.rule = median\n")
+    assert str(refusal.value) == "<config>: aggregator.rule must be one of fedavg, krum, bulyan, geomed, got 'median'"
 
 
 def test_missing_equals_rejected():
@@ -110,6 +111,23 @@ def test_cross_field_validation():
         parse_config_text("data.source = csv\n")
     with pytest.raises(ConfigError, match="placement"):
         parse_config_text("adversary.attack = labelflip\n")
+
+
+def leaf_paths(section, prefix=""):
+    """The field path of every non-dataclass field of section, nested sections walked."""
+    for f in fields(section):
+        value = getattr(section, f.name)
+        if is_dataclass(value):
+            yield from leaf_paths(value, f"{prefix}{f.name}.")
+        else:
+            yield prefix + f.name
+
+
+def test_schema_paths_cover_every_leaf_field_once():
+    paths = [path for entry, _, _ in SCHEMA.values() for path in ((entry,) if isinstance(entry, str) else entry)]
+    derived = {"federation.model.input_dim", "federation.model.num_classes"}
+    assert sorted(paths) == sorted(set(leaf_paths(desk_default())) - derived)
+    assert not {"adversary.pool_id", "data.scheme", "data.shards_per_client"} & set(SCHEMA)
 
 
 def test_render_parse_roundtrip_with_overrides():
@@ -265,6 +283,18 @@ def test_cli_run_writes_outputs(tmp_path, capsys):
     # the config snapshot reparses to the same run config
     from rfc_sim.config import parse_config_file
     assert parse_config_file(str(out / "config.txt")) == parse_config_file(cfg)
+
+
+def test_cli_run_config_snapshot_is_utf8_under_an_ascii_locale(tmp_path):
+    """config.txt is written as UTF-8 whatever the locale, so the UTF-8 config reader takes it back."""
+    (tmp_path / "run.cfg").write_bytes((TINY_CONFIG + "data.csv_path = dätä.csv\n").encode("utf-8"))
+    env = {**os.environ, "LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0",
+           "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    subprocess.run([sys.executable, "-m", "rfc_sim", "run", "--config", "run.cfg", "--out", "o"],
+                   cwd=tmp_path, env=env, check=True, capture_output=True, timeout=300)
+    assert "data.csv_path = dätä.csv\n".encode("utf-8") in (tmp_path / "o" / "config.txt").read_bytes()
+    snapshot, source = (config_mod.parse_config_file(str(tmp_path / name)) for name in ("o/config.txt", "run.cfg"))
+    assert snapshot == source
 
 
 def test_cli_run_twice_byte_identical(tmp_path):
@@ -659,10 +689,19 @@ BACKDOOR = "adversary.attack = backdoor\nadversary.placement = all_pools\n"
     ("model.kind = mlp\nmodel.hidden_dim = 0", ["mlp model needs hidden_dim >= 1, got 0"]),
     (BACKDOOR + "adversary.adversaries_per_pool = 11",
      ["adversaries_per_pool exceeds clients_per_pool, got 11 > 10"]),
+    ("topology = ring", ["topology", "'ring'", "rfc", "client_server"]),
+    ("model.kind = cnn", ["model.kind", "'cnn'", "linear", "mlp"]),
+    ("optimizer.kind = rmsprop", ["optimizer.kind", "'rmsprop'", "sgd", "adam"]),
+    ("aggregator.rule = median", ["aggregator.rule", "'median'", "fedavg", "krum", "bulyan", "geomed"]),
+    ("metric.name = auc", ["metric.name", "'auc'", "accuracy", "loss", "macro_f1"]),
+    ("adversary.attack = sybil", ["adversary.attack", "'sybil'", "none", "labelflip", "backdoor"]),
+    ("adversary.boost = double", ["adversary.boost", "'double'", "off", "replacement"]),
+    ("data.source = s3", ["data.source", "'s3'", "synthetic", "csv"]),
 ], ids=["sample_over_pool", "krum_sample", "adam_beta1", "target_label", "clients_per_pool", "server_eta",
         "adam_epsilon", "batch_size", "trigger_size", "export_records", "adversaries_per_pool", "boost_eta",
         "negative_target_label", "poison_fraction", "krum_f", "bulyan_m", "linear_hidden_dim", "mlp_hidden_dim",
-        "adversaries_over_pool"])
+        "adversaries_over_pool", "topology", "model_kind", "optimizer_kind", "aggregator_rule", "metric_name",
+        "adversary_attack", "adversary_boost", "data_source"])
 def test_cli_run_config_refusal_names_its_field(tmp_path, capsys, line, fragments):
     cfg = write_config(tmp_path, f"rounds = 1\n{line}\n")
     assert cli.main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
@@ -691,6 +730,26 @@ def test_cli_run_negative_placement_pool_exits_1(tmp_path, capsys):
     lineno = len(TINY_CONFIG.splitlines()) + 2
     assert f"line {lineno}: bad value for adversary.placement: one_pool needs an int >= 0, got -1" in err
     assert len(err.strip().splitlines()) == 1
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("command,code,prefix", [("run", 1, "config error"),
+                                                  ("validate-chain", 3, "chain validation failed"),
+                                                  ("csv", 1, "config error"),
+                                                  ("summarize", 1, "summarize failed")],
+                         ids=["config", "chain", "csv", "records"])
+def test_cli_non_utf8_input_names_its_file(tmp_path, capsys, command, code, prefix):
+    path = tmp_path / "input.txt"
+    path.write_bytes(b"label,f0\n0,0.5\n\xff\n")
+    out = str(tmp_path / "o")
+    argv = {"run": ["run", "--config", str(path), "--out", out],
+            "validate-chain": ["validate-chain", str(path)],
+            "csv": ["run", "--config", write_config(tmp_path, f"data.source = csv\ndata.csv_path = {path}\n"),
+                    "--out", out],
+            "summarize": ["summarize", str(path)]}[command]
+    assert cli.main(argv) == code
+    assert capsys.readouterr().err == (f"{prefix}: {path}: 'utf-8' codec can't decode byte 0xff "
+                                       "in position 15: invalid start byte\n")
     assert not (tmp_path / "o").exists()
 
 

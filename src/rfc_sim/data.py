@@ -100,6 +100,11 @@ class DataConfig:
                 raise ValueError(f"data.per_class must be >= 1, got {self.per_class}")
             if not 0 <= self.noise_sigma < float("inf"):
                 raise ValueError(f"data.noise_sigma must be finite and >= 0, got {self.noise_sigma!r}")
+        if self.scheme not in PARTITION_SCHEMES:
+            raise ValueError(f"data.partition must be one of iid, label_shard:<int >= 1>, got {self.scheme!r}")
+        if self.scheme == "label_shard" and self.shards_per_client < 1:
+            raise ValueError(f"data.partition must be one of iid, label_shard:<int >= 1>, "
+                             f"got 'label_shard:{self.shards_per_client}'")
         v, t = self.val_fraction, self.test_fraction
         if not (0 <= v < 1 and 0 <= t < 1 and v + t < 1):
             raise ValueError(f"data.val_fraction and data.test_fraction must lie in [0, 1) "

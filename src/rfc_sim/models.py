@@ -21,6 +21,9 @@ One workspace per call holds the five ``[C, P]`` arrays of every stack (``p``,
 Adam's ``m`` and ``v``, which its first step writes directly, the gradient,
 which holds the step once read, and one scratch array); a step allocates nothing
 of parameter size. Each batch is a slice of one epoch's gather of the stack's rows.
+
+``_log_softmax`` folds its row max over the class columns and ``_loss_grad`` picks labels by flat
+index, with the bits of the class-axis ``max`` and the (row, label) index they replaced.
 """
 
 from __future__ import annotations
@@ -126,7 +129,18 @@ def _unpack(spec: ModelSpec, p: np.ndarray) -> list:
 
 
 def _log_softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=-1, keepdims=True)
+    """Log-softmax over the last axis, its row max a left fold of ``np.maximum`` over the class columns.
+
+    A max is exact, so the fold and ``max(axis=-1)`` can differ only in which of two tied opposite-sign
+    zeros they keep. That sign reaches ``shifted`` only at those zero logits, where ``exp`` erases it;
+    each adds exactly 1 to the sum, so the log subtracted is at least log 2 and no bit of the result
+    (NaN payloads aside) moves, in training, ``evaluate`` or ``log_probs``. The sum stays a reduce:
+    numpy sums 8 or more classes pairwise, so a folded sum would move bits.
+    """
+    top = logits[..., :1]
+    for k in range(1, logits.shape[-1]):
+        top = np.maximum(top, logits[..., k : k + 1])
+    shifted = logits - top
     return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
 
 
@@ -155,18 +169,19 @@ def _loss_grad(spec: ModelSpec, w: list, x: np.ndarray, y: np.ndarray, g: Option
 
     The pass of training and ``evaluate``. The MLP's gradient reads its ReLU mask from the layer's
     output, positive exactly where the input is. Callers hold ``np.errstate(over="ignore",
-    invalid="ignore")``: overflow surfaces as a non-finite loss.
+    invalid="ignore")``: overflow surfaces as a non-finite loss. Labels lie in ``[0, num_classes)``, as
+    every data path checks: the flat label index would read a neighbouring row's entry for a larger one.
     """
     logits, hidden = _forward(spec, w, x)
     logp = _log_softmax(logits)
-    # (example, label) pairs of the flattened leading axes
-    at = np.arange(y.size), y.reshape(-1)
+    # each example's label entry as one flat index into the C-contiguous logp
+    at = np.arange(0, logp.size, spec.num_classes) + y.reshape(-1)
     # -mean, computed as ndarray.mean does but without its Python-level overhead
-    loss = -(np.add.reduce(logp.reshape(-1, spec.num_classes)[at].reshape(y.shape), axis=-1) / y.shape[-1])
+    loss = -(np.add.reduce(logp.reshape(-1)[at].reshape(y.shape), axis=-1) / y.shape[-1])
     if g is None:
         return loss, logits
     dlogits = np.exp(logp)
-    dlogits.reshape(-1, spec.num_classes)[at] -= 1.0
+    dlogits.reshape(-1)[at] -= 1.0
     dlogits /= x.shape[-2]
     np.matmul(np.swapaxes(hidden, -1, -2), dlogits, out=g[-2])
     np.add.reduce(dlogits, axis=-2, keepdims=True, out=g[-1])

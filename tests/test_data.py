@@ -105,6 +105,17 @@ def test_data_config_and_gen_data_refuse_alike(tmp_path, capsys, classes, height
     assert not out.exists()
 
 
+@pytest.mark.parametrize("scheme,shards,given", [
+    ("random", 1, "'random'"),
+    ("label_shard", 0, "'label_shard:0'"),
+    ("label_shard", -2, "'label_shard:-2'"),
+])
+def test_data_config_refuses_a_bad_partition(scheme, shards, given):
+    message = f"data.partition must be one of iid, label_shard:<int >= 1>, got {given}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        DataConfig(scheme=scheme, shards_per_client=shards)
+
+
 def test_synthetic_task_is_separable_by_linear_model():
     train = synthetic(3, 4, 4, per_class=60, noise_sigma=0.1, seed=2)
     spec = models.ModelSpec("linear", 16, 3)

@@ -1,4 +1,5 @@
 import contextlib
+import itertools
 import math
 import warnings
 
@@ -293,8 +294,10 @@ def same_values(got, want):
 
 
 @pytest.mark.parametrize("clients", [1, 2, 3])
-@pytest.mark.parametrize("spec", [ModelSpec("linear", 3, 3), ModelSpec("mlp", 3, 3, hidden_dim=4)],
-                         ids=["linear", "mlp"])
+@pytest.mark.parametrize("spec", [ModelSpec("linear", 3, 3), ModelSpec("mlp", 3, 3, hidden_dim=4),
+                                  ModelSpec("linear", 3, 2), ModelSpec("mlp", 3, 2, hidden_dim=4),
+                                  ModelSpec("linear", 3, 10), ModelSpec("mlp", 3, 10, hidden_dim=4)],
+                         ids=["linear", "mlp", "linear_k2", "mlp_k2", "linear_k10", "mlp_k10"])
 def test_stacked_pass_matches_reference_on_special_values(spec, clients):
     rng = np.random.default_rng(clients)
     for _ in range(100):
@@ -312,6 +315,35 @@ def test_stacked_pass_matches_reference_on_special_values(spec, clients):
             for c in range(clients):
                 want_loss, want_grad = reference_loss_grad(spec, p[c], x[c], y[c])
                 assert same_values(loss[c], want_loss) and same_values(grad[c], want_grad)
+
+
+def reference_log_softmax(logits):
+    """Log-softmax with its row max as the class-axis reduce, the path the column fold replaced."""
+    shifted = logits - logits.max(axis=-1, keepdims=True)
+    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+
+
+@pytest.mark.parametrize("shape", [(18, 8, 3), (3, 120, 3), (120, 3), (3, 8, 10)])
+def test_log_softmax_matches_reference_on_random_logits(shape):
+    rng = np.random.default_rng(sum(shape))
+    # rows at scales where exp is ordinary, underflows in part, or nearly all, with a few non-finite entries
+    logits = rng.normal(size=shape) * rng.choice([1.0, 30.0, 1e3], size=shape[:-1] + (1,))
+    special = rng.random(shape) < 0.02
+    logits[special] = rng.choice([np.nan, np.inf, -np.inf, 1e308, -1e308], size=special.sum())
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert same_values(models._log_softmax(logits), reference_log_softmax(logits))
+
+
+@pytest.mark.parametrize("width", [2, 3, 4])
+def test_log_softmax_matches_reference_on_every_special_row(width):
+    values = [0.0, -0.0, 1.0, -1.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324]
+    rows = np.array(list(itertools.product(values, repeat=width)))
+    for logits in (rows, rows.reshape(9, -1, width)):
+        with np.errstate(over="ignore", invalid="ignore"):
+            got, want = models._log_softmax(logits), reference_log_softmax(logits)
+        # the two may keep different ones of two tied opposite-sign zero maxima (numpy's X86_V2 reduce keeps
+        # the first in some rows), but each tied zero adds exp(0) = 1 to the sum, so no log-probability moves
+        assert same_values(got, want)
 
 
 def reference_train_local(spec, start, data, opt, seed):

@@ -40,6 +40,9 @@ class AdversaryConfig:
             raise ValueError(f"adversary.placement must be one of {', '.join(PLACEMENTS)}, got {self.placement!r}")
         if (self.attack == "none") != (self.placement == "none"):
             raise ValueError("placement is 'none' exactly when attack is 'none'")
+        if self.placement != "one_pool" and self.pool_id != 0:
+            raise ValueError(f"adversary.pool_id must be 0 under adversary.placement = {self.placement}, "
+                             f"got {self.pool_id}")
         if self.boost not in BOOST_MODES:
             raise ValueError(f"adversary.boost must be one of {', '.join(BOOST_MODES)}, got {self.boost!r}")
         if self.adversaries_per_pool < 1:

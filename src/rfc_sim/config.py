@@ -210,7 +210,7 @@ def preset(name: str, base: RunConfig) -> RunConfig:
         raise ConfigError(f"unknown preset {name!r} (choose from {', '.join(PRESET_NAMES)})")
     adv = base.federation.adversary
     if name == "no_attack":
-        new_adv = replace(adv, attack="none", placement="none", boost="off")
+        new_adv = replace(adv, attack="none", placement="none", pool_id=0, boost="off")
     else:
         attack = "labelflip" if name.endswith("labelflip") else "backdoor"
         placement = "one_pool" if name.startswith("one_pool") else "all_pools"

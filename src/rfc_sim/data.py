@@ -105,6 +105,9 @@ class DataConfig:
         if self.scheme == "label_shard" and self.shards_per_client < 1:
             raise ValueError(f"data.partition must be one of iid, label_shard:<int >= 1>, "
                              f"got 'label_shard:{self.shards_per_client}'")
+        if self.scheme == "iid" and self.shards_per_client != 1:
+            raise ValueError(f"data.shards_per_client must be 1 under data.partition = iid, "
+                             f"got {self.shards_per_client}")
         v, t = self.val_fraction, self.test_fraction
         if not (0 <= v < 1 and 0 <= t < 1 and v + t < 1):
             raise ValueError(f"data.val_fraction and data.test_fraction must lie in [0, 1) "

@@ -14,8 +14,10 @@ at zero. Local training shuffles with Fisher-Yates, reseeded per epoch as
 a client axis (parameters ``[C, P]``, batches ``[C, b, input_dim]``) and writes
 their rows into one ``[N, P]`` matrix. Clients with equal row counts share a
 stack, split to stay within ``STACK_BYTES``. A stack keeps its shape to its last
-step: a diverged row stays in it, masked. Every row gets exactly the bits it
-would get trained alone; ``train_local`` trains one client.
+step: a diverged row stays in it, masked. It trains in one pass with no per-step
+test, and a second, step-tested pass runs only when a finiteness test at its end
+fails. Every row gets exactly the bits it would get trained alone; ``train_local``
+trains one client.
 
 One workspace per call holds the five ``[C, P]`` arrays of every stack (``p``,
 Adam's ``m`` and ``v``, which its first step writes directly, the gradient,
@@ -141,7 +143,7 @@ def _log_softmax(logits: np.ndarray) -> np.ndarray:
     for k in range(1, logits.shape[-1]):
         top = np.maximum(top, logits[..., k : k + 1])
     shifted = logits - top
-    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+    return shifted - np.log(np.add.reduce(np.exp(shifted), axis=-1, keepdims=True))
 
 
 def _check(spec: ModelSpec, p: Optional[np.ndarray], x: np.ndarray) -> None:
@@ -164,33 +166,36 @@ def _forward(spec: ModelSpec, w: list, x: np.ndarray):
     return hidden @ w[-2] + w[-1], hidden
 
 
-def _loss_grad(spec: ModelSpec, w: list, x: np.ndarray, y: np.ndarray, g: Optional[list] = None):
-    """Per-client mean cross-entropy and logits; with ``g``, the gradient, written into those views.
+def _label_offsets(shape: Tuple[int, ...], num_classes: int) -> np.ndarray:
+    """Flat index of each row's first entry in C-contiguous ``[*shape, num_classes]`` log-probs."""
+    return np.arange(0, math.prod(shape) * num_classes, num_classes).reshape(shape)
 
-    The pass of training and ``evaluate``. The MLP's gradient reads its ReLU mask from the layer's
-    output, positive exactly where the input is. Callers hold ``np.errstate(over="ignore",
-    invalid="ignore")``: overflow surfaces as a non-finite loss. Labels lie in ``[0, num_classes)``, as
+
+def _loss_grad(spec: ModelSpec, w: list, x: np.ndarray, at: np.ndarray, g: Optional[list] = None):
+    """Per-client sums of label log-probs and logits; with ``g``, the mean loss's gradient, written into those views.
+
+    The pass of training and ``evaluate``. ``at``, shaped as the labels, is ``_label_offsets`` plus the
+    labels: each label's flat index into the log-probs. The MLP's gradient reads its ReLU mask from the
+    layer's output, positive exactly where the input is. Callers hold ``np.errstate(over="ignore",
+    invalid="ignore")``: overflow surfaces as a non-finite sum. Labels lie in ``[0, num_classes)``, as
     every data path checks: the flat label index would read a neighbouring row's entry for a larger one.
     """
     logits, hidden = _forward(spec, w, x)
     logp = _log_softmax(logits)
-    # each example's label entry as one flat index into the C-contiguous logp
-    at = np.arange(0, logp.size, spec.num_classes) + y.reshape(-1)
-    # -mean, computed as ndarray.mean does but without its Python-level overhead
-    loss = -(np.add.reduce(logp.reshape(-1)[at].reshape(y.shape), axis=-1) / y.shape[-1])
+    sums = np.add.reduce(logp.reshape(-1)[at], axis=-1)
     if g is None:
-        return loss, logits
+        return sums, logits
     dlogits = np.exp(logp)
     dlogits.reshape(-1)[at] -= 1.0
     dlogits /= x.shape[-2]
-    np.matmul(np.swapaxes(hidden, -1, -2), dlogits, out=g[-2])
+    np.matmul(hidden.swapaxes(-1, -2), dlogits, out=g[-2])
     np.add.reduce(dlogits, axis=-2, keepdims=True, out=g[-1])
     if spec.kind == "mlp":
-        dhidden = dlogits @ np.swapaxes(w[-2], -1, -2)
+        dhidden = dlogits @ w[-2].swapaxes(-1, -2)
         dhidden *= hidden > 0.0
-        np.matmul(np.swapaxes(x, -1, -2), dhidden, out=g[0])
+        np.matmul(x.swapaxes(-1, -2), dhidden, out=g[0])
         np.add.reduce(dhidden, axis=-2, keepdims=True, out=g[1])
-    return loss, logits
+    return sums, logits
 
 
 def log_probs(spec: ModelSpec, p: np.ndarray, data: Dataset) -> np.ndarray:
@@ -205,7 +210,9 @@ def evaluate(spec: ModelSpec, p: np.ndarray, data: Dataset):
     _check(spec, p, data.x)
     y = data.y if p.ndim == 1 else data.y[None].repeat(len(p), axis=0)
     with np.errstate(over="ignore", invalid="ignore"):
-        loss, logits = _loss_grad(spec, _unpack(spec, p), data.x, y)
+        sums, logits = _loss_grad(spec, _unpack(spec, p), data.x, _label_offsets(y.shape, spec.num_classes) + y)
+    # -mean, computed as ndarray.mean does but without its Python-level overhead
+    loss = -(sums / len(data))
     return loss.tolist(), ((logits.argmax(axis=-1) == y).sum(axis=-1) / len(data)).tolist()  # as int / int rounds
 
 
@@ -258,60 +265,75 @@ def _train_stack(spec: ModelSpec, start: np.ndarray, datasets: Sequence[Dataset]
     The stack is the first C rows of ``train_clients``' workspace, one per
     client, to its last step. Each row takes every step as the one-client loop
     would, with the same operations in the same order; Adam's first step writes
-    ``m`` and ``v`` directly, as the loop's update of zero moments rounds. A row
-    whose loss or parameters turn non-finite gets its DivergenceError at that
-    step and stays, stepping on values that nothing reads. Returns the ``[C, P]``
-    parameters and the errors by stack row, at once when every row has diverged.
+    ``m`` and ``v`` directly, as the loop's update of zero moments rounds.
+
+    The first pass tests no step: it adds each step's label log-prob sums into
+    a ``[C]`` total. A NaN or inf entry makes a sum non-finite, and ``p -= grad``
+    keeps a non-finite parameter non-finite, so a finite sum of that total and
+    of the final ``p`` proves that no row diverged. Otherwise (a finite sum may
+    also overflow) a second pass from ``start`` repeats every step's bits and
+    tests each: a row whose loss or parameters turn non-finite gets its
+    DivergenceError at that step and stays, stepping on values that nothing
+    reads. Returns the ``[C, P]`` parameters and the errors by stack row, at
+    once when every row has diverged.
     """
     width, n = len(datasets), len(datasets[0])
     # orders as rows of x and y, clients end to end; each epoch's are gathered into xe, ye
     orders = orders + n * np.arange(width)[:, None, None]
     x, y = np.concatenate([data.x for data in datasets]), np.concatenate([data.y for data in datasets])
     xe, ye = np.empty((width, n, x.shape[1])), np.empty((width, n), dtype=y.dtype)
+    # each batch slot's [C, b] label offsets, to which its steps add the labels
+    slots = [(lo, _label_offsets((width, min(opt.batch_size, n - lo)), spec.num_classes))
+             for lo in range(0, n, opt.batch_size)]
     ws, w, g = workspace
     p, m, v, grad, s = ws[:, :width]
-    p[...] = start
     if width < ws.shape[1]:
         w, g = _unpack(spec, p), _unpack(spec, grad)
     lr, b1, b2 = opt.learning_rate, opt.adam_beta1, opt.adam_beta2
-    t, alive, diverged = 0, np.ones(width, dtype=bool), {}
     # a diverged row keeps stepping, silently; train_clients sets its row to NaN
     with np.errstate(over="ignore", invalid="ignore"):
-        for epoch in range(opt.local_epochs):
-            np.take(x, orders[:, epoch], axis=0, out=xe, mode="clip")
-            np.take(y, orders[:, epoch], out=ye, mode="clip")
-            for lo in range(0, n, opt.batch_size):
-                hi = lo + opt.batch_size
-                loss, _ = _loss_grad(spec, w, xe[:, lo:hi], ye[:, lo:hi], g)
-                t += 1
-                if opt.kind == "sgd":
-                    grad *= lr
-                else:  # lr (m / c1) / (sqrt(v / c2) + eps), rounded op by op as the one-client update
-                    if t == 1:  # b1 0 + a is a, with -0 made +0; (1 - b2) g g is never -0
-                        np.add(np.multiply(grad, 1.0 - b1, out=m), 0.0, out=m)
-                        np.multiply(np.multiply(grad, 1.0 - b2, out=v), grad, out=v)
-                    else:
-                        m *= b1
-                        m += np.multiply(grad, 1.0 - b1, out=s)
-                        v *= b2
-                        np.multiply(grad, 1.0 - b2, out=s)
-                        s *= grad
-                        v += s
-                    np.divide(m, 1.0 - b1**t, out=grad)
-                    grad *= lr
-                    np.divide(v, 1.0 - b2**t, out=s)
-                    np.sqrt(s, out=s)
-                    s += opt.adam_epsilon
-                    grad /= s
-                p -= grad
-                if np.isfinite(loss).all() and np.isfinite(p).all():
-                    continue
-                bad_loss = ~np.isfinite(loss)
-                bad = alive & (bad_loss | ~np.isfinite(p).all(axis=1))
-                for r in np.flatnonzero(bad).tolist():
-                    what = "non-finite loss" if bad_loss[r] else "parameters overflowed"
-                    diverged[r] = DivergenceError(f"{what} at epoch {epoch}, batch offset {lo}")
-                alive &= ~bad
-                if not alive.any():
-                    return p, diverged
-    return p, diverged
+        for checked in (False, True):
+            p[...] = start
+            t, total, alive, diverged = 0, np.zeros(width), np.ones(width, dtype=bool), {}
+            for epoch in range(opt.local_epochs):
+                np.take(x, orders[:, epoch], axis=0, out=xe, mode="clip")
+                np.take(y, orders[:, epoch], out=ye, mode="clip")
+                for lo, offsets in slots:
+                    hi = lo + opt.batch_size
+                    sums, _ = _loss_grad(spec, w, xe[:, lo:hi], offsets + ye[:, lo:hi], g)
+                    t += 1
+                    if opt.kind == "sgd":
+                        grad *= lr
+                    else:  # lr (m / c1) / (sqrt(v / c2) + eps), rounded op by op as the one-client update
+                        if t == 1:  # b1 0 + a is a, with -0 made +0; (1 - b2) g g is never -0
+                            np.add(np.multiply(grad, 1.0 - b1, out=m), 0.0, out=m)
+                            np.multiply(np.multiply(grad, 1.0 - b2, out=v), grad, out=v)
+                        else:
+                            m *= b1
+                            m += np.multiply(grad, 1.0 - b1, out=s)
+                            v *= b2
+                            np.multiply(grad, 1.0 - b2, out=s)
+                            s *= grad
+                            v += s
+                        np.divide(m, 1.0 - b1**t, out=grad)
+                        grad *= lr
+                        np.divide(v, 1.0 - b2**t, out=s)
+                        np.sqrt(s, out=s)
+                        s += opt.adam_epsilon
+                        grad /= s
+                    p -= grad
+                    if not checked:
+                        total += sums
+                        continue
+                    if np.isfinite(sums).all() and np.isfinite(p).all():
+                        continue
+                    bad_loss = ~np.isfinite(sums)
+                    bad = alive & (bad_loss | ~np.isfinite(p).all(axis=1))
+                    for r in np.flatnonzero(bad).tolist():
+                        what = "non-finite loss" if bad_loss[r] else "parameters overflowed"
+                        diverged[r] = DivergenceError(f"{what} at epoch {epoch}, batch offset {lo}")
+                    alive &= ~bad
+                    if not alive.any():
+                        return p, diverged
+            if checked or math.isfinite(np.add.reduce(total)) and math.isfinite(np.add.reduce(p, axis=None)):
+                return p, diverged

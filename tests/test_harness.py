@@ -19,8 +19,10 @@ from rfc_sim import chain as chain_mod
 from rfc_sim import config as config_mod
 from rfc_sim import consensus as consensus_mod
 from rfc_sim import data as data_mod
+from rfc_sim.attacks import AdversaryConfig
 from rfc_sim.config import (SCHEMA, ConfigError, desk_default, parse_config_text, preset,
                             render_config, with_master_seed)
+from rfc_sim.data import DataConfig
 
 TINY_CONFIG = """\
 # tiny run used by the CLI tests
@@ -135,6 +137,33 @@ def test_render_parse_roundtrip_with_overrides():
                            "adversary.placement = one_pool:2\nnum_pools = 4\n"
                            "data.partition = label_shard:2\nmetric.name = loss\n")
     assert parse_config_text(render_config(rc)) == rc
+
+
+@given(placement=st.sampled_from(["none", "all_pools", "one_pool"]), pool_id=st.integers(-1, 2),
+       scheme=st.sampled_from(["iid", "label_shard"]), shards=st.integers(0, 5))
+def test_compound_keys_round_trip(placement, pool_id, scheme, shards):
+    # the word forms none, all_pools and iid carry no count, so their sections accept only the count they parse to
+    try:
+        adversary = AdversaryConfig(attack="none" if placement == "none" else "labelflip", placement=placement,
+                                    pool_id=pool_id)
+        data = DataConfig(scheme=scheme, shards_per_client=shards)
+        rc = replace(desk_default(), data=data, federation=replace(desk_default().federation, adversary=adversary))
+    except ValueError:
+        return
+    assert parse_config_text(render_config(rc)) == rc
+
+
+def test_word_forms_of_compound_keys_refuse_a_count():
+    with pytest.raises(ValueError, match="^data.shards_per_client must be 1 under data.partition = iid, got 5$"):
+        DataConfig(scheme="iid", shards_per_client=5)
+    with pytest.raises(ValueError,
+                       match="^adversary.pool_id must be 0 under adversary.placement = all_pools, got 2$"):
+        AdversaryConfig(attack="labelflip", placement="all_pools", pool_id=2)
+    with pytest.raises(ValueError, match="^adversary.pool_id must be 0 under adversary.placement = none, got 1$"):
+        AdversaryConfig(pool_id=1)
+    # the no_attack preset resets the pool id that a one_pool config set
+    one_pool = parse_config_text("adversary.attack = labelflip\nadversary.placement = one_pool:1\n")
+    assert preset("no_attack", one_pool).federation.adversary.pool_id == 0
 
 
 # key -> a config setting it to a valid non-default value, plus whatever else

@@ -29,10 +29,10 @@ def forward_loss_grad(spec, p, batch):
     """Mean cross-entropy, its gradient, and the argmax hit count on one batch, as training computes them."""
     models._check(spec, p, batch.x)
     grad = np.empty_like(p)
+    at = models._label_offsets(batch.y.shape, spec.num_classes) + batch.y
     with np.errstate(over="ignore", invalid="ignore"):
-        loss, logits = models._loss_grad(spec, models._unpack(spec, p), batch.x, batch.y,
-                                         models._unpack(spec, grad))
-    return float(loss), grad, int((logits.argmax(axis=-1) == batch.y).sum())
+        sums, logits = models._loss_grad(spec, models._unpack(spec, p), batch.x, at, models._unpack(spec, grad))
+    return float(-(sums / len(batch))), grad, int((logits.argmax(axis=-1) == batch.y).sum())
 
 
 def central_diff_grad(spec, p, batch, eps=1e-5):
@@ -310,8 +310,10 @@ def test_stacked_pass_matches_reference_on_special_values(spec, clients):
             a[special] = rng.choice(SPECIAL, size=special.sum())
         y = rng.integers(0, spec.num_classes, size=(clients, 4))
         grad = np.empty_like(p)
+        at = models._label_offsets(y.shape, spec.num_classes) + y
         with np.errstate(over="ignore", invalid="ignore"):
-            loss, _ = models._loss_grad(spec, models._unpack(spec, p), x, y, models._unpack(spec, grad))
+            sums, _ = models._loss_grad(spec, models._unpack(spec, p), x, at, models._unpack(spec, grad))
+            loss = -(sums / 4)
             for c in range(clients):
                 want_loss, want_grad = reference_loss_grad(spec, p[c], x[c], y[c])
                 assert same_values(loss[c], want_loss) and same_values(grad[c], want_grad)
@@ -539,6 +541,100 @@ def test_diverged_client_stays_in_stack_and_others_step(faults):
     # the other rows take every later step beside the diverged ones, in the same stack
     for k in {0, 1, 2} - set(faults):
         assert_same_outcome(got[k], reference_train_local(spec, start, datasets[k], opt, 5 + k))
+
+
+# an infinite, NaN or overflowing feature row: the client's loss or parameters turn non-finite at once, later or never
+@settings(max_examples=60)
+@given(kind=st.sampled_from(["linear", "mlp"]), opt_kind=st.sampled_from(["sgd", "adam"]),
+       lr=st.sampled_from([0.0, 0.05, 1.5]), width=st.integers(1, 4), n=st.integers(1, 7), batch=st.integers(1, 4),
+       epochs=st.integers(1, 3), count=st.integers(1, 6),
+       faults=st.lists(st.tuples(st.integers(0, 5), st.integers(0, 6), st.sampled_from([np.inf, np.nan, 1e308])),
+                       max_size=4),
+       seed=st.integers(0, 2**64 - 1))
+def test_faulty_rows_match_reference_in_any_stack(kind, opt_kind, lr, width, n, batch, epochs, count, faults, seed):
+    spec = ModelSpec(kind, 3, 2, hidden_dim=4 if kind == "mlp" else 0)
+    opt = OptimizerConfig(kind=opt_kind, learning_rate=lr, local_epochs=epochs, batch_size=batch)
+    stream = Sm64Stream(seed)
+    datasets = [client_data(stream, spec, n) for _ in range(count)]
+    xs = [data.x.copy() for data in datasets]
+    for k, row, value in faults:
+        xs[k % count][row % n] = value
+    datasets = [Dataset(x, data.y) for x, data in zip(xs, datasets)]
+    start = models.init_params(spec, stream.next_u64())
+    seeds = [stream.next_u64() for _ in range(count)]
+    with stack_width(spec, width):
+        got = per_client(*models.train_clients(spec, start, datasets, opt, seeds))
+    for g, data, s in zip(got, datasets, seeds):
+        assert_same_outcome(g, outcome(reference_train_local, spec, start, data, opt, s))
+
+
+def count_loss_grad_calls(monkeypatch):
+    """The one-element list that counts each later call of models._loss_grad."""
+    calls, real = [0], models._loss_grad
+
+    def spy(*args):
+        calls[0] += 1
+        return real(*args)
+
+    monkeypatch.setattr(models, "_loss_grad", spy)
+    return calls
+
+
+def test_finite_parameters_whose_sum_overflows_train_to_reference_bits(monkeypatch):
+    # feature 0 is zero, so its weights of 1e308 take no part in a logit and get a zero gradient: every step
+    # is finite, but the parameters' sum overflows, so the end test fails and the stack trains twice
+    spec = ModelSpec("linear", 3, 2)
+    opt = OptimizerConfig(kind="sgd", learning_rate=0.05, local_epochs=2, batch_size=3)
+    stream = Sm64Stream(14)
+    datasets = [client_data(stream, spec, 7) for _ in range(3)]
+    datasets = [Dataset(np.hstack([np.zeros((7, 1)), data.x[:, 1:]]), data.y) for data in datasets]
+    start = models.init_params(spec, 5)
+    start[:2] = 1e308
+    calls = count_loss_grad_calls(monkeypatch)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = per_client(*models.train_clients(spec, start, datasets, opt, [1, 2, 3]))
+    assert calls == [2 * 2 * 3]
+    for k, data in enumerate(datasets):
+        assert not isinstance(got[k], DivergenceError)
+        assert got[k][:2].tolist() == [1e308, 1e308]
+        assert_same_outcome(got[k], reference_train_local(spec, start, data, opt, 1 + k))
+
+
+def test_infinite_loss_with_finite_parameters_diverges():
+    # logits of 1e308 and -1e308 are finite but their difference is not: label 1 gets an infinite loss and a
+    # finite gradient, so without a learning rate every parameter stays finite and only the loss shows the fault
+    spec = ModelSpec("linear", 1, 2)
+    opt = OptimizerConfig(kind="sgd", learning_rate=0.0, local_epochs=2, batch_size=2)
+    start = np.array([1.0, -1.0, 0.0, 0.0])
+    good = Dataset(np.full((5, 1), 0.5), np.array([0, 1, 0, 1, 1]))
+    bad = Dataset(np.array([[0.5], [0.5], [1e308], [0.5], [0.5]]), np.array([0, 1, 1, 0, 1]))
+    got = per_client(*models.train_clients(spec, start, [good, bad], opt, [1, 2]))
+    assert str(got[1]).startswith("non-finite loss at epoch 0, batch offset ")
+    for k, data in enumerate([good, bad]):
+        assert_same_outcome(got[k], outcome(reference_train_local, spec, start, data, opt, 1 + k))
+
+
+@pytest.mark.parametrize("width", [2, 5])
+def test_clean_stacks_train_once_and_a_diverging_stack_twice(monkeypatch, width):
+    spec = ModelSpec("mlp", 3, 2, hidden_dim=4)
+    opt = OptimizerConfig(kind="adam", learning_rate=0.05, local_epochs=3, batch_size=4)
+    stream = Sm64Stream(15)
+    # rows 9, 9, 9, 9, 9, 6, 6, 1: at width 2, stacks of 9 rows [0, 1], [2, 3], [4]; of 6 [5, 6]; of 1 [7]
+    datasets = [client_data(stream, spec, n) for n in (9, 9, 9, 9, 9, 6, 6, 1)]
+    stacks = {2: [9, 9, 9, 6, 1], 5: [9, 6, 1]}[width]
+    steps = {n: opt.local_epochs * math.ceil(n / opt.batch_size) for n in (9, 6, 1)}
+    calls = count_loss_grad_calls(monkeypatch)
+    with stack_width(spec, width):
+        models.train_clients(spec, models.init_params(spec, 1), datasets, opt, list(range(8)))
+        assert calls == [sum(steps[n] for n in stacks)]
+        # client 3 diverges at the step that first reads its row 0; its stack's other rows survive, so that stack's
+        # second pass runs to its end
+        datasets[3] = with_infinite_row(datasets[3], 0)
+        calls[0] = 0
+        _, diverged = models.train_clients(spec, models.init_params(spec, 1), datasets, opt, list(range(8)))
+    assert list(diverged) == [3]
+    assert calls == [sum(steps[n] for n in stacks) + steps[9]]
 
 
 @pytest.mark.parametrize("scales,opt", [

@@ -15,9 +15,9 @@ from dataclasses import replace
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from rfc_sim import metrics
+from rfc_sim import consensus, metrics
 from rfc_sim.aggregation import AGGREGATION_RULES
-from rfc_sim.config import PRESET_NAMES, desk_default, execute_run, preset, with_master_seed
+from rfc_sim.config import PRESET_NAMES, build_partition, desk_default, preset, with_master_seed
 from rfc_sim.consensus import TOPOLOGIES
 
 CONSENSUS_METRICS = ("accuracy", "loss")
@@ -67,7 +67,8 @@ def main():
                 for metric_name in metric_names:
                     acc_sum = 0.0
                     for seed in seeds:
-                        result = execute_run(variant_config(scenario, rule, topology, metric_name, seed))
+                        rc = variant_config(scenario, rule, topology, metric_name, seed)
+                        result = consensus.run_federation(rc.federation, build_partition(rc))
                         recs = result.records
                         acc = summary_triple([r.test_accuracy for r in recs], "maximize")
                         loss = summary_triple([r.test_loss for r in recs], "minimize")

@@ -102,7 +102,7 @@ def _cmd_run(args) -> int:
     except (RoundAbortError, ProvenanceError) as exc:
         print(f"run aborted: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, OSError, MemoryError) as exc:  # MemoryError: a dataset or model too large to allocate
+    except (ValueError, OSError, MemoryError) as exc:  # MemoryError: a dataset, model or schedule too large to allocate
         print(f"config error: {exc}", file=sys.stderr)
         return 1
     try:

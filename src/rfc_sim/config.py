@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, fields, is_dataclass, replace
 from functools import reduce
 from typing import Callable, Dict, Tuple
 
-from . import consensus, data as data_mod
+from . import data as data_mod
 from .aggregation import AggregatorConfig
 from .attacks import AdversaryConfig, check_trigger
 from .consensus import FederationConfig
@@ -241,7 +241,3 @@ def build_partition(rc: RunConfig) -> data_mod.FederatedPartition:
                               d.test_fraction, derive_seed(fed.master_seed, 0, 0, 0, "partition"),
                               height=d.height, width=d.width,
                               shards_per_client=d.shards_per_client)
-
-
-def execute_run(rc: RunConfig) -> consensus.FederationResult:
-    return consensus.run_federation(rc.federation, build_partition(rc))

@@ -1,5 +1,5 @@
 """The federation round engine: per-pool training and aggregation, candidate
-scoring on the public validation set, winner selection and chain append.
+scoring on the public validation set, winner selection and evaluation.
 
 Topologies:
 
@@ -16,6 +16,10 @@ surviving candidates in one stacked ``metrics.score_model`` pass. No pool's
 result depends on that order or on the other pools' clients: every random
 draw is pre-derived per (round, pool, client, purpose) rather than consumed
 from a shared generator, and the chain hashes rely on this.
+
+So round R is ``play_round(cfg, partition, model of block R - 1, R)``: it
+reads nothing else, and ``run_federation`` is genesis followed by one
+``play_round`` and one ``chain.append`` per round.
 """
 
 from __future__ import annotations
@@ -169,13 +173,15 @@ def _client_data(cfg: FederationConfig, partition: FederatedPartition, cid: int,
     return attacks.poison_examples(data, partition.height, partition.width, adv, seed)
 
 
-def _play_round(cfg: FederationConfig, partition: FederatedPartition,
-                groups: Sequence[Tuple[int, Sequence[int]]], adversarial: frozenset,
-                global_model: np.ndarray, round_idx: int, quota: int) -> Tuple[Tuple[PoolCandidate, ...], np.ndarray]:
-    """One round as the module docstring orders it: the pools' candidates, each noting the first step that
-    disqualified it, and the ``[k, P]`` stack of their models, pool g's in row g."""
+def _pool_candidates(cfg: FederationConfig, partition: FederatedPartition, adversarial: frozenset,
+                     global_model: np.ndarray, round_idx: int) -> Tuple[Tuple[PoolCandidate, ...], np.ndarray]:
+    """One round's training as the module docstring orders it: the pools' candidates, each noting the first step
+    that disqualified it, and the ``[k, P]`` stack of their models, pool g's in row g."""
+    count, size = cfg.group_shape()
+    quota = cfg.sample_quota()
     samples, datasets, seeds = [], [], []
-    for pool_id, members in groups:
+    for pool_id in range(count):
+        members = range(pool_id * size, (pool_id + 1) * size)
         sampled = sample_clients(members, pool_id, round_idx, quota, cfg.master_seed)
         if not all(cid in members for cid in sampled):
             raise ProvenanceError(f"round {round_idx}: pool {pool_id} sampled foreign clients")
@@ -225,8 +231,29 @@ def _pool_aggregate(cfg: FederationConfig, sampled: Sequence[int], trained: np.n
         return np.full_like(global_model, np.nan), f"aggregation failed in round {round_idx}: {exc}"
 
 
+def play_round(cfg: FederationConfig, partition: FederatedPartition, model: np.ndarray,
+               round_idx: int) -> Tuple[np.ndarray, metrics.RoundRecord, Tuple[PoolCandidate, ...]]:
+    """Round ``round_idx`` from ``model``, block ``round_idx - 1``'s: the winner's model, the round's record and
+    every pool's candidate. Raises RoundAbortError when no candidate qualifies."""
+    adv = cfg.adversary
+    adversarial = attacks.assign_adversaries(cfg.num_pools, cfg.clients_per_pool, adv, cfg.master_seed)
+    candidates, stack = _pool_candidates(cfg, partition, adversarial, model, round_idx)
+    winner = select_winner(candidates, cfg.metric.direction)
+    if winner is None:
+        raise RoundAbortError(round_idx, [c.note for c in candidates])
+    model = stack[winner.pool_id]
+
+    test_loss, test_acc = models.evaluate(cfg.model, model, partition.test)
+    backdoor = (float("nan"),) * 3  # the record's three backdoor columns, nan without a backdoor attack
+    if adv.attack == "backdoor":
+        triggered = attacks.build_backdoor_test(partition.test, partition.height, partition.width, adv.trigger_size)
+        backdoor = metrics.evaluate_backdoor(cfg.model, model, triggered, adv.target_label)
+    record = metrics.RoundRecord(round_idx, winner.pool_id, winner.metric_value, test_acc, test_loss, *backdoor)
+    return model, record, candidates
+
+
 def run_federation(cfg: FederationConfig, partition: FederatedPartition) -> FederationResult:
-    """Execute the full run: genesis, ``rounds`` consensus rounds, per-round records."""
+    """Execute the full run: genesis, then ``rounds`` rounds of ``play_round``, each winner appended to the chain."""
     if partition.height * partition.width != cfg.model.input_dim:
         raise ValueError(f"model input_dim {cfg.model.input_dim} does not match grid "
                          f"{partition.height}x{partition.width}")
@@ -234,49 +261,20 @@ def run_federation(cfg: FederationConfig, partition: FederatedPartition) -> Fede
     if missing:
         raise ValueError(f"partition lacks data for clients {missing[:5]}")
 
-    count, size = cfg.group_shape()
-    groups = [(g, range(g * size, (g + 1) * size)) for g in range(count)]
-    quota = cfg.sample_quota()
-    adversarial = attacks.assign_adversaries(cfg.num_pools, cfg.clients_per_pool,
-                                             cfg.adversary, cfg.master_seed)
-
-    adv = cfg.adversary
-    backdoor_test = None
-    if adv.attack == "backdoor":
-        backdoor_test = attacks.build_backdoor_test(partition.test, partition.height,
-                                                    partition.width, adv.trigger_size)
-
     try:
-        global_model = models.init_params(cfg.model, derive_seed(cfg.master_seed, 0, 0, 0, "init"))
+        model = models.init_params(cfg.model, derive_seed(cfg.master_seed, 0, 0, 0, "init"))
     except (MemoryError, ValueError) as exc:  # numpy's refusals: past memory, or past any array's size
         raise MemoryError(f"model.hidden_dim = {cfg.model.hidden_dim} is too large: "
                           f"{models.param_count(cfg.model)} parameters: {exc}") from exc
-    ledger = chain_mod.genesis(global_model, cfg.chain_difficulty)
+    ledger = chain_mod.genesis(model, cfg.chain_difficulty)
 
     records: List[metrics.RoundRecord] = []
     all_candidates: List[Tuple[PoolCandidate, ...]] = []
     for round_idx in range(1, cfg.rounds + 1):
-        candidates, stack = _play_round(cfg, partition, groups, adversarial, global_model, round_idx, quota)
-
-        winner = select_winner(candidates, cfg.metric.direction)
-        if winner is None:
-            raise RoundAbortError(round_idx, [c.note for c in candidates])
-        global_model = stack[winner.pool_id]
-        ledger = chain_mod.append(ledger, global_model, round_idx, winner.pool_id, cfg.metric.name,
-                                  winner.metric_value, cfg.aggregator.rule)
-
-        test_loss, test_acc = models.evaluate(cfg.model, global_model, partition.test)
-        if backdoor_test is not None:
-            bd_target, bd_clean, bd_loss = metrics.evaluate_backdoor(cfg.model, global_model,
-                                                                     backdoor_test, adv.target_label)
-        else:
-            bd_target = bd_clean = bd_loss = float("nan")
-        records.append(metrics.RoundRecord(
-            round=round_idx, winning_pool=winner.pool_id,
-            val_metric=winner.metric_value, test_accuracy=test_acc, test_loss=test_loss,
-            backdoor_accuracy_target=bd_target, backdoor_accuracy_clean=bd_clean,
-            backdoor_loss=bd_loss))
+        model, record, candidates = play_round(cfg, partition, model, round_idx)
+        ledger = chain_mod.append(ledger, model, round_idx, record.winning_pool, cfg.metric.name,
+                                  record.val_metric, cfg.aggregator.rule)
+        records.append(record)
         all_candidates.append(candidates)
 
-    return FederationResult(final_model=global_model, records=records, chain=ledger,
-                            candidates=all_candidates)
+    return FederationResult(final_model=model, records=records, chain=ledger, candidates=all_candidates)

@@ -247,7 +247,10 @@ def train_clients(spec: ModelSpec, start: np.ndarray, datasets: Sequence[Dataset
     ws = np.empty((5, min(width, len(datasets)), param_count(spec)))
     workspace = ws, _unpack(spec, ws[0]), _unpack(spec, ws[3])
     for n, members in by_length.items():
-        orders = shuffle_orders(epoch_seeds([seeds[i] for i in members], opt.local_epochs), n)
+        try:  # numpy's refusals: past memory, or past any array's size
+            orders = shuffle_orders(epoch_seeds([seeds[i] for i in members], opt.local_epochs), n)
+        except (MemoryError, ValueError) as exc:
+            raise MemoryError(f"optimizer.local_epochs = {opt.local_epochs} is too large: {exc}") from exc
         orders = orders.reshape(len(members), opt.local_epochs, n)
         for lo in range(0, len(members), width):
             stack = members[lo : lo + width]

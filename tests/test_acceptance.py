@@ -21,7 +21,7 @@ from rfc_sim import aggregation, attacks, chain as chain_mod, consensus, metrics
 from rfc_sim.aggregation import AggregatorConfig
 from rfc_sim.chain import Block, Chain
 from rfc_sim.cli import records_csv_text
-from rfc_sim.config import desk_default, execute_run, preset, with_master_seed
+from rfc_sim.config import build_partition, desk_default, preset, with_master_seed
 from reference import bf_bulyan, bf_geomed, bf_krum, bf_krum_scores, bf_mean
 from test_models import forward_loss_grad
 
@@ -46,7 +46,7 @@ def desk_run(scenario, rule, topology, seed):
         fed = dataclasses.replace(fed, aggregator=dataclasses.replace(fed.aggregator, rule=rule),
                                   topology=topology)
         rc = with_master_seed(dataclasses.replace(rc, federation=fed), seed)
-        _cache[key] = execute_run(rc)
+        _cache[key] = consensus.run_federation(rc.federation, build_partition(rc))
     return _cache[key]
 
 
@@ -232,7 +232,8 @@ def test_criterion_06_end_to_end_determinism(tmp_path):
                        env=dict(env, PYTHONHASHSEED=hash_seed), check=True,
                        capture_output=True, timeout=600)
         exports.append(((out / "records.csv").read_bytes(), (out / "chain.jsonl").read_bytes()))
-    result = execute_run(desk_default())
+    rc = desk_default()
+    result = consensus.run_federation(rc.federation, build_partition(rc))
     in_process = (records_csv_text(result).encode(), chain_mod.export_lines(result.chain).encode())
     report(6, exports[0] == exports[1] == in_process,
            f"desk preset records.csv and chain.jsonl byte-identical across two processes "

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import json
 import math
 import re
@@ -6,13 +7,15 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rfc_sim import chain as chain_mod
 from rfc_sim import aggregation, consensus, metrics, params
 from rfc_sim import models as models_mod
 from rfc_sim.aggregation import AggregatorConfig
 from rfc_sim.attacks import AdversaryConfig
-from rfc_sim.config import build_partition, desk_default, execute_run
+from rfc_sim.config import build_partition, desk_default, preset
 from rfc_sim.consensus import (FederationConfig, PoolCandidate, RoundAbortError, sample_clients,
                                select_winner, server_update)
 from rfc_sim.metrics import MetricSpec
@@ -44,7 +47,7 @@ def tiny_run_config(fed):
 
 def run_tiny(**overrides):
     fed = tiny_config(**overrides)
-    return execute_run(tiny_run_config(fed))
+    return consensus.run_federation(fed, build_partition(tiny_run_config(fed)))
 
 
 def test_config_validation():
@@ -160,6 +163,43 @@ def test_run_federation_deterministic():
     assert c.chain.blocks[-1].hash != a.chain.blocks[-1].hash
 
 
+SPLIT_ROUNDS = 6
+
+
+def exports(result):
+    """The run's records.csv and chain.jsonl text, as cli.write_outputs writes them."""
+    return records_csv_text(result), chain_mod.export_lines(result.chain)
+
+
+@functools.lru_cache(maxsize=None)
+def split_run_case(topology):
+    """The one_pool_backdoor preset that test_golden.py pins at 3 rounds, here over 6 rounds sealed at
+    difficulty 4: its federation config, its partition and the exports of the whole run."""
+    rc = preset("one_pool_backdoor", desk_default())
+    fed = replace(rc.federation, topology=topology, rounds=SPLIT_ROUNDS, chain_difficulty=4)
+    partition = build_partition(replace(rc, federation=fed))
+    return fed, partition, exports(consensus.run_federation(fed, partition))
+
+
+@settings(max_examples=20)
+@given(st.sampled_from(["rfc", "client_server"]), st.integers(1, SPLIT_ROUNDS - 1))
+def test_split_run_equals_whole_run(topology, split):
+    """Rounds 1..split as one run, then each later round by play_round from the model its last block
+    certifies, appended as run_federation appends: the same records.csv and chain.jsonl bytes as one run."""
+    fed, partition, whole = split_run_case(topology)
+    head = consensus.run_federation(replace(fed, rounds=split), partition)
+    model, ledger = head.final_model, head.chain
+    records, candidates = list(head.records), list(head.candidates)
+    for round_idx in range(split + 1, SPLIT_ROUNDS + 1):
+        assert params.digest(model) == ledger.blocks[-1].payload_digest
+        model, record, round_candidates = consensus.play_round(fed, partition, model, round_idx)
+        ledger = chain_mod.append(ledger, model, round_idx, record.winning_pool, fed.metric.name,
+                                  record.val_metric, fed.aggregator.rule)
+        records.append(record)
+        candidates.append(round_candidates)
+    assert exports(consensus.FederationResult(model, records, ledger, candidates)) == whole
+
+
 def test_chain_and_records_agree():
     result = run_tiny()
     for rec, block in zip(result.records, result.chain.blocks[1:]):
@@ -172,7 +212,7 @@ def test_chain_and_records_agree():
 
 def test_genesis_and_tip_payload_digests_certify_init_and_final_model():
     fed = tiny_config()
-    result = execute_run(tiny_run_config(fed))
+    result = consensus.run_federation(fed, build_partition(tiny_run_config(fed)))
     init = models_mod.init_params(fed.model, derive_seed(fed.master_seed, 0, 0, 0, "init"))
     assert result.chain.blocks[0].payload_digest == params.digest(init)
     assert result.chain.blocks[-1].payload_digest == params.digest(result.final_model)
@@ -200,7 +240,7 @@ def test_candidates_are_recorded_without_models():
 def test_benign_desk_training_reaches_090_by_round_20():
     rc = desk_default()
     fed = replace(rc.federation, rounds=20)
-    result = execute_run(replace(rc, federation=fed))
+    result = consensus.run_federation(fed, build_partition(replace(rc, federation=fed)))
     assert result.records[-1].test_accuracy >= 0.90
 
 
@@ -217,7 +257,7 @@ def test_label_shard_partition_runs_end_to_end():
     fed = tiny_config(aggregator=AggregatorConfig(rule="geomed"))
     rc = tiny_run_config(fed)
     rc = replace(rc, data=replace(rc.data, scheme="label_shard", shards_per_client=2))
-    result = execute_run(rc)
+    result = consensus.run_federation(rc.federation, build_partition(rc))
     assert len(result.records) == 3
     assert result.records[-1].test_accuracy > 0.0
 
@@ -353,8 +393,7 @@ def test_play_round_notes_each_disqualification_in_pool_order(monkeypatch):
     monkeypatch.setattr(models_mod, "train_clients", pool0_second_client_diverges)
     monkeypatch.setattr(aggregation, "aggregate", lambda cfg, updates: next(rules)(cfg, updates))
     start = models_mod.init_params(fed.model, 3)
-    groups = [(g, range(4 * g, 4 * g + 4)) for g in range(5)]
-    cands, stack = consensus._play_round(fed, partition, groups, frozenset(), start, 1, fed.sample_quota())
+    cands, stack = consensus._pool_candidates(fed, partition, frozenset(), start, 1)
     assert [c.pool_id for c in cands] == [0, 1, 2, 3, 4]
     assert [c.note for c in cands] == [
         f"client {cands[0].clients[1]} diverged in round 1: blow-up", "aggregation failed in round 1: refused",
@@ -395,7 +434,7 @@ def test_partition_mismatch_rejected():
     rc = desk_default()
     data = replace(rc.data, height=3, width=3, num_classes=3, per_class=40)
     with pytest.raises(ValueError, match="input_dim"):
-        execute_run(replace(rc, federation=fed, data=data))
+        consensus.run_federation(fed, build_partition(replace(rc, federation=fed, data=data)))
     fed = tiny_config()
     partition = build_partition(replace(rc, federation=fed, data=data))
     del partition.client_data[5]

@@ -10,8 +10,8 @@ from dataclasses import replace
 
 import pytest
 
-from rfc_sim import cli
-from rfc_sim.config import (PRESET_NAMES, desk_default, execute_run, parse_config_text, preset,
+from rfc_sim import cli, consensus
+from rfc_sim.config import (PRESET_NAMES, build_partition, desk_default, parse_config_text, preset,
                             render_config, with_master_seed)
 
 # (preset, topology) -> (records.csv sha256, chain tip) after 3 desk rounds at seed 42
@@ -138,13 +138,13 @@ def test_config_txt(name):
 def test_preset_three_rounds(name, topology):
     rc = preset(name, desk_default())
     rc = replace(rc, federation=replace(rc.federation, topology=topology, rounds=3))
-    assert digests(execute_run(rc)) == PRESET_PINS[(name, topology)]
+    assert digests(consensus.run_federation(rc.federation, build_partition(rc))) == PRESET_PINS[(name, topology)]
 
 
 @pytest.mark.parametrize("name", sorted(VARIANT_CONFIGS))
 def test_variant_three_rounds(name):
     rc = parse_config_text(VARIANT_CONFIGS[name])
-    assert digests(execute_run(rc)) == VARIANT_PINS[name]
+    assert digests(consensus.run_federation(rc.federation, build_partition(rc))) == VARIANT_PINS[name]
 
 
 def test_csv_source_three_rounds(tmp_path):
@@ -152,12 +152,12 @@ def test_csv_source_three_rounds(tmp_path):
     assert cli.main(["gen-data", "--out", str(path), "--per-class", "60", "--seed", "5"]) == 0
     rc = parse_config_text(f"rounds = 3\ndata.source = csv\ndata.csv_path = {path}\n"
                            "adversary.attack = labelflip\nadversary.placement = one_pool:2\n")
-    assert digests(execute_run(rc)) == CSV_PINS
+    assert digests(consensus.run_federation(rc.federation, build_partition(rc))) == CSV_PINS
 
 
 def test_full_desk_backdoor_seed_42(tmp_path):
     rc = with_master_seed(preset("one_pool_backdoor", desk_default()), 42)
-    result = execute_run(rc)
+    result = consensus.run_federation(rc.federation, build_partition(rc))
     cli.write_outputs(result, rc, str(tmp_path))
     records = hashlib.sha256((tmp_path / "records.csv").read_bytes()).hexdigest()
     assert (records, result.chain.blocks[-1].hash.hex()) == DESK_BACKDOOR_42

@@ -634,6 +634,17 @@ def test_cli_run_model_too_large_exits_1(tmp_path, capsys, hidden_dim):
     assert len(err.strip().splitlines()) == 1
 
 
+# 7.28 TiB of per-epoch seeds, and more epochs than any array can index: both are refused
+# when the first round's training allocates its shuffle seeds, at once
+@pytest.mark.parametrize("epochs", ["1000000000000", "10000000000000000000"])
+def test_cli_run_local_epochs_too_large_exits_1(tmp_path, capsys, epochs):
+    cfg = write_config(tmp_path, f"rounds = 1\noptimizer.local_epochs = {epochs}\n")
+    assert cli.main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: optimizer.local_epochs = {epochs} is too large: ")
+    assert len(err.strip().splitlines()) == 1
+
+
 # each too large to allocate (PiB), or past what numpy can index or count; the
 # message names every size that sets the dataset's shape, leading with the larger
 # factor, and run and gen-data give the same text after their prefixes

@@ -1,7 +1,7 @@
 """Command-line entry points: run, validate-chain, gen-data, summarize.
 
 Exit codes: 0 success, 1 config validation failure, 2 runtime abort,
-3 chain validation failure.
+3 chain validation failure. A failed run removes the directories it made for --out.
 """
 
 from __future__ import annotations
@@ -12,6 +12,7 @@ import csv
 import os
 import sys
 from dataclasses import fields
+from pathlib import Path
 from typing import Dict, List, Optional, Sequence
 
 from . import chain as chain_mod
@@ -89,7 +90,18 @@ def write_outputs(result: FederationResult, rc: config_mod.RunConfig, out_dir: s
         raise OSError(f"{path}: {exc.strerror or exc}") from exc
 
 
+def _fail(code: int, message: str, made: Sequence[Path] = ()) -> int:
+    """Print message as the one stderr line, remove the directories in made, deepest first, and return code."""
+    print(message, file=sys.stderr)
+    for path in made:
+        with contextlib.suppress(OSError):  # never made, as makedirs failed first, or no longer empty
+            path.rmdir()
+    return code
+
+
 def _cmd_run(args) -> int:
+    out = Path(args.out).absolute()
+    made = [d for d in (out, *out.parents) if not os.path.lexists(d)]  # makedirs makes these, deepest first
     try:
         rc = config_mod.parse_config_file(args.config) if args.config else config_mod.desk_default()
         if args.preset:
@@ -100,16 +112,13 @@ def _cmd_run(args) -> int:
         os.makedirs(args.out, exist_ok=True)
         result = consensus.run_federation(rc.federation, partition)
     except (RoundAbortError, ProvenanceError) as exc:
-        print(f"run aborted: {exc}", file=sys.stderr)
-        return 2
+        return _fail(2, f"run aborted: {exc}", made)
     except (ValueError, OSError, MemoryError) as exc:  # MemoryError: a dataset, model or schedule too large to allocate
-        print(f"config error: {exc}", file=sys.stderr)
-        return 1
+        return _fail(1, f"config error: {exc}", made)
     try:
         write_outputs(result, rc, args.out)
     except OSError as exc:
-        print(f"output error: {exc}", file=sys.stderr)
-        return 1
+        return _fail(1, f"output error: {exc}", made)
     last = result.records[-1]
     print(f"completed {len(result.records)} rounds; final test accuracy {last.test_accuracy:.4f}, "
           f"chain tip {result.chain.blocks[-1].hash.hex()}")
@@ -127,21 +136,21 @@ def _cmd_validate_chain(args) -> int:
         if args.tip not in (None, tip := loaded.blocks[-1].hash.hex()):
             raise ValueError(f"tip {tip} is not --tip {args.tip}")
     except (OSError, ValueError) as exc:
-        print(f"chain validation failed: {exc}", file=sys.stderr)
-        return 3
+        return _fail(3, f"chain validation failed: {exc}")
     print(f"chain ok ({len(loaded.blocks)} blocks, difficulty {loaded.difficulty})")
     return 0
 
 
 def _cmd_gen_data(args) -> int:
     try:
+        if not 0 <= args.seed < 2**64:
+            raise ValueError(f"--seed must lie in [0, 2**64), got {args.seed}")
         cfg = data_mod.DataConfig(num_classes=args.classes, height=args.height, width=args.width,
                                   per_class=args.per_class, noise_sigma=args.noise_sigma)
         dataset = data_mod.gen_synthetic(cfg, args.seed)
         data_mod.save_csv(dataset, args.out)
     except (ValueError, OSError, MemoryError) as exc:
-        print(f"gen-data failed: {exc}", file=sys.stderr)
-        return 1
+        return _fail(1, f"gen-data failed: {exc}")
     print(f"wrote {len(dataset)} examples to {args.out}")
     return 0
 
@@ -167,8 +176,7 @@ def _cmd_summarize(args) -> int:
     try:
         series = _read_series(args.records)
     except (OSError, ValueError, csv.Error) as exc:
-        print(f"summarize failed: {exc}", file=sys.stderr)
-        return 1
+        return _fail(1, f"summarize failed: {exc}")
     print(summary_csv_text(series, args.val_direction), end="")
     return 0
 

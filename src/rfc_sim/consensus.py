@@ -86,6 +86,8 @@ class FederationConfig:
             raise ValueError(f"topology must be one of {', '.join(TOPOLOGIES)}, got {self.topology!r}")
         if self.server_eta <= 0:
             raise ValueError(f"server_eta must be > 0, got {self.server_eta}")
+        if not 0 <= self.master_seed < 2**64:
+            raise ValueError(f"master_seed must lie in [0, 2**64), got {self.master_seed}")
         if not 0 <= self.chain_difficulty <= MAX_RUN_DIFFICULTY:
             raise ValueError(f"chain_difficulty must lie in [0, {MAX_RUN_DIFFICULTY}], got "
                              f"{self.chain_difficulty}: sealing takes about 2**d hashes per block")

@@ -22,8 +22,7 @@ from rfc_sim.aggregation import AggregatorConfig
 from rfc_sim.chain import Block, Chain
 from rfc_sim.cli import records_csv_text
 from rfc_sim.config import build_partition, desk_default, preset, with_master_seed
-from reference import bf_bulyan, bf_geomed, bf_krum, bf_krum_scores, bf_mean
-from test_models import forward_loss_grad
+from reference import bf_bulyan, bf_geomed, bf_krum, bf_krum_scores, bf_mean, forward_loss_grad
 
 SEEDS = (1, 2, 3)
 

@@ -7,7 +7,7 @@ from rfc_sim import aggregation, attacks, consensus
 from rfc_sim.attacks import AdversaryConfig, apply_trigger, assign_adversaries, boost_update, flip_labels
 from rfc_sim.data import Dataset
 from rfc_sim.seeds import Sm64Stream, derive_seed
-from test_seeds import uniform
+from reference import uniform
 
 
 def rand_examples(n, dim, num_classes, seed=0):

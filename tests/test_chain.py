@@ -10,6 +10,7 @@ from rfc_sim import chain as chain_mod
 from rfc_sim import params
 from rfc_sim.chain import (Block, Chain, append, block_hash, export_lines,
                            genesis, load_lines, meets_difficulty, seal_block, validate)
+from reference import first_nonce_by_brute_force
 
 
 def vec(*values):
@@ -192,15 +193,6 @@ def test_meets_difficulty_boundaries():
     assert not meets_difficulty(bytes(32), 257)
 
 
-def _first_nonce_by_brute_force(draft, difficulty):
-    """The smallest nonce whose full-preimage hash, read as an integer, is below 2**(256 - d)."""
-    for nonce in range(1 << 20):
-        h = block_hash(dataclasses.replace(draft, nonce=nonce))
-        if int.from_bytes(h, "big") < 1 << (256 - difficulty):
-            return nonce, h
-    raise AssertionError("no nonce below 2**20")
-
-
 _label = st.one_of(st.text(max_size=80), st.text(alphabet="é€𝄞", max_size=40))
 
 
@@ -220,7 +212,7 @@ def test_seal_matches_brute_force_search(difficulty, metric_name, aggregator_rul
                   winning_pool_id=pool, metric_name=metric_name, metric_value=metric_value,
                   aggregator_rule=aggregator_rule, prev_hash=prev_hash)
     sealed = seal_block(draft, difficulty)
-    assert (sealed.nonce, sealed.hash) == _first_nonce_by_brute_force(draft, difficulty)
+    assert (sealed.nonce, sealed.hash) == first_nonce_by_brute_force(draft, difficulty)
     assert sealed.hash == block_hash(sealed) and meets_difficulty(sealed.hash, difficulty)
 
 

@@ -9,16 +9,9 @@ from hypothesis import strategies as st
 
 from rfc_sim import cli, models
 from rfc_sim import data as data_mod
-from rfc_sim.data import DataConfig, Dataset, gen_synthetic, load_csv, partition, save_csv
-from rfc_sim.seeds import Sm64Stream, mix64, normals, tag64
-from test_seeds import gauss
-
-
-def synthetic(num_classes, height, width, per_class, noise_sigma, seed):
-    """``gen_synthetic`` of the checked ``DataConfig`` these fields give."""
-    cfg = DataConfig(num_classes=num_classes, height=height, width=width, per_class=per_class,
-                     noise_sigma=noise_sigma)
-    return gen_synthetic(cfg, seed)
+from rfc_sim.data import DataConfig, Dataset, load_csv, partition, save_csv
+from rfc_sim.seeds import Sm64Stream, normals
+from reference import gauss, reference_partition, synthetic
 
 
 def multiset(data):
@@ -277,36 +270,6 @@ def test_partition_conservation_property(per_class, clients, scheme, seed):
     assert all(len(items) >= 1 for items in part.client_data.values())
     combined = concat(part.validation, part.test, *part.client_data.values())
     assert multiset(combined) == multiset(data)
-
-
-def reference_partition(data, num_clients, scheme, val_fraction, test_fraction, seed,
-                        shards_per_client):
-    """Per-example list version of partition: the row indices of each split, in order."""
-    n = len(data)
-    order = list(range(n))
-    Sm64Stream(mix64(seed, tag64("split"))).shuffle(order)
-    n_val, n_test = round(val_fraction * n), round(test_fraction * n)
-    rest = order[n_val + n_test :]
-    clients = {c: [] for c in range(num_clients)}
-    if scheme == "iid":
-        for pos, i in enumerate(rest):
-            clients[pos % num_clients].append(i)
-    else:
-        by_label = sorted(range(len(rest)), key=lambda k: (int(data.y[rest[k]]), k))
-        n_shards = num_clients * shards_per_client
-        shard_order = list(range(n_shards))
-        Sm64Stream(mix64(seed, tag64("shards"))).shuffle(shard_order)
-        base, extra = divmod(len(rest), n_shards)
-        bounds, start = [], 0
-        for s in range(n_shards):
-            stop = start + base + (1 if s < extra else 0)
-            bounds.append((start, stop))
-            start = stop
-        for c in range(num_clients):
-            for shard in shard_order[c * shards_per_client : (c + 1) * shards_per_client]:
-                lo, hi = bounds[shard]
-                clients[c].extend(rest[k] for k in by_label[lo:hi])
-    return order[:n_val], order[n_val : n_val + n_test], clients
 
 
 @settings(max_examples=25)

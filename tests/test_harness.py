@@ -354,18 +354,32 @@ def test_cli_run_runtime_abort_exits_2(tmp_path, capsys, monkeypatch):
 
     monkeypatch.setattr(models_mod, "train_clients", blow_up)
     cfg = write_config(tmp_path)
-    assert cli.main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    out = tmp_path / "o"
+    assert cli.main(["run", "--config", cfg, "--out", str(out / "nested")]) == 2
     assert "aborted" in capsys.readouterr().err
+    assert not out.exists()  # both directories the run made are removed
+    # a failed run into a directory that already holds a file leaves both
+    out.mkdir()
+    (out / "notes.txt").write_text("kept\n")
+    assert cli.main(["run", "--config", cfg, "--out", str(out)]) == 2
+    assert [p.name for p in out.iterdir()] == ["notes.txt"]
 
 
 @pytest.mark.filterwarnings("error")
-def test_cli_run_overflowing_updates_abort_with_one_line(tmp_path, capsys):
+@pytest.mark.parametrize("config,fragment", [
     # updates overflow to inf; the candidates are disqualified without a numpy warning
-    cfg = write_config(tmp_path, "rounds = 1\noptimizer.learning_rate = 1e308\n"
-                       "optimizer.local_epochs = 1\noptimizer.batch_size = 64\n")
-    assert cli.main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    ("optimizer.learning_rate = 1e308\noptimizer.local_epochs = 1\noptimizer.batch_size = 64\n",
+     "round 1 aborted, all candidates disqualified: non-finite candidate in round 1"),
+    # a learning rate of 1e307 diverges client 1 at its second batch of 8; the message names that step
+    ("optimizer.learning_rate = 1e307\noptimizer.local_epochs = 1\n",
+     "client 1 diverged in round 1: non-finite loss at epoch 0, batch offset 8"),
+], ids=["overflow", "divergence"])
+def test_cli_run_overflowing_updates_abort_with_one_line(tmp_path, capsys, config, fragment):
+    out = tmp_path / "o"
+    assert cli.main(["run", "--config", write_config(tmp_path, "rounds = 1\n" + config), "--out", str(out)]) == 2
     err = capsys.readouterr().err.strip().splitlines()
-    assert len(err) == 1 and err[0].startswith("run aborted:")
+    assert len(err) == 1 and err[0].startswith("run aborted: ") and fragment in err[0]
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("exc,code,prefix", [
@@ -397,7 +411,7 @@ def test_cli_run_foreign_sampled_client_exits_2(tmp_path, capsys, monkeypatch):
     assert "round 1: pool 0 sampled foreign clients" in err and len(err.strip().splitlines()) == 1
 
 
-def test_cli_run_preset_and_seed_flags(tmp_path):
+def test_cli_run_preset_and_seed_flags(tmp_path, capsys):
     cfg = write_config(tmp_path)
     out = tmp_path / "p"
     code = cli.main(["run", "--config", cfg, "--preset", "one_pool_labelflip",
@@ -407,6 +421,11 @@ def test_cli_run_preset_and_seed_flags(tmp_path):
     assert "adversary.attack = labelflip" in snapshot
     assert "adversary.placement = one_pool:0" in snapshot
     assert "master_seed = 99" in snapshot
+    # a seed outside [0, 2**64) would alias another mod 2**64
+    for seed in ("-1", "18446744073709551616"):
+        assert cli.main(["run", "--config", cfg, "--seed", seed, "--out", str(tmp_path / "q")]) == 1
+        assert capsys.readouterr().err == f"config error: master_seed must lie in [0, 2**64), got {seed}\n"
+        assert not (tmp_path / "q").exists()
 
 
 def test_cli_validate_chain_ok_and_tampered(tmp_path, capsys):
@@ -492,7 +511,9 @@ def test_cli_validate_chain_tip_flag(difficulty8_export, capsys):
                                            # 2.13 PiB of labels: no 48-bit address space holds it
                                            (["--per-class", "100000000000000"], "d.csv"),
                                            (["--height", "-2", "--width", "-2", "--per-class", "2"], "d.csv"),
-                                           (["--classes", "1"], "d.csv")])
+                                           (["--classes", "1"], "d.csv"),
+                                           (["--seed", "-1"], "d.csv"),
+                                           (["--seed", "18446744073709551616"], "d.csv")])
 def test_cli_gen_data_bad_input_exits_1(tmp_path, capsys, args, out_name):
     out = tmp_path / out_name
     assert cli.main(["gen-data", "--out", str(out)] + args) == 1
@@ -501,6 +522,8 @@ def test_cli_gen_data_bad_input_exits_1(tmp_path, capsys, args, out_name):
     assert not out.exists()
     if "100000000000000" in args:  # too large to allocate: the message names the key the flag sets
         assert err.startswith("gen-data failed: data.per_class = 100000000000000 is too large: ")
+    if "--seed" in args:  # a seed outside [0, 2**64) would alias another mod 2**64
+        assert err == f"gen-data failed: --seed must lie in [0, 2**64), got {args[1]}\n"
 
 
 def test_cli_gen_data_roundtrip(tmp_path, capsys):
@@ -632,6 +655,7 @@ def test_cli_run_model_too_large_exits_1(tmp_path, capsys, hidden_dim):
     err = capsys.readouterr().err
     assert err.startswith(f"config error: model.hidden_dim = {hidden_dim} is too large: ")
     assert len(err.strip().splitlines()) == 1
+    assert not (tmp_path / "o").exists()
 
 
 # 7.28 TiB of per-epoch seeds, and more epochs than any array can index: both are refused
@@ -643,6 +667,7 @@ def test_cli_run_local_epochs_too_large_exits_1(tmp_path, capsys, epochs):
     err = capsys.readouterr().err
     assert err.startswith(f"config error: optimizer.local_epochs = {epochs} is too large: ")
     assert len(err.strip().splitlines()) == 1
+    assert not (tmp_path / "o").exists()
 
 
 # each too large to allocate (PiB), or past what numpy can index or count; the
@@ -737,11 +762,15 @@ BACKDOOR = "adversary.attack = backdoor\nadversary.placement = all_pools\n"
     ("adversary.attack = sybil", ["adversary.attack", "'sybil'", "none", "labelflip", "backdoor"]),
     ("adversary.boost = double", ["adversary.boost", "'double'", "off", "replacement"]),
     ("data.source = s3", ["data.source", "'s3'", "synthetic", "csv"]),
+    ("master_seed = -1", ["master_seed must lie in [0, 2**64), got -1"]),
+    ("master_seed = 18446744073709551616", ["master_seed must lie in [0, 2**64), got 18446744073709551616"]),
+    (BACKDOOR + "adversary.trigger_size = 8", ["trigger_size 8 must be smaller than min grid side 8"]),
 ], ids=["sample_over_pool", "krum_sample", "adam_beta1", "target_label", "clients_per_pool", "server_eta",
         "adam_epsilon", "batch_size", "trigger_size", "export_records", "adversaries_per_pool", "boost_eta",
         "negative_target_label", "poison_fraction", "krum_f", "bulyan_m", "linear_hidden_dim", "mlp_hidden_dim",
         "adversaries_over_pool", "topology", "model_kind", "optimizer_kind", "aggregator_rule", "metric_name",
-        "adversary_attack", "adversary_boost", "data_source"])
+        "adversary_attack", "adversary_boost", "data_source", "negative_master_seed", "master_seed_2_64",
+        "trigger_over_grid"])
 def test_cli_run_config_refusal_names_its_field(tmp_path, capsys, line, fragments):
     cfg = write_config(tmp_path, f"rounds = 1\n{line}\n")
     assert cli.main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
@@ -874,8 +903,9 @@ def _two_round_export() -> str:
     (r'"metric_value":([^,]+),', r'"metric_value":"\1",'),
     (r'"metric_name":"accuracy"', r'"metric_name":"\\ud800"'),  # unencodable when hashed
     (r'^\{', '{"round":99,'),  # json.loads alone keeps the later, hashed "round":1
+    (r'^\{', '{"model_url":"http://evil",'),  # a key no hash covers
 ], ids=["negative_round", "negative_nonce", "timestamp_2_64", "float_round", "string_round",
-        "bool_round", "string_metric_value", "lone_surrogate_metric_name", "duplicated_round"])
+        "bool_round", "string_metric_value", "lone_surrogate_metric_name", "duplicated_round", "extra_model_url"])
 def test_cli_validate_chain_wrong_field_type_or_range_exits_3(tmp_path, capsys, pattern, replacement):
     lines = _two_round_export().splitlines()
     good = tmp_path / "good.jsonl"
@@ -956,6 +986,7 @@ FUZZ_VALUES = {
     "data.per_class": ["12", "2", "0", "100000000000000"],  # the last is too large to allocate
     "data.partition": ["iid", "label_shard:1", "label_shard:2", "label_shard:0", "label_shard:x"],
     "optimizer.learning_rate": ["0.01", "1e308"],  # 1e308 diverges: every pool disqualified
+    "optimizer.local_epochs": ["1", "1000000000000"],  # the last is too large to allocate once training starts
 }
 # a tiny run unless a drawn line overrides it
 FUZZ_BASE = {"num_pools": "2", "clients_per_pool": "4", "clients_sampled_per_round": "4",
@@ -973,7 +1004,8 @@ def fuzz_configs(draw):
 
 @given(text=fuzz_configs())
 def test_cli_run_exit_code_contract(text):
-    """Any config exits 0, 1 or 2 and raises nothing; a completed run's chain validates."""
+    """Any config exits 0, 1 or 2 and raises nothing; a completed run's chain validates, a failed run leaves
+    no directory."""
     with tempfile.TemporaryDirectory() as tmp:
         cfg = os.path.join(tmp, "run.cfg")
         with open(cfg, "w") as fh:
@@ -981,6 +1013,7 @@ def test_cli_run_exit_code_contract(text):
         out = os.path.join(tmp, "out")
         code = cli.main(["run", "--config", cfg, "--out", out])
         assert code in (0, 1, 2)
+        assert code == 0 or not os.path.exists(out)
         if code == 0:
             assert cli.main(["validate-chain", os.path.join(out, "chain.jsonl")]) == 0
 

@@ -13,7 +13,7 @@ from rfc_sim.attacks import build_backdoor_test
 from rfc_sim.metrics import METRIC_DIRECTIONS, MetricSpec, evaluate_backdoor, macro_f1, score_model, summarize
 
 from reference import reference_macro_f1, reference_score
-from test_data import synthetic
+from reference import synthetic
 
 
 def bf_macro_f1(predictions, labels, num_classes):

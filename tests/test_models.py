@@ -11,8 +11,9 @@ from hypothesis import strategies as st
 from rfc_sim import models
 from rfc_sim.data import Dataset
 from rfc_sim.models import DivergenceError, ModelSpec, OptimizerConfig
-from rfc_sim.seeds import Sm64Stream, mix64
-from test_seeds import gauss, uniform
+from rfc_sim.seeds import Sm64Stream
+from reference import (forward_loss_grad, gauss, reference_log_softmax, reference_loss_grad,
+                       reference_train_local, uniform)
 
 
 def make_batch(spec, n, seed=0):
@@ -23,16 +24,6 @@ def make_batch(spec, n, seed=0):
 
 def empty(dim):
     return Dataset(np.zeros((0, dim)), np.zeros(0, dtype=np.int64))
-
-
-def forward_loss_grad(spec, p, batch):
-    """Mean cross-entropy, its gradient, and the argmax hit count on one batch, as training computes them."""
-    models._check(spec, p, batch.x)
-    grad = np.empty_like(p)
-    at = models._label_offsets(batch.y.shape, spec.num_classes) + batch.y
-    with np.errstate(over="ignore", invalid="ignore"):
-        sums, logits = models._loss_grad(spec, models._unpack(spec, p), batch.x, at, models._unpack(spec, grad))
-    return float(-(sums / len(batch))), grad, int((logits.argmax(axis=-1) == batch.y).sum())
 
 
 def central_diff_grad(spec, p, batch, eps=1e-5):
@@ -248,40 +239,6 @@ def test_zero_params_balanced_binary():
     assert acc == 0.5
 
 
-def reference_loss_grad(spec, p, x, y):
-    """One client's 2-D forward and backward pass, as the trainer computed it per client."""
-    n = x.shape[0]
-    d, c, h = spec.input_dim, spec.num_classes, spec.hidden_dim
-    with np.errstate(over="ignore", invalid="ignore"):
-        if spec.kind == "linear":
-            logits = x @ p[: d * c].reshape(d, c) + p[d * c :]
-        else:
-            w1 = p[: d * h].reshape(d, h)
-            b1 = p[d * h : d * h + h]
-            w2 = p[d * h + h : d * h + h + h * c].reshape(h, c)
-            pre = x @ w1 + b1
-            hidden = np.maximum(pre, 0.0)
-            logits = hidden @ w2 + p[d * h + h + h * c :]
-        shifted = logits - logits.max(axis=1, keepdims=True)
-        logp = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
-        loss = float(-logp[np.arange(n), y].mean())
-    dlogits = np.exp(logp)
-    dlogits[np.arange(n), y] -= 1.0
-    dlogits /= n
-    grad = np.empty_like(p)
-    if spec.kind == "linear":
-        grad[: d * c] = (x.T @ dlogits).reshape(-1)
-        grad[d * c :] = dlogits.sum(axis=0)
-    else:
-        dpre = (dlogits @ w2.T) * (pre > 0.0)
-        o = 0
-        grad[o : o + d * h] = (x.T @ dpre).reshape(-1); o += d * h
-        grad[o : o + h] = dpre.sum(axis=0); o += h
-        grad[o : o + h * c] = (hidden.T @ dlogits).reshape(-1); o += h * c
-        grad[o:] = dlogits.sum(axis=0)
-    return loss, grad
-
-
 SPECIAL = np.array([0.0, -0.0, np.nan, np.inf, -np.inf, 1e308, -1e308, 5e-324])
 
 
@@ -319,12 +276,6 @@ def test_stacked_pass_matches_reference_on_special_values(spec, clients):
                 assert same_values(loss[c], want_loss) and same_values(grad[c], want_grad)
 
 
-def reference_log_softmax(logits):
-    """Log-softmax with its row max as the class-axis reduce, the path the column fold replaced."""
-    shifted = logits - logits.max(axis=-1, keepdims=True)
-    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
-
-
 @pytest.mark.parametrize("shape", [(18, 8, 3), (3, 120, 3), (120, 3), (3, 8, 10)])
 def test_log_softmax_matches_reference_on_random_logits(shape):
     rng = np.random.default_rng(sum(shape))
@@ -346,40 +297,6 @@ def test_log_softmax_matches_reference_on_every_special_row(width):
         # the two may keep different ones of two tied opposite-sign zero maxima (numpy's X86_V2 reduce keeps
         # the first in some rows), but each tied zero adds exp(0) = 1 to the sum, so no log-probability moves
         assert same_values(got, want)
-
-
-def reference_train_local(spec, start, data, opt, seed):
-    """The per-client training loop: scalar Fisher-Yates orders, one batch at a time."""
-    x, y = data.x, data.y
-    n = len(data)
-    p = np.array(start, dtype=np.float64, copy=True)
-    m = np.zeros_like(p)
-    v = np.zeros_like(p)
-    t = 0
-    for epoch in range(opt.local_epochs):
-        stream = Sm64Stream(mix64(seed, epoch))
-        order = list(range(n))
-        for i in range(n - 1, 0, -1):
-            j = stream.rand_below(i + 1)
-            order[i], order[j] = order[j], order[i]
-        idx = np.array(order, dtype=np.int64)
-        for lo in range(0, n, opt.batch_size):
-            rows = idx[lo : lo + opt.batch_size]
-            loss, grad = reference_loss_grad(spec, p, x[rows], y[rows])
-            if not math.isfinite(loss):
-                raise DivergenceError(f"non-finite loss at epoch {epoch}, batch offset {lo}")
-            if opt.kind == "sgd":
-                p -= opt.learning_rate * grad
-            else:
-                t += 1
-                m = opt.adam_beta1 * m + (1.0 - opt.adam_beta1) * grad
-                v = opt.adam_beta2 * v + (1.0 - opt.adam_beta2) * grad * grad
-                m_hat = m / (1.0 - opt.adam_beta1**t)
-                v_hat = v / (1.0 - opt.adam_beta2**t)
-                p -= opt.learning_rate * m_hat / (np.sqrt(v_hat) + opt.adam_epsilon)
-            if not np.all(np.isfinite(p)):
-                raise DivergenceError(f"parameters overflowed at epoch {epoch}, batch offset {lo}")
-    return p
 
 
 def outcome(train, *args):

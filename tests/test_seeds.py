@@ -1,4 +1,3 @@
-import math
 import random
 
 import numpy as np
@@ -9,23 +8,11 @@ from hypothesis import strategies as st
 from rfc_sim import seeds as seeds_module
 from rfc_sim.seeds import (NORMALS_CHUNK, POSITIONWISE_ROWS, Sm64Stream, derive_seed, epoch_seeds, mix64,
                           normals, shuffle_orders, stream_words, tag64)
+from reference import gauss, scalar_normals, scalar_shuffle, uniform
 
 MASK64 = (1 << 64) - 1
 GOLDEN = 0x9E3779B97F4A7C15
 
-
-# Scalar references, one draw at a time; other test modules import them.
-
-def uniform(stream):
-    """Uniform double in [0, 1), 53 significant bits, from one word."""
-    return (stream.next_u64() >> 11) * 2.0**-53
-
-
-def gauss(stream):
-    """Standard normal via Box-Muller on two words: the reference for seeds.normals."""
-    u1 = ((stream.next_u64() >> 11) + 1) * 2.0**-53  # (0, 1]
-    u2 = (stream.next_u64() >> 11) * 2.0**-53
-    return math.sqrt(-2.0 * math.log(u1)) * math.cos(2.0 * math.pi * u2)
 
 
 def test_derive_seed_deterministic():
@@ -146,11 +133,6 @@ def test_sample_distinct_and_errors():
     assert Sm64Stream(5).sample(range(4), 0) == []
 
 
-def scalar_normals(seed, n):
-    stream = Sm64Stream(seed)
-    return np.array([gauss(stream) for _ in range(n)], dtype=np.float64)
-
-
 @pytest.mark.parametrize("seed", [0, MASK64, -1])
 @pytest.mark.parametrize("n", [1, NORMALS_CHUNK - 1, NORMALS_CHUNK, NORMALS_CHUNK + 1, 2 * NORMALS_CHUNK + 3])
 def test_normals_match_scalar_gauss(seed, n):
@@ -163,13 +145,6 @@ def test_normals_match_scalar_gauss(seed, n):
 @given(st.integers(-MASK64, MASK64), st.integers(0, 3 * NORMALS_CHUNK))
 def test_normals_sweep_match_scalar_gauss(seed, n):
     assert normals(seed, n).tobytes() == scalar_normals(seed, n).tobytes()
-
-
-def scalar_shuffle(stream, items):
-    """Fisher-Yates one rand_below at a time: the reference for the bulk draws."""
-    for i in range(len(items) - 1, 0, -1):
-        j = stream.rand_below(i + 1)
-        items[i], items[j] = items[j], items[i]
 
 
 @given(st.lists(st.integers(0, MASK64), max_size=4), st.integers(0, 70))

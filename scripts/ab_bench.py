@@ -17,10 +17,15 @@ the number of pairs in which the change beat the base (out of all pairs run:
 a pair with a side that printed no result is not a win), and the null side's
 median against the base's. The null side runs the base's code, so its
 deviation is the resolution of the measurement: a change smaller than it is
-not resolved. Every run whose result line is not ``failed 0`` is listed
-after the table. Each ``bench/run.py`` runs in its own process group, which
-is killed with its workers if this script stops early, and the worktrees are
-removed on every exit.
+not resolved. Below the table one line per metric states whether the change
+makes a claim of it: "met" when at least 10 pairs ran, the change beat the
+base in at least 9 of 10 of them, and its median beats the base's, in the
+metric's direction, by more than the base's interquartile range. Fewer pairs
+never read "met": with 3, chance alone gave it on metrics a change cannot
+move, such as ``setup_s`` for a training change. Every run whose result
+line is not ``failed 0`` is listed after those lines. Each ``bench/run.py``
+runs in its own process group, which is killed with its workers if this
+script stops early, and the worktrees are removed on every exit.
 """
 
 from __future__ import annotations
@@ -67,26 +72,37 @@ def summarize(results: Dict[str, List[Optional[dict]]], metrics: List[dict]) -> 
     """The table of one A/B run from each side's parsed result lines, one per pair in pair order.
 
     A run without a result line is None. The change wins a pair when its value is better than the
-    base's in that pair, by the metric's direction; a pair missing either value is not a win.
+    base's in that pair, by the metric's direction; a pair missing either value is not a win. After
+    the metric rows comes one claim verdict per metric, then the failed runs.
     """
     head = (f"{'metric':14s} {'unit':5s} " + " ".join(f"{side + ' median [IQR]':31s}" for side in SIDES)
             + f" {'change/base':>11s} {'wins':>6s} {'null/base':>9s}")
-    lines = [head]
+    lines, verdicts = [head], []
     for metric in metrics:
         name = metric["name"]
         values = {side: [r["metrics"].get(name, {}).get("value") if r else None for r in results[side]]
                   for side in SIDES}
-        cells, medians = [], {}
+        cells, medians, iqrs = [], {}, {}
         for side in SIDES:
             present = [v for v in values[side] if v is not None]
             if not present:
                 cells.append(f"{'-':31s}")
                 continue
             q1, medians[side], q3 = _quartiles(present)
+            iqrs[side] = q3 - q1
             cells.append(f"{f'{medians[side]:.4g} [{q1:.4g}, {q3:.4g}]':31s}")
         pairs = list(zip(values["change"], values["base"]))
         better = (lambda c, b: c < b) if metric["better"] == "lower" else (lambda c, b: c > b)
-        wins = f"{sum(c is not None and b is not None and better(c, b) for c, b in pairs)}/{len(pairs)}"
+        won = sum(c is not None and b is not None and better(c, b) for c, b in pairs)
+        wins = f"{won}/{len(pairs)}"
+        if "change" in medians and "base" in medians:
+            gap = abs(medians["change"] - medians["base"])
+            met = (len(pairs) >= 10 and 10 * won >= 9 * len(pairs) and better(medians["change"], medians["base"])
+                   and gap > iqrs["base"])
+            detail = f"|Δ median| {gap:.4g} vs base IQR {iqrs['base']:.4g}"
+        else:
+            met, detail = False, "|Δ median| - vs base IQR -"
+        verdicts.append(f"claim {name}: {'met' if met else 'not met'} (wins {wins}, {detail})")
 
         def against_base(side: str) -> str:
             if side not in medians or not medians.get("base"):
@@ -95,6 +111,7 @@ def summarize(results: Dict[str, List[Optional[dict]]], metrics: List[dict]) -> 
 
         lines.append(f"{name:14s} {metric['unit']:5s} " + " ".join(cells)
                      + f" {against_base('change'):>11s} {wins:>6s} {against_base('null'):>9s}")
+    lines += verdicts
     for side in SIDES:
         for pair, r in enumerate(results[side]):
             if r is None:

@@ -67,11 +67,11 @@ def _certified_order(X: np.ndarray, k: int, m: int) -> Optional[List[int]]:
     E_ij = 3 gamma_{P+4} (r_i + r_j)^2 + 16 P 2^-1074: gamma_P for the Gram sums
     (trees of depth <= P), 4u for rounding d and for the add and subtract,
     gamma_{P+2} for the exact path's subtraction and np.dot, and the rest for
-    bounding the true norms by r and for underflow. A sum of the k smallest
-    moves by at most k max_j E_ij, and each path's sum rounds by at most
-    gamma_{k+1} of its size. The order stands only if each chosen interval lies
-    strictly below the next chosen one and every unchosen one, so ties,
-    near-ties and non-finite input (NaN bounds compare False) return None.
+    bounding the true norms by r and for underflow. Centring on u_0 keeps r, and so E, at the
+    scale of the distances, not of the model. A sum of the k smallest moves by at most
+    k max_j E_ij, and each path's sum rounds by at most gamma_{k+1} of its size. The order
+    stands only if each chosen interval lies strictly below the next chosen one and every
+    unchosen one, so ties, near-ties and non-finite input (NaN bounds compare False) return None.
     """
     n, p = X.shape
     gram, buf = np.zeros((n, n)), np.empty((n, min(p, GRAM_BLOCK)))

@@ -243,9 +243,8 @@ def train_clients(spec: ModelSpec, start: np.ndarray, datasets: Sequence[Dataset
     for k, data in enumerate(filter(len, datasets)):
         _check(spec, None if k else start, data.x)
     trained, diverged = np.empty((len(datasets), param_count(spec))), {}
-    # every stack's p, m, v, gradient and scratch array, with the views of full-width p and gradient
+    # every stack's p, m, v, gradient and scratch array
     ws = np.empty((5, min(width, len(datasets)), param_count(spec)))
-    workspace = ws, _unpack(spec, ws[0]), _unpack(spec, ws[3])
     for n, members in by_length.items():
         try:  # numpy's refusals: past memory, or past any array's size
             orders = shuffle_orders(epoch_seeds([seeds[i] for i in members], opt.local_epochs), n)
@@ -255,18 +254,18 @@ def train_clients(spec: ModelSpec, start: np.ndarray, datasets: Sequence[Dataset
         for lo in range(0, len(members), width):
             stack = members[lo : lo + width]
             trained[stack], errors = _train_stack(spec, start, [datasets[i] for i in stack],
-                                                  orders[lo : lo + width], opt, workspace)
+                                                  orders[lo : lo + width], opt, ws[:, : len(stack)])
             diverged.update((stack[r], error) for r, error in errors.items())
     trained[list(diverged)] = np.nan
     return trained, diverged
 
 
 def _train_stack(spec: ModelSpec, start: np.ndarray, datasets: Sequence[Dataset], orders: np.ndarray,
-                 opt: OptimizerConfig, workspace: tuple) -> Tuple[np.ndarray, Dict[int, DivergenceError]]:
+                 opt: OptimizerConfig, ws: np.ndarray) -> Tuple[np.ndarray, Dict[int, DivergenceError]]:
     """Train equal-length clients with per-epoch ``orders`` ``[C, E, n]`` as one stack.
 
-    The stack is the first C rows of ``train_clients``' workspace, one per
-    client, to its last step. Each row takes every step as the one-client loop
+    ``ws`` is the stack's ``[5, C, P]`` slice of ``train_clients``' workspace,
+    one row per client, to its last step. Each row takes every step as the one-client loop
     would, with the same operations in the same order; Adam's first step writes
     ``m`` and ``v`` directly, as the loop's update of zero moments rounds.
 
@@ -288,10 +287,8 @@ def _train_stack(spec: ModelSpec, start: np.ndarray, datasets: Sequence[Dataset]
     # each batch slot's [C, b] label offsets, to which its steps add the labels
     slots = [(lo, _label_offsets((width, min(opt.batch_size, n - lo)), spec.num_classes))
              for lo in range(0, n, opt.batch_size)]
-    ws, w, g = workspace
-    p, m, v, grad, s = ws[:, :width]
-    if width < ws.shape[1]:
-        w, g = _unpack(spec, p), _unpack(spec, grad)
+    p, m, v, grad, s = ws
+    w, g = _unpack(spec, p), _unpack(spec, grad)
     lr, b1, b2 = opt.learning_rate, opt.adam_beta1, opt.adam_beta2
     # a diverged row keeps stepping, silently; train_clients sets its row to NaN
     with np.errstate(over="ignore", invalid="ignore"):

@@ -15,11 +15,10 @@ import sys
 import time
 
 import numpy as np
-import pytest
 
 from rfc_sim import aggregation, attacks, chain as chain_mod, consensus, metrics, models
 from rfc_sim.aggregation import AggregatorConfig
-from rfc_sim.chain import Block, Chain
+from rfc_sim.chain import Chain
 from rfc_sim.cli import records_csv_text
 from rfc_sim.config import build_partition, desk_default, preset, with_master_seed
 from reference import bf_bulyan, bf_geomed, bf_krum, bf_krum_scores, bf_mean, forward_loss_grad

@@ -422,6 +422,18 @@ def test_gram_selection_certifies_a_wide_krum_round(monkeypatch):
     assert shapes == [(60, 17411)] and len(result.records) == 1
 
 
+def test_gram_selection_certifies_updates_close_to_a_far_model(exact_calls):
+    """A late-training Krum round: 60 updates of 17,411 parameters, each within ~1.9e-4 of the others but
+    ~10 from the origin (a ratio of about 5e4). The Gram of differences from row 0 bounds its error by the
+    distances, so it certifies; a Gram of the rows themselves bounds it by the model's norm and falls back."""
+    rng = np.random.default_rng(7)
+    model = rng.uniform(-0.137, 0.137, size=17_411)
+    updates = model + 1e-6 * rng.normal(size=(60, 17_411))
+    chosen = select(krum_cfg(10), updates)
+    assert exact_calls == []
+    assert chosen == ref_krum(updates, 10)
+
+
 def test_gram_selection_raises_no_warning(exact_calls):
     rng = np.random.default_rng(2)
     for scale in (1e-6, 1.0, 1e6):

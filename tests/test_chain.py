@@ -7,7 +7,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rfc_sim import chain as chain_mod
-from rfc_sim import params
 from rfc_sim.chain import (Block, Chain, append, block_hash, export_lines,
                            genesis, load_lines, meets_difficulty, seal_block, validate)
 from reference import first_nonce_by_brute_force

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from rfc_sim import cli, metrics
@@ -964,29 +964,30 @@ def test_cli_run_krum_skips_nan_scored_update(tmp_path, capsys):
     assert len((out / "records.csv").read_text().splitlines()) == 4
 
 
-# config key -> raw values, valid and invalid, that the exit-code property draws
+# config key -> (valid, invalid) raw values that the exit-code property draws; a valid value is one the key
+# accepts on its own, though it may still clash with another key's
 FUZZ_VALUES = {
-    "topology": ["rfc", "client_server", "p2p"],
-    "num_pools": ["1", "2", "3", "0"],
-    "clients_per_pool": ["1", "2", "4", "0"],
-    "clients_sampled_per_round": ["1", "2", "4", "6", "0", "99"],
-    "aggregator.rule": ["fedavg", "krum", "bulyan", "geomed", "median"],
-    "aggregator.krum_f": ["0", "1", "-1"],
-    "aggregator.bulyan_m": ["1", "2", "0"],
-    "adversary.attack": ["none", "labelflip", "backdoor"],
-    "adversary.placement": ["none", "all_pools", "one_pool:0", "one_pool:1", "one_pool:4",
-                            "one_pool:-1", "one_pool"],
-    "adversary.adversaries_per_pool": ["1", "2", "5", "0"],
-    "adversary.boost": ["off", "replacement"],
-    "adversary.trigger_size": ["1", "2", "3"],
-    "adversary.target_label": ["0", "2", "3", "-1"],
-    "data.num_classes": ["2", "3", "1"],
-    "data.height": ["3", "1", "0"],
-    "data.width": ["3", "2", "-2"],
-    "data.per_class": ["12", "2", "0", "100000000000000"],  # the last is too large to allocate
-    "data.partition": ["iid", "label_shard:1", "label_shard:2", "label_shard:0", "label_shard:x"],
-    "optimizer.learning_rate": ["0.01", "1e308"],  # 1e308 diverges: every pool disqualified
-    "optimizer.local_epochs": ["1", "1000000000000"],  # the last is too large to allocate once training starts
+    "topology": (["rfc", "client_server"], ["p2p"]),
+    "num_pools": (["1", "2", "3"], ["0"]),
+    "clients_per_pool": (["1", "2", "4"], ["0"]),
+    "clients_sampled_per_round": (["1", "2", "4", "6"], ["0", "99"]),
+    "aggregator.rule": (["fedavg", "krum", "bulyan", "geomed"], ["median"]),
+    "aggregator.krum_f": (["0", "1"], ["-1"]),
+    "aggregator.bulyan_m": (["1", "2"], ["0"]),
+    "adversary.attack": (["none", "labelflip", "backdoor"], []),
+    "adversary.placement": (["none", "all_pools", "one_pool:0", "one_pool:1"],
+                            ["one_pool:4", "one_pool:-1", "one_pool"]),
+    "adversary.adversaries_per_pool": (["1", "2"], ["5", "0"]),
+    "adversary.boost": (["off", "replacement"], []),
+    "adversary.trigger_size": (["1", "2", "3"], []),
+    "adversary.target_label": (["0", "2"], ["3", "-1"]),
+    "data.num_classes": (["2", "3"], ["1"]),
+    "data.height": (["3", "1"], ["0"]),
+    "data.width": (["3", "2"], ["-2"]),
+    "data.per_class": (["12"], ["2", "0", "100000000000000"]),  # 2 is too few rows; the last too large to allocate
+    "data.partition": (["iid", "label_shard:1", "label_shard:2"], ["label_shard:0", "label_shard:x"]),
+    "optimizer.learning_rate": (["0.01", "1e308"], []),  # 1e308 diverges: every pool disqualified
+    "optimizer.local_epochs": (["1"], ["1000000000000"]),  # too large to allocate once training starts
 }
 # a tiny run unless a drawn line overrides it
 FUZZ_BASE = {"num_pools": "2", "clients_per_pool": "4", "clients_sampled_per_round": "4",
@@ -996,13 +997,24 @@ FUZZ_BASE = {"num_pools": "2", "clients_per_pool": "4", "clients_sampled_per_rou
 
 @st.composite
 def fuzz_configs(draw):
+    """A tiny config with valid values for up to 8 drawn keys, at most one of them swapped for an invalid one."""
     lines = dict(FUZZ_BASE, rounds=draw(st.sampled_from(["1", "2"])))
-    for key in draw(st.lists(st.sampled_from(sorted(FUZZ_VALUES)), unique=True, max_size=8)):
-        lines[key] = draw(st.sampled_from(FUZZ_VALUES[key]))
+    keys = draw(st.lists(st.sampled_from(sorted(FUZZ_VALUES)), unique=True, max_size=8))
+    for key in keys:
+        lines[key] = draw(st.sampled_from(FUZZ_VALUES[key][0]))
+    swappable = [key for key in keys if FUZZ_VALUES[key][1]]
+    if swappable and draw(st.booleans()):
+        key = draw(st.sampled_from(swappable))
+        lines[key] = draw(st.sampled_from(FUZZ_VALUES[key][1]))
+    return fuzz_text(lines)
+
+
+def fuzz_text(lines):
     return "".join(f"{key} = {value}\n" for key, value in lines.items())
 
 
 @given(text=fuzz_configs())
+@example(text=fuzz_text({**FUZZ_BASE, "rounds": "1", "optimizer.learning_rate": "1e308"}))  # diverges: exits 2
 def test_cli_run_exit_code_contract(text):
     """Any config exits 0, 1 or 2 and raises nothing; a completed run's chain validates, a failed run leaves
     no directory."""
@@ -1071,3 +1083,24 @@ def test_ab_bench_summary_on_canned_result_lines():
     assert next(line for line in table if line.startswith("setup_s ")).split()[-3:] == ["+0.0%", "0/3", "+0.0%"]
     assert next(line for line in table if line.startswith("peak_rss_mb ")).split()[-3:] == ["-", "0/3", "-"]
     assert table[-2:] == ["FAIL pair 0 change: failed 1 of 4 samples", "FAIL pair 2 change: no result line"]
+    # one verdict per metric after the metric rows, before the failures
+    assert table[-5:-2] == ["claim setup_s: not met (wins 0/3, |Δ median| 0 vs base IQR 0)",
+                            "claim run_s: not met (wins 1/3, |Δ median| 0.025 vs base IQR 0.1)",
+                            "claim peak_rss_mb: not met (wins 0/3, |Δ median| - vs base IQR -)"]
+
+
+# base run_s with quartiles 0.99 and 1.01 over its first nine or all ten pairs, and each verdict of a change
+@pytest.mark.parametrize("change, verdict", [
+    ([0.95] * 9 + [1.05], "met (wins 9/10, |Δ median| 0.05 vs base IQR 0.02)"),
+    ([0.95] * 8 + [1.05] * 2, "not met (wins 8/10, |Δ median| 0.05 vs base IQR 0.02)"),  # too few wins
+    ([0.985] * 10, "not met (wins 9/10, |Δ median| 0.015 vs base IQR 0.02)"),  # a gap inside the spread
+    ([1.05] * 10, "not met (wins 0/10, |Δ median| 0.05 vs base IQR 0.02)"),  # slower
+    ([0.95] * 9, "not met (wins 9/9, |Δ median| 0.05 vs base IQR 0.02)"),  # nine pairs are too few
+], ids=["met", "eight_wins", "gap_within_iqr", "worse", "nine_pairs"])
+def test_ab_bench_claim_verdict(change, verdict):
+    ab = load_ab_bench()
+    base = [1.0, 0.99, 1.01, 0.98, 1.02, 0.99, 1.01, 1.0, 0.99, 1.01]
+    results = {side: [ab.parse_result(canned_line(v)) for v in values]
+               for side, values in (("base", base[: len(change)]), ("null", base[: len(change)]), ("change", change))}
+    metrics = [m for m in ab.benchmark()["end_to_end"] if m["name"] == "run_s"]
+    assert ab.summarize(results, metrics).splitlines()[-1] == f"claim run_s: {verdict}"

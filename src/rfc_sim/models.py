@@ -171,10 +171,10 @@ def _label_offsets(shape: Tuple[int, ...], num_classes: int) -> np.ndarray:
     return np.arange(0, math.prod(shape) * num_classes, num_classes).reshape(shape)
 
 
-def _loss_grad(spec: ModelSpec, w: list, x: np.ndarray, at: np.ndarray, g: Optional[list] = None):
-    """Per-client sums of label log-probs and logits; with ``g``, the mean loss's gradient, written into those views.
+def _loss_grad(spec: ModelSpec, w: list, x: np.ndarray, at: np.ndarray, g: list):
+    """Per-client sums of label log-probs; the mean loss's gradient is written into the views ``g``.
 
-    The pass of training and ``evaluate``. ``at``, shaped as the labels, is ``_label_offsets`` plus the
+    The pass of one training step. ``at``, shaped as the labels, is ``_label_offsets`` plus the
     labels: each label's flat index into the log-probs. The MLP's gradient reads its ReLU mask from the
     layer's output, positive exactly where the input is. Callers hold ``np.errstate(over="ignore",
     invalid="ignore")``: overflow surfaces as a non-finite sum. Labels lie in ``[0, num_classes)``, as
@@ -183,8 +183,6 @@ def _loss_grad(spec: ModelSpec, w: list, x: np.ndarray, at: np.ndarray, g: Optio
     logits, hidden = _forward(spec, w, x)
     logp = _log_softmax(logits)
     sums = np.add.reduce(logp.reshape(-1)[at], axis=-1)
-    if g is None:
-        return sums, logits
     dlogits = np.exp(logp)
     dlogits.reshape(-1)[at] -= 1.0
     dlogits /= x.shape[-2]
@@ -195,7 +193,7 @@ def _loss_grad(spec: ModelSpec, w: list, x: np.ndarray, at: np.ndarray, g: Optio
         dhidden *= hidden > 0.0
         np.matmul(x.swapaxes(-1, -2), dhidden, out=g[0])
         np.add.reduce(dhidden, axis=-2, keepdims=True, out=g[1])
-    return sums, logits
+    return sums
 
 
 def log_probs(spec: ModelSpec, p: np.ndarray, data: Dataset) -> np.ndarray:
@@ -206,14 +204,14 @@ def log_probs(spec: ModelSpec, p: np.ndarray, data: Dataset) -> np.ndarray:
 
 
 def evaluate(spec: ModelSpec, p: np.ndarray, data: Dataset):
-    """(mean cross-entropy, accuracy) over a nonempty dataset: floats, or lists of k for ``p`` ``[k, P]``."""
+    """(mean cross-entropy, accuracy of the first likeliest class) on nonempty data: floats, or lists for ``[k, P]``."""
     _check(spec, p, data.x)
-    y = data.y if p.ndim == 1 else data.y[None].repeat(len(p), axis=0)
     with np.errstate(over="ignore", invalid="ignore"):
-        sums, logits = _loss_grad(spec, _unpack(spec, p), data.x, _label_offsets(y.shape, spec.num_classes) + y)
+        logp = _log_softmax(_forward(spec, _unpack(spec, p), data.x)[0])
+        sums = np.add.reduce(logp.reshape(-1)[_label_offsets(logp.shape[:-1], spec.num_classes) + data.y], axis=-1)
     # -mean, computed as ndarray.mean does but without its Python-level overhead
     loss = -(sums / len(data))
-    return loss.tolist(), ((logits.argmax(axis=-1) == y).sum(axis=-1) / len(data)).tolist()  # as int / int rounds
+    return loss.tolist(), ((logp.argmax(axis=-1) == data.y).sum(axis=-1) / len(data)).tolist()  # as int / int rounds
 
 
 def train_local(spec: ModelSpec, start: np.ndarray, data: Dataset, opt: OptimizerConfig, seed: int) -> np.ndarray:
@@ -300,7 +298,7 @@ def _train_stack(spec: ModelSpec, start: np.ndarray, datasets: Sequence[Dataset]
                 np.take(y, orders[:, epoch], out=ye, mode="clip")
                 for lo, offsets in slots:
                     hi = lo + opt.batch_size
-                    sums, _ = _loss_grad(spec, w, xe[:, lo:hi], offsets + ye[:, lo:hi], g)
+                    sums = _loss_grad(spec, w, xe[:, lo:hi], offsets + ye[:, lo:hi], g)
                     t += 1
                     if opt.kind == "sgd":
                         grad *= lr

@@ -163,13 +163,15 @@ def reference_partition(data, num_clients, scheme, val_fraction, test_fraction, 
 
 
 def forward_loss_grad(spec, p, batch):
-    """Mean cross-entropy, its gradient, and the argmax hit count on one batch, as training computes them."""
+    """Mean cross-entropy and its gradient on one batch, as training computes them, and the count of rows
+    whose first class of largest log-probability is the label."""
     models._check(spec, p, batch.x)
     grad = np.empty_like(p)
     at = models._label_offsets(batch.y.shape, spec.num_classes) + batch.y
     with np.errstate(over="ignore", invalid="ignore"):
-        sums, logits = models._loss_grad(spec, models._unpack(spec, p), batch.x, at, models._unpack(spec, grad))
-    return float(-(sums / len(batch))), grad, int((logits.argmax(axis=-1) == batch.y).sum())
+        sums = models._loss_grad(spec, models._unpack(spec, p), batch.x, at, models._unpack(spec, grad))
+    hits = models.log_probs(spec, p, batch).argmax(axis=-1) == batch.y
+    return float(-(sums / len(batch))), grad, int(hits.sum())
 
 
 def reference_loss_grad(spec, p, x, y):

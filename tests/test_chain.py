@@ -1,5 +1,10 @@
+import contextlib
 import dataclasses
+import functools
+import io
 import json
+import os
+import tempfile
 
 import numpy as np
 import pytest
@@ -7,6 +12,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rfc_sim import chain as chain_mod
+from rfc_sim import cli, consensus
+from rfc_sim.config import build_partition, parse_config_text
 from rfc_sim.chain import (Block, Chain, append, block_hash, export_lines,
                            genesis, load_lines, meets_difficulty, seal_block, validate)
 from reference import first_nonce_by_brute_force
@@ -256,3 +263,49 @@ def test_load_rejects_a_repeated_key():
     lines[1] = '{"round":1,' + lines[1][len('{"round":99,'):]
     with pytest.raises(ValueError, match=r"^chain export line 2: duplicate key 'round'$"):
         load_lines("\n".join(lines) + "\n")
+
+
+@functools.lru_cache(maxsize=None)
+def sealed_export() -> bytes:
+    """chain.jsonl of a 2-round tiny run sealed at difficulty 4: three blocks, 1,186 bytes."""
+    rc = parse_config_text("rounds = 2\nnum_pools = 2\nclients_per_pool = 4\nclients_sampled_per_round = 4\n"
+                           "data.height = 3\ndata.width = 3\ndata.per_class = 40\noptimizer.local_epochs = 2\n"
+                           "master_seed = 1\nchain_difficulty = 4\n")
+    return export_lines(consensus.run_federation(rc.federation, build_partition(rc)).chain).encode()
+
+
+# one byte edit: (kind, position, byte), the position taken modulo the edited text's positions and the byte
+# ignored by a deletion; bytes that JSON, hex digests and numbers give meaning to, or any byte at all
+_edits = st.lists(st.tuples(st.sampled_from(("delete", "insert", "replace")), st.integers(0, 1 << 16),
+                            st.one_of(st.sampled_from(b' \t\r\n"\\{}[]:,.-+0123456789abcdefElnrtu'),
+                                      st.integers(0, 255))), min_size=1, max_size=2)
+
+
+def edit_bytes(data: bytes, edits) -> bytes:
+    """data after each edit in turn: delete, insert before, or replace the byte at its position."""
+    data = bytearray(data)
+    for kind, at, byte in edits:
+        at %= len(data) + (kind == "insert")
+        data[at : at + (kind != "insert")] = b"" if kind == "delete" else bytes([byte])
+    return bytes(data)
+
+
+@given(edits=_edits)
+@example(edits=[("insert", 1, ord(" "))])  # '{ "aggregator_rule"' loads the same chain: exit 0
+@example(edits=[("replace", 0, ord("["))])  # no longer a JSON object: exit 3
+def test_validate_chain_accepts_an_edited_export_only_as_the_same_chain(edits):
+    """validate-chain passes an edited export only when it loads as the original chain: the same blocks and, as two
+    edits cannot rewrite all three lines' difficulty, the same difficulty. Anything else exits 3 with one line."""
+    edited = edit_bytes(sealed_export(), edits)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "chain.jsonl")
+        with open(path, "wb") as fh:
+            fh.write(edited)
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = cli.main(["validate-chain", path])
+    if code == 0:
+        assert load_lines(edited.decode("utf-8")) == load_lines(sealed_export().decode("utf-8"))
+    else:
+        assert code == 3
+        assert err.getvalue().startswith("chain validation failed: ") and err.getvalue().count("\n") == 1

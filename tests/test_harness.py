@@ -14,7 +14,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from rfc_sim import cli, metrics
+from rfc_sim import aggregation, cli, metrics
 from rfc_sim import chain as chain_mod
 from rfc_sim import config as config_mod
 from rfc_sim import consensus as consensus_mod
@@ -965,12 +965,12 @@ def test_cli_run_krum_skips_nan_scored_update(tmp_path, capsys):
 
 
 # config key -> (valid, invalid) raw values that the exit-code property draws; a valid value is one the key
-# accepts on its own, though it may still clash with another key's
+# accepts on its own, and fuzz_configs draws the keys whose values clash as joint values
 FUZZ_VALUES = {
     "topology": (["rfc", "client_server"], ["p2p"]),
     "num_pools": (["1", "2", "3"], ["0"]),
     "clients_per_pool": (["1", "2", "4"], ["0"]),
-    "clients_sampled_per_round": (["1", "2", "4", "6"], ["0", "99"]),
+    "clients_sampled_per_round": ([], ["0", "99"]),  # valid: derived from a quota the aggregation accepts
     "aggregator.rule": (["fedavg", "krum", "bulyan", "geomed"], ["median"]),
     "aggregator.krum_f": (["0", "1"], ["-1"]),
     "aggregator.bulyan_m": (["1", "2"], ["0"]),
@@ -997,11 +997,35 @@ FUZZ_BASE = {"num_pools": "2", "clients_per_pool": "4", "clients_sampled_per_rou
 
 @st.composite
 def fuzz_configs(draw):
-    """A tiny config with valid values for up to 8 drawn keys, at most one of them swapped for an invalid one."""
+    """A tiny config with valid values for up to 8 drawn keys, valid together, at most one of them swapped for an
+    invalid one."""
     lines = dict(FUZZ_BASE, rounds=draw(st.sampled_from(["1", "2"])))
     keys = draw(st.lists(st.sampled_from(sorted(FUZZ_VALUES)), unique=True, max_size=8))
     for key in keys:
-        lines[key] = draw(st.sampled_from(FUZZ_VALUES[key][0]))
+        if FUZZ_VALUES[key][0]:
+            lines[key] = draw(st.sampled_from(FUZZ_VALUES[key][0]))
+    default = desk_default()
+    # an attack and a placement, or neither
+    if {"adversary.attack", "adversary.placement"} & set(keys):
+        attack = draw(st.sampled_from(FUZZ_VALUES["adversary.attack"][0]))
+        placements = [p for p in FUZZ_VALUES["adversary.placement"][0] if (p == "none") == (attack == "none")]
+        lines["adversary.attack"], lines["adversary.placement"] = attack, draw(st.sampled_from(placements))
+    # a grid with a cell per class
+    if {"data.height", "data.width"} & set(keys):
+        classes = int(lines.get("data.num_classes", default.data.num_classes))
+        grids = [(h, w) for h in FUZZ_VALUES["data.height"][0] for w in FUZZ_VALUES["data.width"][0]
+                 if int(h) * int(w) >= classes]
+        lines["data.height"], lines["data.width"] = draw(st.sampled_from(grids))
+    # a per-aggregation quota from the rule's minimum to the group size, in pools grown to hold the minimum
+    agg = default.federation.aggregator
+    need = aggregation.min_updates(aggregation.AggregatorConfig(
+        lines.get("aggregator.rule", agg.rule), int(lines.get("aggregator.krum_f", agg.krum_f)),
+        int(lines.get("aggregator.bulyan_m", agg.bulyan_m))))
+    pools = int(lines["num_pools"])
+    groups = pools if lines.get("topology", default.federation.topology) == "rfc" else 1
+    per_pool = max(int(lines["clients_per_pool"]), -(-need * groups // pools))
+    quota = draw(st.integers(need, per_pool * pools // groups))
+    lines["clients_per_pool"], lines["clients_sampled_per_round"] = str(per_pool), str(quota * groups)
     swappable = [key for key in keys if FUZZ_VALUES[key][1]]
     if swappable and draw(st.booleans()):
         key = draw(st.sampled_from(swappable))

@@ -200,6 +200,20 @@ def test_overflowing_model_scores_silently_like_evaluate():
     assert math.isnan(bd_loss)
 
 
+def test_every_score_predicts_by_one_rule():
+    # logits 0 and 1e-17 argmax to class 1, but both log-probs round to -log 2, so the first class of largest
+    # log-probability is 0: every score must read that prediction, and none the label 1
+    spec = models.ModelSpec("linear", 2, 2)
+    p = np.zeros(models.param_count(spec))
+    p[1] = 1e-17  # W[0, 1]
+    data = Dataset(np.array([[1.0, 0.0]]), np.array([1]))
+    assert models.log_probs(spec, p, data).tolist() == [[-math.log(2), -math.log(2)]]
+    assert models.evaluate(spec, p, data)[1] == 0.0
+    assert score_model(MetricSpec("accuracy"), spec, p, data) == 0.0
+    assert score_model(MetricSpec("macro_f1"), spec, p, data) == macro_f1([0], data.y, 2) == 0.0
+    assert evaluate_backdoor(spec, p, data, target_label=1)[:2] == (0.0, 0.0)
+
+
 def test_evaluate_backdoor_empty():
     spec = models.ModelSpec("linear", 4, 2)
     with pytest.raises(ValueError):

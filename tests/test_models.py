@@ -269,7 +269,7 @@ def test_stacked_pass_matches_reference_on_special_values(spec, clients):
         grad = np.empty_like(p)
         at = models._label_offsets(y.shape, spec.num_classes) + y
         with np.errstate(over="ignore", invalid="ignore"):
-            sums, _ = models._loss_grad(spec, models._unpack(spec, p), x, at, models._unpack(spec, grad))
+            sums = models._loss_grad(spec, models._unpack(spec, p), x, at, models._unpack(spec, grad))
             loss = -(sums / 4)
             for c in range(clients):
                 want_loss, want_grad = reference_loss_grad(spec, p[c], x[c], y[c])

@@ -40,7 +40,7 @@ _U64 = struct.Struct("<Q")
 _BOUNDS = tuple(((1 << (256 - d)) - 1).to_bytes(32, "big") for d in range(MAX_DIFFICULTY + 1))  # largest hash meeting d
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Block:
     index: int
     timestamp: int
@@ -162,10 +162,15 @@ def _unique_keys(pairs: list) -> dict:
     return rec
 
 
+# A line of str.splitlines and its line end, or the text's end; the empty match past a final line end is no line,
+# so the m[1] of the non-empty matches m are text.splitlines(), one line at a time.
+_LINE = re.compile("([^\n\r\x0b\x0c\x1c-\x1e\x85\u2028\u2029]*)(?:\r\n|[\n\r\x0b\x0c\x1c-\x1e\x85\u2028\u2029]|\\Z)")
+
+
 def load_lines(text: str) -> Chain:
     blocks = []
     difficulty = 0
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    for lineno, line in enumerate((m[1] for m in _LINE.finditer(text) if m[0]), start=1):  # one line held at a time
         if not line.strip():
             continue
         try:

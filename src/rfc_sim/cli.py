@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import io
 import os
 import sys
 from dataclasses import fields
@@ -20,7 +21,7 @@ from . import config as config_mod
 from . import consensus
 from . import data as data_mod
 from . import metrics
-from .consensus import FederationResult, ProvenanceError, RoundAbortError
+from .consensus import FederationResult, RoundAbortError
 
 # records.csv columns: RoundRecord's fields, then one pool<p>_metric column per pool candidate
 RECORD_COLUMNS = tuple(f.name for f in fields(metrics.RoundRecord))
@@ -111,7 +112,7 @@ def _cmd_run(args) -> int:
         partition = config_mod.build_partition(rc)
         os.makedirs(args.out, exist_ok=True)
         result = consensus.run_federation(rc.federation, partition)
-    except (RoundAbortError, ProvenanceError) as exc:
+    except RoundAbortError as exc:
         return _fail(2, f"run aborted: {exc}", made)
     except (ValueError, OSError, MemoryError) as exc:  # MemoryError: a dataset, model or schedule too large to allocate
         return _fail(1, f"config error: {exc}", made)
@@ -128,7 +129,7 @@ def _cmd_run(args) -> int:
 
 def _cmd_validate_chain(args) -> int:
     try:
-        loaded = chain_mod.load_lines(data_mod.open_text(args.chain_file).read())
+        loaded = chain_mod.load_lines(data_mod.read_text(args.chain_file))
         if (bad := chain_mod.validate(loaded)) is not None:
             raise ValueError(f"first invalid block {bad}")
         if args.difficulty not in (None, loaded.difficulty):
@@ -158,7 +159,7 @@ def _cmd_gen_data(args) -> int:
 def _read_series(path: str) -> Dict[str, List[float]]:
     """The summarized columns of a records.csv; a cell that is not a number raises ValueError."""
     series: Dict[str, List[float]] = {}
-    reader = csv.DictReader(data_mod.open_text(path))
+    reader = csv.DictReader(io.StringIO(data_mod.read_text(path), newline=""))
     for row in reader:
         for name in ("val_metric",) + tuple(SUMMARY_DIRECTIONS):
             if name in row:

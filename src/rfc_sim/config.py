@@ -191,7 +191,7 @@ def parse_config_text(text: str, name: str = "<config>") -> RunConfig:
 
 
 def parse_config_file(path: str) -> RunConfig:
-    return parse_config_text(data_mod.open_text(path).read(), name=path)
+    return parse_config_text(data_mod.read_text(path), name=path)
 
 
 def render_config(rc: RunConfig) -> str:

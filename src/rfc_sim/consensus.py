@@ -25,7 +25,6 @@ reads nothing else, and ``run_federation`` is genesis followed by one
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -48,10 +47,6 @@ class RoundAbortError(RuntimeError):
         self.round_idx = round_idx
         self.notes = tuple(notes)
         super().__init__(f"round {round_idx} aborted, all candidates disqualified: " + "; ".join(notes))
-
-
-class ProvenanceError(RuntimeError):
-    """A client update reached an aggregation outside its home pool."""
 
 
 @dataclass(frozen=True)
@@ -117,14 +112,15 @@ class FederationConfig:
     def sample_quota(self) -> int:
         """Updates entering one aggregation: each group's share of the sampled clients."""
         count, _ = self.group_shape()
-        # exact half-to-even rounding: a float quotient overflows for a huge sample count
-        return round(Fraction(self.clients_sampled_per_round, count))
+        # half to even in exact integers (up past a half, or at a half from an odd q): a float quotient overflows
+        q, r = divmod(self.clients_sampled_per_round, count)
+        return q + (2 * r + q % 2 > count)
 
     def total_clients(self) -> int:
         return self.num_pools * self.clients_per_pool
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PoolCandidate:
     """One pool's entry in a round's validation contest; a non-empty note disqualifies it and says why."""
     pool_id: int
@@ -185,8 +181,6 @@ def _pool_candidates(cfg: FederationConfig, partition: FederatedPartition, adver
     for pool_id in range(count):
         members = range(pool_id * size, (pool_id + 1) * size)
         sampled = sample_clients(members, pool_id, round_idx, quota, cfg.master_seed)
-        if not all(cid in members for cid in sampled):
-            raise ProvenanceError(f"round {round_idx}: pool {pool_id} sampled foreign clients")
         samples.append((pool_id, sampled, len(datasets)))
         for cid in sampled:
             datasets.append(_client_data(cfg, partition, cid, cid in adversarial, round_idx, pool_id))

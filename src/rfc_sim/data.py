@@ -145,18 +145,18 @@ def gen_synthetic(cfg: DataConfig, seed: int) -> Dataset:
     return Dataset(x, y)
 
 
-def open_text(path: str) -> io.StringIO:
+def read_text(path: str) -> str:
     """The file at path decoded as UTF-8, line ends as stored; a non-UTF-8 byte raises ValueError naming path."""
     with open(path, encoding="utf-8", newline="") as fh:
         try:
-            return io.StringIO(fh.read(), newline="")
+            return fh.read()
         except UnicodeDecodeError as exc:
             raise ValueError(f"{path}: {exc}")
 
 
 def load_csv(path: str, num_classes: int) -> Dataset:
     """Parse ``label,f0,f1,...`` rows; grid shape comes from the run config."""
-    reader = csv.reader(open_text(path))
+    reader = csv.reader(io.StringIO(read_text(path), newline=""))
     try:
         header = next(reader)
     except StopIteration:

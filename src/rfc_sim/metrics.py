@@ -34,7 +34,7 @@ class MetricSpec:
         return METRIC_DIRECTIONS[self.name]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RoundRecord:
     round: int
     winning_pool: int

@@ -186,6 +186,28 @@ def test_load_rejects_garbage():
         load_lines("")
 
 
+# every line end str.splitlines knows
+LINE_ENDS = ("\n", "\r", "\r\n", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029")
+
+
+@given(text=st.lists(st.one_of(st.sampled_from('{}[]":,.-+0123456789abcdefElnrtu \t\\'),
+                               st.sampled_from(LINE_ENDS))).map("".join))
+@example(text="")
+@example(text="\r\r\n\n{}\x85")
+def test_loader_lines_are_splitlines(text):
+    """load_lines takes its text one line at a time, each line as ``str.splitlines`` gives it."""
+    assert [m[1] for m in chain_mod._LINE.finditer(text) if m[0]] == text.splitlines()
+
+
+@pytest.mark.parametrize("end", LINE_ENDS, ids=[end.encode("unicode_escape").decode() for end in LINE_ENDS])
+def test_load_lines_splits_an_export_at_every_line_end(end):
+    text = export_lines(build_chain(3))
+    assert load_lines(text.replace("\n", end)) == load_lines(text)
+    bad = len(text.splitlines()) + 2  # past a blank line, which is counted as splitlines counts it
+    with pytest.raises(ValueError, match=f"^chain export line {bad}: "):
+        load_lines(text.replace("\n", end) + end + "not json")
+
+
 def test_meets_difficulty_boundaries():
     assert meets_difficulty(bytes(32), 256)
     assert meets_difficulty(b"\xff" * 32, 0)

@@ -4,10 +4,12 @@ import json
 import math
 import re
 from dataclasses import replace
+from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rfc_sim import chain as chain_mod
@@ -78,6 +80,18 @@ def test_sample_quota_banker_rounding_documented():
     assert tiny_config(num_pools=2, clients_sampled_per_round=7).sample_quota() == 4  # 3.5 -> 4
     cs = tiny_config(topology="client_server", clients_sampled_per_round=5)
     assert cs.sample_quota() == 5
+
+
+@given(a=st.integers(-10**30, 10**30), b=st.integers(1, 10**6))
+@example(a=5, b=2)
+@example(a=7, b=2)
+@example(a=-5, b=2)
+@example(a=-7, b=2)
+@example(a=10**30 - 1, b=2)
+def test_sample_quota_rounds_half_to_even_exactly(a, b):
+    """sample_quota's integer rounding is round(Fraction(a, b)): half to even, exact past a float's range."""
+    stand_in = SimpleNamespace(clients_sampled_per_round=a, group_shape=lambda: (b, 1))
+    assert FederationConfig.sample_quota(stand_in) == round(Fraction(a, b))
 
 
 def test_group_shape_per_topology():
@@ -235,6 +249,18 @@ def test_candidates_are_recorded_without_models():
     for row, round_cands in zip(rows[1:], result.candidates, strict=True):
         assert row[-2:] == [repr(c.metric_value) for c in round_cands]
         assert row[-2] == "nan"
+
+
+def test_per_round_objects_carry_no_dict():
+    """A run keeps a Block and a RoundRecord per round and a PoolCandidate per pool and round, all slotted."""
+    result = run_tiny()
+    cand = result.candidates[-1][0]
+    for kept in (result.chain.blocks[-1], result.records[-1], cand):
+        assert not hasattr(kept, "__dict__"), type(kept).__name__
+    assert dataclasses.asdict(cand) == {"pool_id": 0, "metric_value": cand.metric_value, "clients": cand.clients,
+                                        "note": ""}
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        cand.note = "edited"
 
 
 def test_benign_desk_training_reaches_090_by_round_20():

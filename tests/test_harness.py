@@ -399,18 +399,6 @@ def test_cli_run_federation_errors_exit_with_one_line(tmp_path, capsys, monkeypa
     assert not (out / "config.txt").exists()
 
 
-def test_cli_run_foreign_sampled_client_exits_2(tmp_path, capsys, monkeypatch):
-    from rfc_sim import consensus
-
-    def foreign(members, pool_id, round_idx, quota, master_seed):
-        return [c for c in range(8) if c not in members][:quota]  # TINY_CONFIG has 8 clients
-
-    monkeypatch.setattr(consensus, "sample_clients", foreign)
-    assert cli.main(["run", "--config", write_config(tmp_path), "--out", str(tmp_path / "o")]) == 2
-    err = capsys.readouterr().err
-    assert "round 1: pool 0 sampled foreign clients" in err and len(err.strip().splitlines()) == 1
-
-
 def test_cli_run_preset_and_seed_flags(tmp_path, capsys):
     cfg = write_config(tmp_path)
     out = tmp_path / "p"
@@ -1005,17 +993,25 @@ def fuzz_configs(draw):
         if FUZZ_VALUES[key][0]:
             lines[key] = draw(st.sampled_from(FUZZ_VALUES[key][0]))
     default = desk_default()
-    # an attack and a placement, or neither
+    # an attack and a placement in a pool that exists, or neither
     if {"adversary.attack", "adversary.placement"} & set(keys):
         attack = draw(st.sampled_from(FUZZ_VALUES["adversary.attack"][0]))
-        placements = [p for p in FUZZ_VALUES["adversary.placement"][0] if (p == "none") == (attack == "none")]
+        placements = [p for p in FUZZ_VALUES["adversary.placement"][0] if (p == "none") == (attack == "none")
+                      and int(p.partition(":")[2] or 0) < int(lines["num_pools"])]
         lines["adversary.attack"], lines["adversary.placement"] = attack, draw(st.sampled_from(placements))
-    # a grid with a cell per class
+    attack = lines.get("adversary.attack", default.federation.adversary.attack)
+    classes = int(lines.get("data.num_classes", default.data.num_classes))
+    # a grid with a cell per class and, under backdoor, a shorter side that a 1x1 trigger fits below
     if {"data.height", "data.width"} & set(keys):
-        classes = int(lines.get("data.num_classes", default.data.num_classes))
         grids = [(h, w) for h in FUZZ_VALUES["data.height"][0] for w in FUZZ_VALUES["data.width"][0]
-                 if int(h) * int(w) >= classes]
+                 if int(h) * int(w) >= classes and (min(int(h), int(w)) > 1 or attack != "backdoor")]
         lines["data.height"], lines["data.width"] = draw(st.sampled_from(grids))
+    if attack == "backdoor":  # a trigger below the grid's shorter side, and a target label among the classes
+        side = min(int(lines["data.height"]), int(lines["data.width"]))
+        lines["adversary.trigger_size"] = draw(st.sampled_from(
+            [k for k in FUZZ_VALUES["adversary.trigger_size"][0] if int(k) < side]))
+        lines["adversary.target_label"] = draw(st.sampled_from(
+            [t for t in FUZZ_VALUES["adversary.target_label"][0] if int(t) < classes]))
     # a per-aggregation quota from the rule's minimum to the group size, in pools grown to hold the minimum
     agg = default.federation.aggregator
     need = aggregation.min_updates(aggregation.AggregatorConfig(
@@ -1026,6 +1022,9 @@ def fuzz_configs(draw):
     per_pool = max(int(lines["clients_per_pool"]), -(-need * groups // pools))
     quota = draw(st.integers(need, per_pool * pools // groups))
     lines["clients_per_pool"], lines["clients_sampled_per_round"] = str(per_pool), str(quota * groups)
+    if attack != "none":  # no more adversaries than a pool holds
+        lines["adversary.adversaries_per_pool"] = draw(st.sampled_from(
+            [n for n in FUZZ_VALUES["adversary.adversaries_per_pool"][0] if int(n) <= per_pool]))
     swappable = [key for key in keys if FUZZ_VALUES[key][1]]
     if swappable and draw(st.booleans()):
         key = draw(st.sampled_from(swappable))

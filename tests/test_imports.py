@@ -1,6 +1,10 @@
-"""Every name a module imports is used: an ``ast`` scan of ``src/``, ``tests/`` and ``scripts/``."""
+"""What importing costs: every name a module imports is used (an ``ast`` scan of ``src/``, ``tests/`` and
+``scripts/``), and importing the package loads no module it does not use."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -36,3 +40,13 @@ def test_unused_import_scan_sees_aliases_all_and_future():
     source = ("from __future__ import annotations\nimport os.path\nimport numpy as np\nfrom a import b, c as d\n"
               "__all__ = ['b']\nos.sep\n")
     assert unused_imports(source) == ["line 3: np", "line 4: d"]
+
+
+def test_import_loads_neither_fractions_nor_decimal():
+    """``sample_quota`` rounds in integers, so the package, its CLI included, imports no ``fractions`` (which
+    imports ``decimal``)."""
+    code = "import sys, rfc_sim.cli; print(sorted({'fractions', 'decimal'} & sys.modules.keys()))"
+    path = [str(ROOT / "src")] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    out = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=os.pathsep.join(path)),
+                         capture_output=True, text=True, check=True, timeout=60)
+    assert out.stdout == "[]\n"
